@@ -466,36 +466,42 @@ class ExactEvaluator:
         """Exact distances to ``candidates``, aligned — no selection.
 
         The sanctioned interface for search paths that need raw
-        per-candidate distances (the Theorem 2 early-stop loop, range
-        search) rather than a top-``k``: exact scoring stays inside the
-        engine's evaluator instead of leaking into each index class.
+        per-candidate distances (the Theorem 2 scan behind early stop
+        and range search) rather than a top-``k``: exact scoring stays
+        inside the engine's evaluator instead of leaking into each
+        index class.  Uses the same arithmetic as :meth:`evaluate`, so
+        both return bit-identical distances for the same candidates.
         """
         if not len(candidates):
             return _EMPTY_DISTS
-        return pairwise_distances(
-            query[np.newaxis, :], self._vectors()[candidates], self.metric
-        )[0]
+        return self._distances(query, candidates)
 
     def evaluate(
         self, query: np.ndarray, candidates: np.ndarray, k: int
     ) -> tuple[np.ndarray, np.ndarray]:
         if not len(candidates):
             return _EMPTY_IDS, _EMPTY_DISTS
+        return CandidatePipeline.top_k(
+            candidates, self._distances(query, candidates), k
+        )
+
+    def _distances(
+        self, query: np.ndarray, candidates: np.ndarray
+    ) -> np.ndarray:
         if self.metric in _RAGGED_METRICS:
             # Same arithmetic as the batched block path, so per-query
-            # and batched searches return bit-identical distances.
-            dists = _ragged_distances(
+            # and batched searches return bit-identical distances; it is
+            # row-wise, so scoring candidates in chunks changes no bit.
+            return _ragged_distances(
                 query[np.newaxis, :],
                 self._vectors(),
                 candidates,
                 np.array([len(candidates)], dtype=np.int64),
                 self.metric,
             )
-        else:
-            dists = pairwise_distances(
-                query[np.newaxis, :], self._vectors()[candidates], self.metric
-            )[0]
-        return CandidatePipeline.top_k(candidates, dists, k)
+        return pairwise_distances(
+            query[np.newaxis, :], self._vectors()[candidates], self.metric
+        )[0]
 
 
 class ADCEvaluator:

@@ -86,11 +86,57 @@ def evaluate_candidates(
     best (ties broken by id).  Kept as a function for callers outside
     the engine; internally it is the engine's exact evaluation rule.
     """
-    if not len(candidate_ids):
-        empty = np.empty(0, dtype=np.int64)
-        return empty, np.empty(0, dtype=np.float64)
-    dists = ExactEvaluator(data, metric).distances(query, candidate_ids)
-    return CandidatePipeline.top_k(candidate_ids, dists, k)
+    return ExactEvaluator(np.asarray(data, dtype=np.float64), metric).evaluate(
+        np.asarray(query, dtype=np.float64), candidate_ids, k
+    )
+
+
+# Candidates scored by the Theorem 2 scan's first distance call; each
+# later chunk doubles it, so a query costs O(log n) calls.
+_FIRST_CHUNK = 256
+
+
+def _first_stop(
+    bounds: np.ndarray,
+    starts: np.ndarray,
+    kept_dists: np.ndarray,
+    chunk_dists: np.ndarray,
+    k: int,
+) -> int:
+    """Index of a chunk's first bucket Theorem 2 stops at, else its length.
+
+    Bucket ``j`` stops the search when ``bounds[j]`` (its ``µ·qd``)
+    exceeds the k-th smallest distance over ``kept_dists`` (the best
+    ``k`` before the chunk) and ``chunk_dists[:starts[j]]`` (the
+    chunk's candidates before ``j``).  Bucket 0 never stops: it passed
+    the bound against ``kept_dists`` when it was fetched.  The k-th
+    distance never rises with ``j`` and GQR's QD never falls, so the
+    predicate flips at most once and bisection finds the flip.  The
+    bisection runs on the running maximum of the bounds, which stays
+    monotone even where float rounding lets a QD dip by an ulp; a short
+    forward walk then checks the exact predicate.
+    """
+
+    def kth(j: int) -> float:
+        pool = np.concatenate((kept_dists, chunk_dists[: starts[j]]))
+        if len(pool) < k:
+            return np.inf
+        return float(np.partition(pool, k - 1)[k - 1])
+
+    n = len(bounds)
+    peaks = np.maximum.accumulate(bounds)
+    if peaks[-1] <= kth(n):
+        return n
+    lo, hi = 1, n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if peaks[mid] > kth(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    while lo < n and bounds[lo] <= kth(lo):
+        lo += 1
+    return lo
 
 
 class HashIndex:
@@ -515,54 +561,24 @@ class HashIndex:
         Probes buckets in ascending QD and stops once the bound
         ``µ·dist(q, b)`` of the next bucket exceeds the current k-th
         nearest distance — at that point no unprobed bucket can contain
-        a closer item, so the returned neighbours are exact.
+        a closer item, so the returned neighbours are exact.  Probing
+        also stops after the first non-empty bucket that brings the
+        candidate count to ``max_candidates`` (default: every item).
 
         Requires a GQR prober, a hasher with a linear hashing matrix
         (the bound needs ``M = σ_max(H)``), and the Euclidean metric.
         """
-        prober, hasher, mu = self._early_stop_setup()
-        query = validate_query(query, self._dim)
-        signature, costs = hasher.probe_info(query)
-        table = self._tables[0]
+        if k < 1:
+            raise ValueError(f"k must be positive, got {k}")
         if max_candidates is None:
             max_candidates = self.num_items
-
-        ctx = ExecutionContext()
-        kth_distance = np.inf
-        best: list[tuple[float, int]] = []
-        with obs.span("query") as root:
-            for bucket, qd in prober.probe_scored(table, signature, costs):
-                if mu * qd > kth_distance:
-                    ctx.early_stop_triggered = True
-                    break
-                ids = table.get(bucket)
-                ctx.n_buckets_probed += 1
-                if not len(ids):
-                    continue
-                ctx.n_candidates += len(ids)
-                dists = self._exact.distances(query, ids)
-                for item_id, dist in zip(ids, dists):
-                    best.append((float(dist), int(item_id)))
-                best.sort()
-                del best[k:]
-                if len(best) == k:
-                    kth_distance = best[-1][0]
-                if ctx.n_candidates >= max_candidates:
-                    break
-        # Retrieval and evaluation interleave under exact pruning, so
-        # the whole loop counts as retrieval (the stage that stopped).
-        ctx.total_seconds = root.duration
-        ctx.retrieval_seconds = ctx.total_seconds
-        obs.observe_query("hash", ctx, root=root)
-
-        ids = np.asarray([item for _, item in best], dtype=np.int64)
-        dists = np.asarray([dist for dist, _ in best], dtype=np.float64)
+        ids, dists, ctx = self._theorem2_scan(query, k, np.inf, max_candidates)
         return SearchResult(
             ids,
             dists,
             ctx.n_candidates,
             ctx.n_buckets_probed,
-            extras={"stopped_early": bool(best), "stats": ctx},
+            extras={"stopped_early": bool(len(ids)), "stats": ctx},
         )
 
     def search_range(self, query: np.ndarray, radius: float) -> SearchResult:
@@ -576,39 +592,113 @@ class HashIndex:
         """
         if radius < 0:
             raise ValueError("radius must be non-negative")
+        ids, dists, ctx = self._theorem2_scan(query, None, radius, np.inf)
+        return SearchResult(
+            ids, dists, ctx.n_candidates, ctx.n_buckets_probed,
+            extras={"stats": ctx},
+        )
+
+    def _theorem2_scan(
+        self,
+        query: np.ndarray,
+        k: int | None,
+        radius: float,
+        max_candidates: float,
+    ) -> tuple[np.ndarray, np.ndarray, ExecutionContext]:
+        """Probe in ascending QD until Theorem 2 proves the rest useless.
+
+        The search stops before the first bucket ``j`` whose bound
+        ``µ·qd_j`` exceeds the limit: ``radius`` for range search
+        (``k is None``); for kNN, the k-th smallest distance over the
+        buckets before ``j``, and ``radius`` (infinite) until ``k``
+        candidates are seen.  It also stops after the first non-empty bucket that
+        brings the candidate count to ``max_candidates``.  Returns the
+        kept ``(ids, distances)``, ascending by ``(distance, id)``: the
+        ``k`` nearest, or every probed item within ``radius``.
+
+        Buckets are fetched in chunks of growing candidate count and
+        each chunk is scored with one distance call.  Every bucket in
+        a chunk passed the bound against the limit known before the
+        chunk; with ``k`` given the limit can only fall inside it, and
+        :func:`_first_stop` finds where.  The probed buckets, counters
+        and distances are those of visiting one bucket at a time.
+        """
         prober, hasher, mu = self._early_stop_setup()
         query = validate_query(query, self._dim)
         signature, costs = hasher.probe_info(query)
         table = self._tables[0]
 
         ctx = ExecutionContext()
-        hits: list[tuple[float, int]] = []
+        kept_ids = np.empty(0, dtype=np.int64)
+        kept_dists = np.empty(0, dtype=np.float64)
+        limit = radius
+        target = _FIRST_CHUNK
         with obs.span("query") as root:
-            for bucket, qd in prober.probe_scored(table, signature, costs):
-                if mu * qd > radius:
-                    ctx.early_stop_triggered = True
-                    break
-                ids = table.get(bucket)
-                ctx.n_buckets_probed += 1
-                if not len(ids):
-                    continue
-                ctx.n_candidates += len(ids)
-                dists = self._exact.distances(query, ids)
-                hits.extend(
-                    (float(d), int(i))
-                    for i, d in zip(ids, dists)
-                    if d <= radius
-                )
+            stream = prober.probe_scored(table, signature, costs)
+            done = False
+            while not done:
+                chunk: list[np.ndarray] = []
+                bounds: list[float] = []
+                pulled = 0
+                for bucket, qd in stream:
+                    bound = mu * qd
+                    if bound > limit:
+                        ctx.early_stop_triggered = done = True
+                        break
+                    ids = table.get(bucket)
+                    chunk.append(ids)
+                    bounds.append(bound)
+                    pulled += len(ids)
+                    reached = ctx.n_candidates + pulled >= max_candidates
+                    if len(ids) and reached:
+                        done = True
+                        break
+                    if pulled >= target:
+                        break
+                else:
+                    done = True
+                target *= 2
+                n_probed = len(chunk)
+                if pulled:
+                    chunk_ids = np.concatenate(chunk)
+                    with obs.span("evaluate"):
+                        chunk_dists = self._exact.distances(query, chunk_ids)
+                    if k is None:
+                        within = chunk_dists <= radius
+                        kept_ids = np.concatenate(
+                            (kept_ids, chunk_ids[within])
+                        )
+                        kept_dists = np.concatenate(
+                            (kept_dists, chunk_dists[within])
+                        )
+                    else:
+                        starts = np.cumsum([0] + [len(ids) for ids in chunk])
+                        n_probed = _first_stop(
+                            np.asarray(bounds, dtype=np.float64),
+                            starts, kept_dists, chunk_dists, k,
+                        )
+                        if n_probed < len(chunk):
+                            ctx.early_stop_triggered = done = True
+                            pulled = int(starts[n_probed])
+                        kept_ids, kept_dists = CandidatePipeline.top_k(
+                            np.concatenate((kept_ids, chunk_ids[:pulled])),
+                            np.concatenate((kept_dists, chunk_dists[:pulled])),
+                            k,
+                        )
+                        if len(kept_dists) == k:
+                            limit = float(kept_dists[-1])
+                ctx.n_buckets_probed += n_probed
+                ctx.n_candidates += pulled
+        # Evaluation is the chunks' distance calls; retrieval is the
+        # rest (probing, bucket fetches, the stop search, selection).
         ctx.total_seconds = root.duration
-        ctx.retrieval_seconds = ctx.total_seconds
+        ctx.evaluation_seconds = root.child_duration("evaluate")
+        ctx.retrieval_seconds = ctx.total_seconds - ctx.evaluation_seconds
         obs.observe_query("hash", ctx, root=root)
-        hits.sort()
-        ids = np.asarray([item for _, item in hits], dtype=np.int64)
-        dists = np.asarray([dist for dist, _ in hits], dtype=np.float64)
-        return SearchResult(
-            ids, dists, ctx.n_candidates, ctx.n_buckets_probed,
-            extras={"stats": ctx},
-        )
+        if k is None:
+            order = np.lexsort((kept_ids, kept_dists))
+            kept_ids, kept_dists = kept_ids[order], kept_dists[order]
+        return kept_ids, kept_dists, ctx
 
     def _early_stop_setup(self) -> tuple[GQR, ProjectionHasher, float]:
         """Shared preconditions of the Theorem 2 search modes."""

@@ -103,6 +103,13 @@ class TestBitIdenticalResults:
         np.testing.assert_array_equal(
             baseline.distances, telemetered.distances
         )
+        # Evaluation is the sum of real per-chunk spans, retrieval the rest.
+        stats = telemetered.stats
+        assert stats.evaluation_seconds > 0
+        assert (
+            stats.retrieval_seconds + stats.evaluation_seconds
+            <= stats.total_seconds
+        )
 
     def test_distributed_path(self, data, queries):
         hasher = ITQ(code_length=8, seed=0).fit(data)

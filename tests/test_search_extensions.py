@@ -81,6 +81,14 @@ class TestRangeSearch:
         result = index.search_range(data[5], 0.0)
         assert 5 in result.ids
 
+    def test_zero_radius_finds_every_indexed_row(self, index, data):
+        # Distances come from the difference form, so an indexed row's
+        # distance to itself is exactly zero, never a rounding residue.
+        for row in range(100):
+            result = index.search_range(data[row], 0.0)
+            assert row in result.ids
+            assert (result.distances == 0.0).all()
+
     def test_negative_radius_rejected(self, index, data):
         with pytest.raises(ValueError):
             index.search_range(data[0], -1.0)

@@ -1,5 +1,7 @@
 """Tests for the high-level search indexes."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.hashing import ITQ, SpectralHashing
 from repro.index.linear_scan import knn_linear_scan
 from repro.probing import GenerateHammingRanking, HammingRanking
 from repro.quantization.opq import OptimizedProductQuantizer
+from repro.search.engine import ExactEvaluator
 from repro.search.searcher import (
     HashIndex,
     IMISearchIndex,
@@ -54,6 +57,19 @@ class TestEvaluateCandidates:
             data[0], data, np.arange(200, dtype=np.int64), k=20
         )
         assert (np.diff(dists) >= 0).all()
+
+    def test_bit_identical_to_engine_evaluation(self, data):
+        candidates = np.arange(0, len(data), 3, dtype=np.int64)
+        for query in data[:20]:
+            ids, dists = evaluate_candidates(query, data, candidates, k=10)
+            e_ids, e_dists = ExactEvaluator(data).evaluate(
+                query, candidates, 10
+            )
+            assert np.array_equal(ids, e_ids)
+            assert np.array_equal(dists, e_dists)
+            assert np.array_equal(
+                ExactEvaluator(data).distances(query, ids), dists
+            )
 
 
 class TestHashIndex:
@@ -188,9 +204,24 @@ class TestEarlyStop:
             index.search_early_stop(data[0], k=5)
 
     def test_max_candidates_cap(self, data):
-        index = HashIndex(ITQ(code_length=8, seed=0), data, prober=GQR())
+        hasher = ITQ(code_length=8, seed=0)
+        index = HashIndex(hasher, data, prober=GQR())
         result = index.search_early_stop(data[0], k=5, max_candidates=50)
-        assert result.n_candidates <= 50 + 200  # cap + one bucket overshoot
+        table = index.tables[0]
+        signature, costs = hasher.probe_info(data[0])
+        probed = [
+            len(table.get(bucket))
+            for bucket, _ in islice(
+                GQR().probe_scored(table, signature, costs),
+                result.n_buckets_probed,
+            )
+        ]
+        assert result.n_candidates == sum(probed)
+        assert not result.stats.early_stop_triggered
+        # The cap stops probing right after the bucket that reaches it,
+        # so it is overshot by at most that last bucket.
+        last = [size for size in probed if size][-1]
+        assert result.n_candidates - last < 50 <= result.n_candidates
 
 
 class TestMIHSearchIndex:
