@@ -40,11 +40,11 @@ class DynamicHashTable:
         self._bucket_of: dict[int, int] = {}
         self._n_alive = 0
         # ``get`` compacts lazily, so *reads* mutate the table too;
-        # parallel batch workers call ``get`` concurrently and must not
-        # interleave with each other or with add/remove.  Non-reentrant
-        # by design: no method below calls another locked method while
-        # holding the lock (num_buckets/signatures call ``get`` from
-        # outside it).
+        # AsyncFrontDoor(max_workers>1) worker threads call ``get``
+        # concurrently and must not interleave with each other or with
+        # add/remove.  Non-reentrant by design: no method below calls
+        # another locked method while holding the lock
+        # (num_buckets/signatures call ``get`` from outside it).
         self._lock = threading.Lock()
 
     @property

@@ -81,8 +81,9 @@ class HashTable:
             int(sig): group for sig, group in zip(uniques, groups)
         }
         self._layout: tuple[np.ndarray, ...] | None = None
-        # The table is immutable but the layout cache is not: parallel
-        # batch workers may race to build it on first use.
+        # The table is immutable but the layout cache is not:
+        # AsyncFrontDoor(max_workers>1) worker threads may race to
+        # build it on first use.
         self._layout_lock = threading.Lock()
 
     @property

@@ -58,7 +58,6 @@ from repro.obs.telemetry import (
     observe_cache_occupancy,
     observe_distributed,
     observe_fault,
-    observe_parallel_shard,
     observe_query,
     observe_serving_admission,
     observe_serving_batch,
@@ -99,7 +98,6 @@ __all__ = [
     "observe_cache_occupancy",
     "observe_distributed",
     "observe_fault",
-    "observe_parallel_shard",
     "observe_query",
     "observe_serving_admission",
     "observe_serving_batch",

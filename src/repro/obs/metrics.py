@@ -67,8 +67,8 @@ class MetricError(RuntimeError):
 class CounterChild:
     """A monotonically increasing value cell.
 
-    Updates take a per-child lock: the parallel batch executor records
-    from several threads at once, and an unlocked ``+=`` is a
+    Updates take a per-child lock: ``AsyncFrontDoor(max_workers>1)``
+    worker threads record at once, and an unlocked ``+=`` is a
     read-modify-write race that silently drops increments.  The
     disabled fast path stays lock-free.
     """

@@ -81,8 +81,8 @@ class TraceSampler:
         self._phase = random.Random(seed).randrange(every_n)
         self._seen = 0
         self._ring: deque[SampledTrace] = deque(maxlen=capacity)
-        # Samplers are shared across ParallelBatchExecutor worker
-        # threads; counter and ring mutations must be atomic or
+        # Samplers are shared across AsyncFrontDoor(max_workers>1)
+        # worker threads; counter and ring mutations must be atomic or
         # concurrent queries lose counts and tear the ring.
         self._lock = threading.Lock()
 

@@ -24,8 +24,6 @@ metric                                    kind       labels
 ``repro_sampled_traces_total``            counter    —
 ``repro_shard_queries_total``             counter    ``worker``
 ``repro_shard_seconds``                   histogram  ``worker``
-``repro_parallel_shards_total``           counter    ``mode``
-``repro_parallel_shard_seconds``          histogram  ``mode``
 ``repro_distributed_queries_total``       counter    —
 ``repro_distributed_workers_contacted``   histogram  —
 ``repro_distributed_stage_seconds``       histogram  ``stage``
@@ -116,7 +114,6 @@ __all__ = [
     "observe_cache_occupancy",
     "observe_distributed",
     "observe_fault",
-    "observe_parallel_shard",
     "observe_query",
     "observe_serving_admission",
     "observe_serving_batch",
@@ -249,16 +246,6 @@ class TelemetryState:
             "repro_shard_seconds",
             "Per-shard local search latency",
             labels=("worker",),
-        )
-        self.parallel_shards: Counter = reg.counter(
-            "repro_parallel_shards_total",
-            "Batch shards dispatched by the parallel batch executor",
-            labels=("mode",),
-        )
-        self.parallel_shard_seconds: Histogram = reg.histogram(
-            "repro_parallel_shard_seconds",
-            "Wall time of one parallel batch shard, by execution mode",
-            labels=("mode",),
         )
         self.distributed_queries: Counter = reg.counter(
             "repro_distributed_queries_total",
@@ -557,20 +544,6 @@ def observe_shard(worker_id: int, seconds: float) -> None:
         return
     state.shard_queries.labels(worker=worker_id).inc()
     state.shard_seconds.labels(worker=worker_id).observe(seconds)
-
-
-def observe_parallel_shard(mode: str, seconds: float) -> None:
-    """Record one batch shard the parallel executor dispatched.
-
-    ``mode`` is the execution mode that ran the shard (``"thread"`` /
-    ``"process"``); ``seconds`` the shard's wall time as measured on
-    the worker.
-    """
-    state = _STATE
-    if state is None:
-        return
-    state.parallel_shards.labels(mode=mode).inc()
-    state.parallel_shard_seconds.labels(mode=mode).observe(seconds)
 
 
 def observe_distributed(

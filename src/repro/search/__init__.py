@@ -18,13 +18,7 @@ from repro.search.engine import (
     validate_query,
     validate_query_batch,
 )
-from repro.search.parallel import ParallelBatchExecutor
 from repro.search.results import SearchResult
-from repro.search.shm import (
-    SharedBucketTable,
-    SharedIndexPublication,
-    SharedIndexSpec,
-)
 from repro.search.searcher import (
     HashIndex,
     IMISearchIndex,
@@ -52,15 +46,11 @@ __all__ = [
     "IMISearchIndex",
     "IndexFusionPartner",
     "MIHSearchIndex",
-    "ParallelBatchExecutor",
     "QueryEngine",
     "QueryPlan",
     "QueryResultCache",
     "RerankSpec",
     "SearchResult",
-    "SharedBucketTable",
-    "SharedIndexPublication",
-    "SharedIndexSpec",
     "StreamSearchIndex",
     "cache_token",
     "evaluate_candidates",

@@ -94,8 +94,8 @@ def query_fingerprint(query: np.ndarray, decimals: int = 12) -> bytes:
 class QueryResultCache:
     """LRU + TTL cache of :class:`SearchResult` objects.
 
-    Thread-safe: the parallel batch executor's worker threads and the
-    caller's thread may look up and store concurrently.  The cached
+    Thread-safe: ``AsyncFrontDoor(max_workers>1)`` worker threads and
+    the caller's thread may look up and store concurrently.  The cached
     object itself is returned on a hit — ids and distances are the
     bit-identical arrays the uncached execution produced.
 

@@ -54,7 +54,6 @@ from repro.index.codes import (
 )
 from repro.index.distance import METRICS, pairwise_distances
 from repro.search.cache import QueryResultCache, cache_token
-from repro.search.parallel import ParallelBatchExecutor
 from repro.search.results import SearchResult
 from repro.search.stages import (
     FuseStage,
@@ -919,19 +918,13 @@ class QueryEngine:
     ``name`` labels this engine's series in the metrics registry
     (``repro_queries_total{index="hash"}``, …) when telemetry is on.
 
-    Serving-layer hooks (both optional, both off by default):
-
-    * ``cache`` — a :class:`~repro.search.cache.QueryResultCache`;
-      :meth:`execute` consults it before running a cacheable plan and
-      stores the result after.  Keys include this engine's identity
-      token and :attr:`generation`, which mutating indexes bump via
-      :meth:`bump_generation` on every add/remove/append — entries from
-      an older generation can never be returned again.
-    * ``parallel`` — a
-      :class:`~repro.search.parallel.ParallelBatchExecutor`; both batch
-      entry points shard large batches across its worker pool (threads,
-      or shared-memory processes for eligible ordered batches), with
-      results bit-identical to serial execution.
+    Serving-layer hook (optional, off by default): ``cache`` — a
+    :class:`~repro.search.cache.QueryResultCache`; :meth:`execute`
+    consults it before running a cacheable plan and stores the result
+    after.  Keys include this engine's identity token and
+    :attr:`generation`, which mutating indexes bump via
+    :meth:`bump_generation` on every add/remove/append — entries from an
+    older generation can never be returned again.
     """
 
     def __init__(
@@ -939,18 +932,16 @@ class QueryEngine:
         evaluator: Evaluator,
         name: str = "index",
         cache: QueryResultCache | None = None,
-        parallel: ParallelBatchExecutor | None = None,
     ) -> None:
         self.evaluator = evaluator
         self.name = name
         self.cache = cache
-        self.parallel = parallel
         self.generation = 0
         # Mutable indexes bump the generation from whatever thread runs
-        # the mutation — including pool workers syncing a stream index
-        # mid-fusion — and `+=` is not atomic under the GIL.  Reads
-        # (cache keys) stay lock-free: a torn read just misses the
-        # cache.
+        # the mutation — including front-door worker threads syncing a
+        # stream index mid-fusion — and `+=` is not atomic under the
+        # GIL.  Reads (cache keys) stay lock-free: a torn read just
+        # misses the cache.
         self._generation_lock = threading.Lock()
         self.rerankers: dict[str, Evaluator] = {}
         self.fusion_partner: FusionPartner | None = None
@@ -1095,24 +1086,15 @@ class QueryEngine:
 
         Retrieval stays per-query (each stream's probe order is exactly
         the per-query path's), but evaluation is amortised across the
-        whole block via :meth:`evaluate_block`.  With a
-        :attr:`parallel` executor attached, large batches shard across
-        its thread pool (each shard draining only its own streams),
-        bit-identical to serial execution.
+        whole block via :meth:`evaluate_block`.  ``queries`` and
+        ``streams`` must align one to one.
         """
         streams = list(streams)
-        if self.parallel is not None and self.parallel.should_split(
-            len(streams)
-        ):
-            return self.parallel.run_streams(self, queries, plan, streams)
-        return self._execute_batch_streams_serial(queries, plan, streams)
-
-    def _execute_batch_streams_serial(
-        self,
-        queries: np.ndarray,
-        plan: QueryPlan,
-        streams: list[Iterable[np.ndarray]],
-    ) -> list[SearchResult]:
+        if len(queries) != len(streams):
+            raise ValueError(
+                f"queries and streams must align: got {len(queries)} "
+                f"queries for {len(streams)} streams"
+            )
         reranker, partner = self._resolve_stages(plan)
         contexts = [ExecutionContext() for _ in streams]
         per_query: list[np.ndarray] = []
@@ -1124,7 +1106,37 @@ class QueryEngine:
         ranked = self.evaluate_block(
             queries, per_query, _resolve_eval_k(plan), contexts
         )
-        post = self._post_stages(plan, reranker, partner)
+        return self._finish_batch(
+            queries, plan, reranker, partner, contexts, ranked
+        )
+
+    def _finish_batch(
+        self,
+        queries: np.ndarray,
+        plan: QueryPlan,
+        reranker: Evaluator | None,
+        partner: FusionPartner | None,
+        contexts: list[ExecutionContext],
+        ranked: list[tuple[np.ndarray, np.ndarray]],
+    ) -> list[SearchResult]:
+        """Both batch paths' shared tail: post stages, then results.
+
+        Runs the plan's rerank/fuse/truncate stages over each query's
+        evaluated ``(ids, dists)``, closes out its context's timings and
+        records the batch's telemetry.  Plain plans get no post stages —
+        the batched hot path then runs with zero per-query stage
+        overhead, which is what keeps it bit-identical to per-query
+        execution.
+        """
+        post: list[Stage] = []
+        if plan.rerank is not None:
+            assert reranker is not None
+            post.append(RerankStage(reranker, plan.rerank))
+        if plan.fusion is not None:
+            assert partner is not None
+            post.append(FuseStage(partner, plan.fusion, plan))
+        if post:
+            post.append(TruncateStage(plan.k))
         results: list[SearchResult] = []
         for index, (ctx, (ids, dists)) in enumerate(zip(contexts, ranked)):
             if post:
@@ -1148,29 +1160,6 @@ class QueryEngine:
         obs.observe_batch(self.name, contexts)
         return results
 
-    def _post_stages(
-        self,
-        plan: QueryPlan,
-        reranker: Evaluator | None,
-        partner: FusionPartner | None,
-    ) -> list[Stage]:
-        """The per-result stages the batch paths apply after evaluation.
-
-        Empty for plain plans — the batched hot path then runs exactly
-        the pre-pipeline code with zero per-query stage overhead, which
-        is what keeps it bit-identical to per-query execution.
-        """
-        stages: list[Stage] = []
-        if plan.rerank is not None:
-            assert reranker is not None
-            stages.append(RerankStage(reranker, plan.rerank))
-        if plan.fusion is not None:
-            assert partner is not None
-            stages.append(FuseStage(partner, plan.fusion, plan))
-        if stages:
-            stages.append(TruncateStage(plan.k))
-        return stages
-
     def execute_batch_ordered(
         self,
         queries: np.ndarray,
@@ -1186,29 +1175,8 @@ class QueryEngine:
         sorting probers (and, over occupied buckets, GQR) produce — so
         the whole batch's bucket orders come from one vectorised stable
         argsort and the candidate gather from one cumulative-sum drain,
-        instead of B generator walks.  With a :attr:`parallel` executor
-        attached, large batches shard by contiguous query ranges across
-        its thread pool, bit-identical to serial execution (the probe
-        orders and ragged kernels are per-row independent).
+        instead of B generator walks.
         """
-        if self.parallel is not None and self.parallel.should_split(
-            len(queries)
-        ):
-            return self.parallel.run_ordered(
-                self, queries, plan, table, scores, bucket_signatures
-            )
-        return self._execute_batch_ordered_serial(
-            queries, plan, table, scores, bucket_signatures
-        )
-
-    def _execute_batch_ordered_serial(
-        self,
-        queries: np.ndarray,
-        plan: QueryPlan,
-        table: BucketTable,
-        scores: np.ndarray,
-        bucket_signatures: np.ndarray,
-    ) -> list[SearchResult]:
         budget = plan.n_candidates
         if budget is None:
             raise ValueError("batched execution needs a candidate budget")
@@ -1282,29 +1250,9 @@ class QueryEngine:
         else:
             per_query = np.split(all_candidates, np.cumsum(counts)[:-1])
             ranked = self.evaluate_block(queries, per_query, eval_k, contexts)
-        post = self._post_stages(plan, reranker, partner)
-        results: list[SearchResult] = []
-        for index, (ctx, (ids, dists)) in enumerate(zip(contexts, ranked)):
-            if post:
-                ids, dists = _run_post_stages(
-                    post, queries[index], ids, dists, ctx
-                )
-            ctx.total_seconds = (
-                ctx.retrieval_seconds
-                + ctx.evaluation_seconds
-                + _post_seconds(ctx)
-            )
-            results.append(
-                SearchResult(
-                    ids,
-                    dists,
-                    ctx.n_candidates,
-                    ctx.n_buckets_probed,
-                    {"stats": ctx},
-                )
-            )
-        obs.observe_batch(self.name, contexts)
-        return results
+        return self._finish_batch(
+            queries, plan, reranker, partner, contexts, ranked
+        )
 
     def evaluate_block(
         self,

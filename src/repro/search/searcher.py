@@ -55,7 +55,6 @@ from repro.search.engine import (
     validate_query,
     validate_query_batch,
 )
-from repro.search.parallel import ParallelBatchExecutor
 from repro.search.results import SearchResult
 from repro.search.stages import (
     FusableIndex,
@@ -163,12 +162,6 @@ class HashIndex:
     cache:
         Optional :class:`~repro.search.cache.QueryResultCache`; repeated
         queries under the same plan return the cached result.
-    parallel:
-        Optional :class:`~repro.search.parallel.ParallelBatchExecutor`;
-        ``search_batch`` shards large batches across its worker pool —
-        threads, or shared-memory processes in ``mode="process"``.
-        Call :meth:`close` (or use the index as a context manager) to
-        release the workers when done.
     evaluation:
         The evaluation stage's scoring rule: ``"exact"`` (true
         distances over raw vectors, the default) or ``"code"``
@@ -190,7 +183,6 @@ class HashIndex:
         metric: str = "euclidean",
         multi_table_strategy: str = "round_robin",
         cache: QueryResultCache | None = None,
-        parallel: ParallelBatchExecutor | None = None,
         evaluation: str = "exact",
         rerank_quantizer: ProductQuantizer | None = None,
     ) -> None:
@@ -235,9 +227,7 @@ class HashIndex:
             )
         else:
             self._evaluator = self._exact
-        self._engine = QueryEngine(
-            self._evaluator, name="hash", cache=cache, parallel=parallel
-        )
+        self._engine = QueryEngine(self._evaluator, name="hash", cache=cache)
         self._engine.rerankers["exact"] = self._exact
         if rerank_quantizer is not None:
             if not rerank_quantizer.codebooks:
@@ -246,8 +236,9 @@ class HashIndex:
                 rerank_quantizer, rerank_quantizer.encode(self._data)
             )
         # Per-table (signatures, unpacked bits), lazily built for
-        # batched scoring; the tables are static but concurrent batch
-        # workers may race to build an entry on first use.
+        # batched scoring; the tables are static but
+        # AsyncFrontDoor(max_workers>1) worker threads may race to
+        # build an entry on first use.
         self._bucket_bits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._bucket_bits_lock = threading.Lock()
 
@@ -302,31 +293,6 @@ class HashIndex:
     def engine(self) -> QueryEngine:
         """The query-execution engine this index delegates to."""
         return self._engine
-
-    def close(self) -> None:
-        """Release the attached parallel executor's workers (idempotent).
-
-        Worker pools (threads, or processes plus their shared-memory
-        segments) are not garbage-collected promptly; an index that
-        owns a :class:`~repro.search.parallel.ParallelBatchExecutor`
-        must release them deterministically.  Safe to call repeatedly;
-        a later batch lazily rebuilds the pool.  ``HashIndex`` is also
-        a context manager: ``with HashIndex(...) as index: ...``.
-        """
-        parallel = self._engine.parallel
-        if parallel is not None:
-            parallel.shutdown()
-
-    def __enter__(self) -> HashIndex:
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: object,
-    ) -> None:
-        self.close()
 
     def memory_footprint(self) -> dict[str, int]:
         """Approximate bytes held by each component.

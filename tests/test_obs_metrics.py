@@ -148,9 +148,9 @@ class TestHistogram:
 class TestThreadSafety:
     """Regression: unlocked ``+=`` read-modify-write lost updates.
 
-    The parallel batch executor (PR 5) drives metric children from
-    several threads at once; with a tiny switch interval the pre-fix
-    races reliably drop increments.  Totals must be exact.
+    ``AsyncFrontDoor(max_workers>1)`` worker threads drive metric
+    children from several threads at once; with a tiny switch interval
+    the pre-fix races reliably drop increments.  Totals must be exact.
     """
 
     N_THREADS = 8

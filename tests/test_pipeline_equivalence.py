@@ -29,6 +29,8 @@ from repro.search import (
     HashIndex,
     IMISearchIndex,
     MIHSearchIndex,
+    QueryPlan,
+    RerankSpec,
     StreamSearchIndex,
 )
 
@@ -176,6 +178,52 @@ class TestBatchMatchesSerial:
             np.testing.assert_array_equal(batched.ids, single.ids)
             np.testing.assert_array_equal(
                 batched.distances, single.distances
+            )
+
+
+#: Every front-end with a plain plan, and with an exact rerank plan
+#: wherever one is registered (compact has no exact reranker).
+_STREAMS_CASES = [(name, None) for name in sorted(BUILDERS)] + [
+    (name, "exact") for name in sorted(BUILDERS) if name != "compact"
+]
+
+
+class TestStreamsBatch:
+    """``execute_batch_streams`` over every front-end's engine — the
+    MIH, IMI, compact, dynamic and stream engines included — must equal
+    per-query ``engine.execute`` over the same candidate streams."""
+
+    @pytest.mark.parametrize("name,rerank", _STREAMS_CASES)
+    def test_matches_execute(self, name, rerank):
+        index = get_index(name)
+        engine = index.engine
+        plan = QueryPlan(
+            k=10,
+            n_candidates=200,
+            rerank=(
+                RerankSpec(mode=rerank, pool=40)
+                if rerank is not None else None
+            ),
+        )
+        streams = [index.candidate_stream(q) for q in QUERIES]
+        batched = engine.execute_batch_streams(QUERIES, plan, streams)
+        assert len(batched) == len(QUERIES)
+        for query, got in zip(QUERIES, batched):
+            want = engine.execute(query, plan, index.candidate_stream(query))
+            assert np.array_equal(got.ids, want.ids)
+            assert np.array_equal(got.distances, want.distances)
+            assert got.n_candidates == want.n_candidates
+            assert got.n_buckets_probed == want.n_buckets_probed
+
+    @pytest.mark.parametrize("n_queries,n_streams", [(6, 4), (4, 6)])
+    def test_rejects_query_stream_mismatch(self, n_queries, n_streams):
+        # Regression: more queries than streams silently dropped the
+        # extra queries; fewer raised a numpy IndexError mid-batch.
+        index = get_index("hash")
+        streams = [index.candidate_stream(q) for q in QUERIES[:n_streams]]
+        with pytest.raises(ValueError, match="align"):
+            index.engine.execute_batch_streams(
+                QUERIES[:n_queries], index.plan(5, 100), streams
             )
 
 

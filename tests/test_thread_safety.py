@@ -3,8 +3,8 @@
 The compaction test fails against the pre-fix code with a ``KeyError``
 (run it on the parent commit to see): ``DynamicHashTable.get``
 compacts tombstones lazily — a *read* that mutates
-``_buckets``/``_bucket_of``/``_dead`` — so pool workers probing the
-same bucket raced the compaction and double-``del``ed entries.  The
+``_buckets``/``_bucket_of``/``_dead`` — so worker threads probing
+the same bucket raced the compaction and double-``del``ed entries.  The
 layout test likewise failed pre-fix: racing first calls to
 ``HashTable.dense_layout`` built distinct tuples instead of one cached
 layout.

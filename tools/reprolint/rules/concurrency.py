@@ -1,9 +1,9 @@
 """RL012 — concurrency discipline (whole-program).
 
-The serving layer (PR 5) runs engine code on ``ParallelBatchExecutor``
-worker threads and established the per-child-lock contract for metric
-cells: shared mutable state is only touched under a held
-``threading.Lock``/``RLock`` context.  This rule enforces that
+The serving front door runs engine code on worker threads
+(``AsyncFrontDoor(max_workers>1)``), which is why metric cells follow
+a per-child-lock contract: shared mutable state is only touched under
+a held ``threading.Lock``/``RLock`` context.  This rule enforces that
 contract statically, using the project call graph:
 
 * any ``self.<attr>`` mutation on a call path reachable from a
