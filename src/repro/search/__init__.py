@@ -9,12 +9,12 @@ from repro.search.compact_index import CompactHashIndex
 from repro.search.dynamic_index import DynamicHashIndex
 from repro.search.engine import (
     ADCEvaluator,
-    CandidatePipeline,
     CodeEvaluator,
     ExactEvaluator,
     ExecutionContext,
     QueryEngine,
     QueryPlan,
+    top_k,
     validate_query,
     validate_query_batch,
 )
@@ -35,7 +35,6 @@ from repro.search.stream_index import StreamSearchIndex
 
 __all__ = [
     "ADCEvaluator",
-    "CandidatePipeline",
     "CodeEvaluator",
     "CompactHashIndex",
     "DynamicHashIndex",
@@ -56,6 +55,7 @@ __all__ = [
     "evaluate_candidates",
     "linear_fusion",
     "query_fingerprint",
+    "top_k",
     "validate_query",
     "validate_query_batch",
 ]

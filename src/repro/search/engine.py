@@ -1,15 +1,12 @@
-"""Unified query-execution engine: a plan-driven stage pipeline.
+"""Unified query-execution engine: one body for every query.
 
 Section 2.2 of the paper frames *every* querying method — HR, GHR, QR,
 GQR, MIH, IMI — as one two-step loop: retrieval picks buckets and
 gathers candidate ids, evaluation re-ranks the candidates exactly.
-This module is that loop generalised into a typed stage pipeline
-(:mod:`repro.search.stages`)::
+This module is that loop, extracted once so each index class is a thin
+adapter instead of a private re-implementation::
 
     Retrieve → DedupBudget → Evaluate → [Rerank] → [Fuse] → Truncate
-
-extracted once so each index class is a thin adapter instead of a
-private re-implementation:
 
 * :class:`QueryPlan` — what to do: ``k``, stopping criteria
   (candidate / bucket / time budgets), metric, multi-table strategy,
@@ -21,11 +18,17 @@ private re-implementation:
   (``stage_seconds``) and per-stage facts (``stage_stats``).  Attached
   to every :class:`~repro.search.results.SearchResult` as
   ``extras["stats"]``.
-* :class:`CandidatePipeline` — budget-aware stream draining and the
-  shared exact top-``k`` selection (ties broken by id everywhere).
-* :class:`QueryEngine` — builds the pipeline a plan describes and runs
-  it over a candidate stream, producing an instrumented
-  ``SearchResult``.  Engines resolve rerank modes from
+* :func:`top_k` — the shared exact top-``k`` selection: the ``k``
+  smallest ``(score, id)`` pairs, so ties break by id everywhere.
+* :class:`QueryEngine` — runs a plan over one query's candidate stream
+  (:meth:`~QueryEngine.execute`) or a whole batch
+  (:meth:`~QueryEngine.execute_batch_streams`,
+  :meth:`~QueryEngine.execute_batch_ordered`).  All three gather a
+  ragged candidate block — flat ids plus per-query counts — and hand it
+  to one private body that evaluates it, applies the rerank / fuse /
+  truncate stages (:mod:`repro.search.stages`), assembles the
+  ``SearchResult`` list and records telemetry; a single query is a
+  batch of one.  Engines resolve rerank modes from
   :attr:`QueryEngine.rerankers` and fusion partners from
   :attr:`QueryEngine.fusion_partner`.
 
@@ -41,7 +44,9 @@ from __future__ import annotations
 import heapq
 import threading
 from collections.abc import Callable, Iterable, Iterator
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import Protocol
 
 import numpy as np
@@ -53,6 +58,7 @@ from repro.index.codes import (
     qd_cost_tables,
 )
 from repro.index.distance import METRICS, pairwise_distances
+from repro.index.hash_table import HashTable
 from repro.search.cache import QueryResultCache, cache_token
 from repro.search.results import SearchResult
 from repro.search.stages import (
@@ -64,14 +70,11 @@ from repro.search.stages import (
     RerankStage,
     Stage,
     TruncateStage,
-    build_pipeline,
     drain_stream,
 )
 
 __all__ = [
     "ADCEvaluator",
-    "BucketTable",
-    "CandidatePipeline",
     "CodeEvaluator",
     "DistanceTableQuantizer",
     "Evaluator",
@@ -82,6 +85,7 @@ __all__ = [
     "QueryPlan",
     "qd_merged_scored_stream",
     "round_robin_stream",
+    "top_k",
     "validate_query",
     "validate_query_batch",
 ]
@@ -318,13 +322,23 @@ class ExecutionContext:
         Whether a Theorem 2 bound terminated retrieval early.
     retrieval_seconds / evaluation_seconds / total_seconds:
         Wall time of the coarse stages as measured by the engine's
-        spans (:mod:`repro.obs.spans`).  ``retrieval_seconds`` covers
-        the retrieve + dedup_budget stages together.
+        spans (:mod:`repro.obs.spans`).  For a single query
+        (:meth:`QueryEngine.execute`) ``retrieval_seconds`` covers the
+        retrieve + dedup_budget stages together and ``total_seconds``
+        is the query's root span.  On the streams batch path
+        ``retrieval_seconds`` is the query's own drain span; on the
+        ordered batch path it is the batch's retrieval span divided by
+        the batch size — an average, not a per-query measurement.  On
+        both batch paths ``evaluation_seconds`` is likewise the batch's
+        evaluation span divided by the batch size, and
+        ``total_seconds`` the sum of the query's stage times.
     stage_seconds:
         Wall time of each executed pipeline stage, keyed by stage name
         (``"retrieve"``, ``"dedup_budget"``, ``"evaluate"``,
-        ``"rerank"``, ``"fuse"``, ``"truncate"``) — recorded by
-        :meth:`~repro.search.stages.Stage.execute`.
+        ``"rerank"``, ``"fuse"``, ``"truncate"``).  A single query
+        records every stage; batch rows record only the per-row stages
+        (rerank, fuse and truncate, when the plan has a rerank or
+        fusion stage).
     stage_stats:
         Per-stage facts beyond timing (rerank mode and pool size,
         fusion weight and list sizes), keyed by stage name.
@@ -360,45 +374,34 @@ class ExecutionContext:
         }
 
 
-# -- candidate pipeline -----------------------------------------------
+# -- top-k selection --------------------------------------------------
 
-class CandidatePipeline:
-    """Budget-aware stream draining and the shared top-``k`` selection."""
+def top_k(
+    candidate_ids: np.ndarray, scores: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``k`` smallest ``(score, id)`` pairs, ascending.
 
-    @staticmethod
-    def drain(
-        stream: Iterable[np.ndarray],
-        plan: QueryPlan,
-        ctx: ExecutionContext,
-    ) -> np.ndarray:
-        """Collect candidate ids until a stopping criterion fires.
-
-        Delegates to :func:`repro.search.stages.drain_stream` — the
-        dedup_budget stage's implementation — kept here as the stable
-        entry point batch paths and tests call directly.  See that
-        function for the dedup and budget-accounting contract.
-        """
-        return drain_stream(stream, plan, ctx)
-
-    @staticmethod
-    def top_k(
-        candidate_ids: np.ndarray, scores: np.ndarray, k: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Keep the ``k`` best-scored candidates, ties broken by id.
-
-        The selection rule shared by every evaluator: ``argpartition``
-        to the cut, then a ``(score, id)`` lexsort of the survivors.
-        """
-        if not len(candidate_ids):
-            return _EMPTY_IDS, _EMPTY_DISTS
-        keep = min(k, len(candidate_ids))
-        if keep < len(candidate_ids):
-            part = np.argpartition(scores, keep - 1)[:keep]
-        else:
-            part = np.arange(len(candidate_ids))
-        order = np.lexsort((candidate_ids[part], scores[part]))
-        chosen = part[order]
-        return candidate_ids[chosen], scores[chosen]
+    The selection rule shared by every evaluator: ``argpartition`` to
+    the cut, then a ``(score, id)`` lexsort of the survivors.  Every
+    score below the boundary (the ``keep``-th smallest) is inside the
+    partition, so more than ``keep`` candidates at or below it means a
+    run of tied scores straddles the cut — the partition then holds an
+    arbitrary part of the run, and the survivors are re-derived from
+    all of those candidates.
+    """
+    n = len(candidate_ids)
+    if not n:
+        return _EMPTY_IDS, _EMPTY_DISTS
+    keep = min(k, n)
+    if keep < n:
+        part = np.argpartition(scores, keep - 1)[:keep]
+        at_or_below = scores <= scores[part[-1]]
+        if np.count_nonzero(at_or_below) > keep:
+            part = np.flatnonzero(at_or_below)
+    else:
+        part = np.arange(n)
+    chosen = part[np.lexsort((candidate_ids[part], scores[part]))[:keep]]
+    return candidate_ids[chosen], scores[chosen]
 
 
 # -- evaluator contracts ----------------------------------------------
@@ -426,12 +429,6 @@ class ProbeInfoHasher(Protocol):
     """The slice of a binary hasher :class:`CodeEvaluator` needs."""
 
     def probe_info(self, query: np.ndarray) -> tuple[int, np.ndarray]: ...
-
-
-class BucketTable(Protocol):
-    """Bucket lookup surface the batched fast path drains."""
-
-    def get(self, signature: int) -> np.ndarray: ...
 
 
 # -- evaluators -------------------------------------------------------
@@ -480,9 +477,7 @@ class ExactEvaluator:
     ) -> tuple[np.ndarray, np.ndarray]:
         if not len(candidates):
             return _EMPTY_IDS, _EMPTY_DISTS
-        return CandidatePipeline.top_k(
-            candidates, self._distances(query, candidates), k
-        )
+        return top_k(candidates, self._distances(query, candidates), k)
 
     def _distances(
         self, query: np.ndarray, candidates: np.ndarray
@@ -527,7 +522,7 @@ class ADCEvaluator:
         approx = np.zeros(len(candidates), dtype=np.float64)
         for subspace, table in enumerate(tables):
             approx += table[codes[:, subspace]]
-        ids, scores = CandidatePipeline.top_k(candidates, approx, k)
+        ids, scores = top_k(candidates, approx, k)
         return ids, np.sqrt(np.maximum(scores, 0.0))
 
 
@@ -573,7 +568,7 @@ class CodeEvaluator:
             estimates = hamming_distance(
                 candidate_codes, np.int64(long_sig)
             ).astype(np.float64)
-        return CandidatePipeline.top_k(candidates, estimates, k)
+        return top_k(candidates, estimates, k)
 
 
 _RAGGED_METRICS = ("euclidean", "cosine", "angular")
@@ -753,11 +748,14 @@ def _block_top_k(
     counts: np.ndarray,
     k: int,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """:meth:`CandidatePipeline.top_k` over every segment at once.
+    """:func:`top_k` over every segment at once.
 
     Pads the ragged block to a dense ``(B, max_count)`` matrix (∞
     distance / maximal id sentinels sort last) so one argpartition and
-    one two-key lexsort rank the whole batch.
+    one two-key lexsort rank the whole batch.  Rows whose cut lands
+    inside a run of tied distances — where argpartition keeps an
+    arbitrary part of the run — are found as in :func:`top_k` and
+    re-derived from a full lexsort.
     """
     n_queries = len(counts)
     width = int(counts.max()) if n_queries else 0
@@ -773,6 +771,18 @@ def _block_top_k(
         part = np.argpartition(dist_pad, kth - 1, axis=1)[:, :kth]
         part_dists = np.take_along_axis(dist_pad, part, axis=1)
         part_ids = np.take_along_axis(ids_pad, part, axis=1)
+        # Rows with no more candidates than the cut hold them all already.
+        straddled = np.flatnonzero(
+            (
+                np.count_nonzero(dist_pad <= part_dists[:, -1:], axis=1)
+                > kth
+            )
+            & (counts > kth)
+        )
+        for row in straddled:
+            chosen = np.lexsort((ids_pad[row], dist_pad[row]))[:kth]
+            part_dists[row] = dist_pad[row, chosen]
+            part_ids[row] = ids_pad[row, chosen]
     else:
         part_dists, part_ids = dist_pad, ids_pad
     suborder = np.lexsort((part_ids, part_dists), axis=1)
@@ -783,48 +793,6 @@ def _block_top_k(
          row_dists[:min(k, int(count))].copy())
         for row_ids, row_dists, count in zip(part_ids, part_dists, counts)
     ]
-
-
-def _resolve_eval_k(plan: QueryPlan) -> int:
-    """``plan.evaluate_keep()`` as a concrete cut for the batch kernels.
-
-    The batched top-k kernels take an integer, so "keep everything"
-    (``None``) becomes a cut no candidate set can reach.
-    """
-    keep = plan.evaluate_keep()
-    return int(np.iinfo(np.int64).max) if keep is None else keep
-
-
-def _run_post_stages(
-    post: list[Stage],
-    query: np.ndarray,
-    ids: np.ndarray,
-    scores: np.ndarray,
-    ctx: ExecutionContext,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the rerank/fuse/truncate tail to one batched result.
-
-    The batch paths amortise retrieval and evaluation across the block,
-    then run each query's remaining stages here — the stages are
-    per-row independent, so batched and per-query execution stay
-    bit-identical.
-    """
-    state = PipelineState(query=query, ids=ids, scores=scores)
-    for stage in post:
-        stage.execute(ctx, state)
-    return state.ids, state.scores
-
-
-def _post_seconds(ctx: ExecutionContext) -> float:
-    """Wall time the post-evaluation stages added to one context."""
-    return (
-        ctx.stage_seconds.get("rerank", 0.0)
-        + ctx.stage_seconds.get("fuse", 0.0)
-        + ctx.stage_seconds.get("truncate", 0.0)
-    )
-
-
-# -- multi-table stream composition -----------------------------------
 
 
 # -- multi-table stream composition -----------------------------------
@@ -904,9 +872,10 @@ class QueryEngine:
     One engine per index: it owns the evaluator (the evaluation stage's
     scoring rule) while each call supplies the plan and the retrieval
     stream, so all indexes share a single instrumented control flow.
-    The engine turns each plan into its stage pipeline
-    (:func:`~repro.search.stages.build_pipeline`) and runs the stages
-    in order; optional stages resolve against engine-owned registries:
+    Every entry point gathers a ragged candidate block and runs the
+    same private body over it (evaluate → rerank / fuse / truncate →
+    results → telemetry); optional stages resolve against engine-owned
+    registries:
 
     * :attr:`rerankers` — rerank mode (``"exact"`` / ``"adc"``) →
       :class:`Evaluator`; index front-ends populate it from what they
@@ -1008,7 +977,7 @@ class QueryEngine:
         stream: Iterable[np.ndarray],
         extras: dict | None = None,
     ) -> SearchResult:
-        """Run ``plan``'s stage pipeline over ``stream`` — one query.
+        """Run ``plan`` over ``stream`` — one query, a batch of one.
 
         Returns a :class:`~repro.search.results.SearchResult` whose
         ``extras["stats"]`` carries the :class:`ExecutionContext` and
@@ -1018,63 +987,39 @@ class QueryEngine:
         touching the stream; keys incorporate the plan's full stage
         list and — for fusion plans — the partner's identity.
         """
-        reranker, partner = self._resolve_stages(plan)
-        cache = self.cache
-        if cache is None or not QueryResultCache.cacheable(plan):
-            return self._execute_uncached(
-                query, plan, stream, extras, reranker, partner
+        cache = self.cache if QueryResultCache.cacheable(plan) else None
+        if cache is not None:
+            _, partner = self._resolve_stages(plan)
+            partner_identity = (
+                partner.fusion_identity() if partner is not None else ()
             )
-        partner_identity = (
-            partner.fusion_identity() if partner is not None else ()
-        )
-        key = cache.key_for(
-            self._cache_token, self.generation, plan, query, partner_identity
-        )
-        hit = cache.lookup(key)
-        if hit is not None:
-            return hit
-        result = self._execute_uncached(
-            query, plan, stream, extras, reranker, partner
-        )
-        cache.store(key, result)
-        return result
+            key = cache.key_for(
+                self._cache_token, self.generation, plan, query,
+                partner_identity,
+            )
+            hit = cache.lookup(key)
+            if hit is not None:
+                return hit
 
-    def _execute_uncached(
-        self,
-        query: np.ndarray,
-        plan: QueryPlan,
-        stream: Iterable[np.ndarray],
-        extras: dict | None = None,
-        reranker: Evaluator | None = None,
-        partner: FusionPartner | None = None,
-    ) -> SearchResult:
-        ctx = ExecutionContext()
-        sampled = obs.should_sample()
-        if sampled:
-            ctx.bucket_sizes = []
-        pipeline = build_pipeline(
-            plan, self.evaluator, reranker=reranker, partner=partner
-        )
-        state = PipelineState(query=query, stream=stream)
-        with obs.span("query") as root:
-            for stage in pipeline:
-                stage.execute(ctx, state)
-        ctx.retrieval_seconds = ctx.stage_seconds.get(
-            "retrieve", 0.0
-        ) + ctx.stage_seconds.get("dedup_budget", 0.0)
-        ctx.evaluation_seconds = ctx.stage_seconds.get("evaluate", 0.0)
-        ctx.total_seconds = root.duration
-        obs.observe_query(self.name, ctx, root=root, sampled=sampled)
-        all_extras = {"stats": ctx, "spans": root}
+        def drain(
+            contexts: list[ExecutionContext],
+        ) -> tuple[np.ndarray, np.ndarray]:
+            ctx = contexts[0]
+            with obs.span("retrieve") as retrieve:
+                source = iter(stream)
+            with obs.span("dedup_budget") as dedup:
+                candidates = drain_stream(source, plan, ctx)
+            ctx.stage_seconds["retrieve"] = retrieve.duration
+            ctx.stage_seconds["dedup_budget"] = dedup.duration
+            ctx.retrieval_seconds = retrieve.duration + dedup.duration
+            return candidates, np.array([len(candidates)], dtype=np.int64)
+
+        [result] = self._run(query[np.newaxis], plan, drain, single=True)
         if extras:
-            all_extras.update(extras)
-        return SearchResult(
-            state.ids,
-            state.scores,
-            ctx.n_candidates,
-            ctx.n_buckets_probed,
-            all_extras,
-        )
+            result.extras.update(extras)
+        if cache is not None:
+            cache.store(key, result)
+        return result
 
     def execute_batch_streams(
         self,
@@ -1085,9 +1030,9 @@ class QueryEngine:
         """Batched execution over per-query candidate streams.
 
         Retrieval stays per-query (each stream's probe order is exactly
-        the per-query path's), but evaluation is amortised across the
-        whole block via :meth:`evaluate_block`.  ``queries`` and
-        ``streams`` must align one to one.
+        the per-query path's, and each query's ``retrieval_seconds`` is
+        its own drain span), but evaluation is amortised across the
+        whole block.  ``queries`` and ``streams`` must align one to one.
         """
         streams = list(streams)
         if len(queries) != len(streams):
@@ -1095,39 +1040,112 @@ class QueryEngine:
                 f"queries and streams must align: got {len(queries)} "
                 f"queries for {len(streams)} streams"
             )
-        reranker, partner = self._resolve_stages(plan)
-        contexts = [ExecutionContext() for _ in streams]
-        per_query: list[np.ndarray] = []
-        with obs.span("retrieve") as retrieve:
-            for stream, ctx in zip(streams, contexts):
-                per_query.append(CandidatePipeline.drain(stream, plan, ctx))
-        for ctx in contexts:
-            ctx.retrieval_seconds = retrieve.duration / max(len(contexts), 1)
-        ranked = self.evaluate_block(
-            queries, per_query, _resolve_eval_k(plan), contexts
-        )
-        return self._finish_batch(
-            queries, plan, reranker, partner, contexts, ranked
-        )
 
-    def _finish_batch(
+        def drain(
+            contexts: list[ExecutionContext],
+        ) -> tuple[np.ndarray, np.ndarray]:
+            per_query: list[np.ndarray] = []
+            for stream, ctx in zip(streams, contexts):
+                with obs.span("retrieve") as retrieve:
+                    per_query.append(drain_stream(stream, plan, ctx))
+                ctx.retrieval_seconds = retrieve.duration
+            counts = np.fromiter(
+                (len(ids) for ids in per_query),
+                dtype=np.int64,
+                count=len(per_query),
+            )
+            flat = np.concatenate(per_query) if per_query else _EMPTY_IDS
+            return flat, counts
+
+        return self._run(queries, plan, drain)
+
+    def execute_batch_ordered(
         self,
         queries: np.ndarray,
         plan: QueryPlan,
-        reranker: Evaluator | None,
-        partner: FusionPartner | None,
-        contexts: list[ExecutionContext],
-        ranked: list[tuple[np.ndarray, np.ndarray]],
+        table: HashTable,
+        scores: np.ndarray,
     ) -> list[SearchResult]:
-        """Both batch paths' shared tail: post stages, then results.
+        """Batched execution from a precomputed ``(B, nb)`` score matrix.
 
-        Runs the plan's rerank/fuse/truncate stages over each query's
-        evaluated ``(ids, dists)``, closes out its context's timings and
-        records the batch's telemetry.  Plain plans get no post stages —
-        the batched hot path then runs with zero per-query stage
-        overhead, which is what keeps it bit-identical to per-query
-        execution.
+        The fast path behind ``search_batch``: column ``j`` of
+        ``scores`` scores the ``j``-th bucket of ``table.dense_layout()``
+        (signatures ascending), and every query's probe order is
+        ascending ``(score, bucket signature)`` — the order the sorting
+        probers (and, over occupied buckets, GQR) produce — so the whole
+        batch's bucket orders come from one vectorised argsort and the
+        candidate gather from one cumulative-sum drain, instead of B
+        generator walks.
         """
+        budget = plan.n_candidates
+        if budget is None:
+            raise ValueError("batched execution needs a candidate budget")
+
+        def gather(
+            contexts: list[ExecutionContext],
+        ) -> tuple[np.ndarray, np.ndarray]:
+            n_queries = len(contexts)
+            with obs.span("retrieve") as retrieve:
+                signatures, sizes, bucket_offsets, ids_flat = (
+                    table.dense_layout()
+                )
+                order, cumulative, stops = _probe_prefix(
+                    scores, signatures, sizes, budget
+                )
+                # Ragged gather of every query's probed buckets in one shot.
+                width = order.shape[1]
+                col_mask = (
+                    np.arange(width)[np.newaxis, :] <= stops[:, np.newaxis]
+                )
+                flat_buckets = order[col_mask]
+                lengths = sizes[flat_buckets]
+                ends = np.cumsum(lengths)
+                within = np.arange(int(ends[-1])) - np.repeat(
+                    ends - lengths, lengths
+                )
+                candidates = ids_flat[
+                    np.repeat(bucket_offsets[flat_buckets], lengths) + within
+                ]
+                counts = cumulative[np.arange(n_queries), stops]
+                for ctx, stop, count in zip(contexts, stops, counts):
+                    ctx.n_buckets_probed = int(stop) + 1
+                    ctx.n_candidates = int(count)
+            for ctx in contexts:
+                ctx.retrieval_seconds = retrieve.duration / n_queries
+            return candidates, counts
+
+        return self._run(queries, plan, gather)
+
+    def _run(
+        self,
+        queries: np.ndarray,
+        plan: QueryPlan,
+        gather: Callable[
+            [list[ExecutionContext]], tuple[np.ndarray, np.ndarray]
+        ],
+        single: bool = False,
+    ) -> list[SearchResult]:
+        """The one body every entry point runs.
+
+        ``gather`` records each query's retrieval facts into its context
+        and returns the ragged candidate block: flat ids plus per-query
+        counts.  The body evaluates the block — the exact ragged kernel
+        when it has more than one row, otherwise the evaluator once per
+        segment — then applies the plan's rerank / fuse / truncate
+        stages per row, assembles the results and records telemetry.
+
+        ``single`` marks :meth:`execute`'s batch of one: it runs under
+        its own ``query`` root span (retrieve, dedup_budget, evaluate,
+        [rerank], [fuse], truncate), may be trace-sampled, and its
+        total is the root span.  Batch rows share batch-level spans and
+        run no per-row stages for plain plans; their total is the sum
+        of their stage times.
+        """
+        reranker, partner = self._resolve_stages(plan)
+        contexts = [ExecutionContext() for _ in range(len(queries))]
+        sampled = single and obs.should_sample()
+        if sampled:
+            contexts[0].bucket_sizes = []
         post: list[Stage] = []
         if plan.rerank is not None:
             assert reranker is not None
@@ -1135,183 +1153,67 @@ class QueryEngine:
         if plan.fusion is not None:
             assert partner is not None
             post.append(FuseStage(partner, plan.fusion, plan))
-        if post:
+        if post or single:
             post.append(TruncateStage(plan.k))
-        results: list[SearchResult] = []
-        for index, (ctx, (ids, dists)) in enumerate(zip(contexts, ranked)):
-            if post:
-                ids, dists = _run_post_stages(
-                    post, queries[index], ids, dists, ctx
-                )
-            ctx.total_seconds = (
-                ctx.retrieval_seconds
-                + ctx.evaluation_seconds
-                + _post_seconds(ctx)
-            )
-            results.append(
-                SearchResult(
-                    ids,
-                    dists,
-                    ctx.n_candidates,
-                    ctx.n_buckets_probed,
-                    {"stats": ctx},
-                )
-            )
-        obs.observe_batch(self.name, contexts)
-        return results
-
-    def execute_batch_ordered(
-        self,
-        queries: np.ndarray,
-        plan: QueryPlan,
-        table: BucketTable,
-        scores: np.ndarray,
-        bucket_signatures: np.ndarray,
-    ) -> list[SearchResult]:
-        """Batched execution from a precomputed ``(B, nb)`` score matrix.
-
-        The fast path behind ``search_batch``: every query's probe order
-        is ascending ``(score, bucket signature)`` — the order the
-        sorting probers (and, over occupied buckets, GQR) produce — so
-        the whole batch's bucket orders come from one vectorised stable
-        argsort and the candidate gather from one cumulative-sum drain,
-        instead of B generator walks.
-        """
-        budget = plan.n_candidates
-        if budget is None:
-            raise ValueError("batched execution needs a candidate budget")
-        reranker, partner = self._resolve_stages(plan)
-        eval_k = _resolve_eval_k(plan)
-        n_queries, n_buckets = scores.shape
-        if n_buckets == 0:
-            return [self.execute(query, plan, iter(())) for query in queries]
-        with obs.span("retrieve") as retrieve:
-            bucket_signatures = np.asarray(bucket_signatures, dtype=np.int64)
-            if np.any(np.diff(bucket_signatures) < 0):
-                resort = np.argsort(bucket_signatures, kind="stable")
-                bucket_signatures = bucket_signatures[resort]
-                scores = scores[:, resort]
-            layout_fn = getattr(table, "dense_layout", None)
-            layout = layout_fn() if layout_fn is not None else None
-            if layout is not None and np.array_equal(
-                layout[0], bucket_signatures
-            ):
-                _, sizes, bucket_offsets, ids_flat = layout
-            else:
-                bucket_ids = [
-                    table.get(int(sig)) for sig in bucket_signatures
-                ]
-                sizes = np.fromiter(
-                    (len(ids) for ids in bucket_ids),
-                    dtype=np.int64,
-                    count=n_buckets,
-                )
-                ids_flat = np.concatenate(bucket_ids)
-                bucket_offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-            order, cumulative, stops = _probe_prefix(
-                scores, bucket_signatures, sizes, budget
-            )
-            # Ragged gather of every query's probed buckets in one shot.
-            width = order.shape[1]
-            col_mask = np.arange(width)[np.newaxis, :] <= stops[:, np.newaxis]
-            flat_buckets = order[col_mask]
-            lengths = sizes[flat_buckets]
-            ends = np.cumsum(lengths)
-            within = np.arange(int(ends[-1])) - np.repeat(
-                ends - lengths, lengths
-            )
-            all_candidates = ids_flat[
-                np.repeat(bucket_offsets[flat_buckets], lengths) + within
-            ]
-            counts = cumulative[np.arange(n_queries), stops]
-            contexts = [
-                ExecutionContext(
-                    n_buckets_probed=int(stop) + 1, n_candidates=int(count)
-                )
-                for stop, count in zip(stops, counts)
-            ]
-        for ctx in contexts:
-            ctx.retrieval_seconds = retrieve.duration / max(n_queries, 1)
-        if (
-            isinstance(self.evaluator, ExactEvaluator)
-            and self.evaluator.metric in _RAGGED_METRICS
-        ):
-            with obs.span("evaluate") as evaluate:
-                dists = _ragged_distances(
-                    queries,
-                    self.evaluator._vectors(),
-                    all_candidates,
-                    counts,
-                    self.evaluator.metric,
-                )
-                ranked = _block_top_k(all_candidates, dists, counts, eval_k)
-            for ctx in contexts:
-                ctx.evaluation_seconds = evaluate.duration / max(n_queries, 1)
-        else:
-            per_query = np.split(all_candidates, np.cumsum(counts)[:-1])
-            ranked = self.evaluate_block(queries, per_query, eval_k, contexts)
-        return self._finish_batch(
-            queries, plan, reranker, partner, contexts, ranked
+        keep = plan.evaluate_keep()
+        scope: AbstractContextManager[obs.Span | None] = (
+            obs.span("query") if single else nullcontext()
         )
-
-    def evaluate_block(
-        self,
-        queries: np.ndarray,
-        per_query_candidates: list[np.ndarray],
-        k: int,
-        contexts: list[ExecutionContext],
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Amortised evaluation of a whole candidate block.
-
-        Stacks every query's candidate vectors into one ragged block and
-        scores it with a single einsum (see :func:`_ragged_distances`)
-        instead of one BLAS call per query, then applies the shared
-        top-``k`` rule per segment.  Only defined for
-        :class:`ExactEvaluator` over the built-in metrics; other
-        evaluators fall back to per-query evaluation.
-        """
-        results: list[tuple[np.ndarray, np.ndarray]]
-        with obs.span("evaluate") as evaluate:
-            if not (
-                isinstance(self.evaluator, ExactEvaluator)
-                and self.evaluator.metric in _RAGGED_METRICS
-            ):
-                results = [
-                    self.evaluator.evaluate(query, candidates, k)
-                    for query, candidates in zip(
-                        queries, per_query_candidates
-                    )
-                ]
-            else:
-                counts = np.fromiter(
-                    (len(c) for c in per_query_candidates),
-                    dtype=np.int64,
-                    count=len(per_query_candidates),
-                )
-                results = []
-                if counts.sum():
-                    stacked = np.concatenate(per_query_candidates)
+        results: list[SearchResult] = []
+        with scope as root:
+            candidates, counts = gather(contexts)
+            cut = len(candidates) if keep is None else keep
+            with obs.span("evaluate") as evaluate:
+                if (
+                    len(counts) > 1
+                    and isinstance(self.evaluator, ExactEvaluator)
+                    and self.evaluator.metric in _RAGGED_METRICS
+                ):
                     dists = _ragged_distances(
-                        np.asarray(queries, dtype=np.float64),
+                        queries,
                         self.evaluator._vectors(),
-                        stacked,
+                        candidates,
                         counts,
                         self.evaluator.metric,
                     )
-                    per_dists = np.split(dists, np.cumsum(counts)[:-1])
-                    for candidates, row in zip(
-                        per_query_candidates, per_dists
-                    ):
-                        if len(candidates):
-                            results.append(
-                                CandidatePipeline.top_k(candidates, row, k)
-                            )
-                        else:
-                            results.append((_EMPTY_IDS, _EMPTY_DISTS))
+                    ranked = _block_top_k(candidates, dists, counts, cut)
                 else:
-                    results = [
-                        (_EMPTY_IDS, _EMPTY_DISTS)
-                    ] * len(per_query_candidates)
+                    ends = list(accumulate(counts.tolist()))
+                    ranked = [
+                        self.evaluator.evaluate(query, candidates[lo:hi], cut)
+                        for query, lo, hi in zip(queries, [0, *ends], ends)
+                    ]
+            for ctx in contexts:
+                ctx.evaluation_seconds = evaluate.duration / len(contexts)
+            if single:
+                contexts[0].stage_seconds["evaluate"] = evaluate.duration
+            for query, ctx, (ids, scores) in zip(queries, contexts, ranked):
+                if post:
+                    state = PipelineState(query, ids, scores)
+                    for stage in post:
+                        stage.execute(ctx, state)
+                    ids, scores = state.ids, state.scores
+                results.append(
+                    SearchResult(
+                        ids,
+                        scores,
+                        ctx.n_candidates,
+                        ctx.n_buckets_probed,
+                        {"stats": ctx},
+                    )
+                )
+        if root is not None:
+            contexts[0].total_seconds = root.duration
+            results[0].extras["spans"] = root
+            obs.observe_query(
+                self.name, contexts[0], root=root, sampled=sampled
+            )
+            return results
         for ctx in contexts:
-            ctx.evaluation_seconds = evaluate.duration / max(len(contexts), 1)
+            ctx.total_seconds = (
+                ctx.retrieval_seconds
+                + ctx.evaluation_seconds
+                + sum(ctx.stage_seconds[stage.name] for stage in post)
+            )
+        obs.observe_batch(self.name, contexts)
         return results

@@ -43,7 +43,6 @@ from repro.quantization.pq import ProductQuantizer
 from repro.search.cache import QueryResultCache
 from repro.search.engine import (
     ADCEvaluator,
-    CandidatePipeline,
     CodeEvaluator,
     Evaluator,
     ExactEvaluator,
@@ -52,6 +51,7 @@ from repro.search.engine import (
     QueryPlan,
     qd_merged_scored_stream,
     round_robin_stream,
+    top_k,
     validate_query,
     validate_query_batch,
 )
@@ -480,9 +480,11 @@ class HashIndex:
         table (:meth:`BinaryHasher.probe_info_batch`).  For probers with
         vectorised bucket scoring (HR, QR, GQR) on a single table, the
         per-query probe orders additionally come from one shared score
-        matrix, and evaluation is amortised into one
-        ``pairwise_distances`` call over the block's candidate union.
-        Results are identical to mapping :meth:`search` over the rows.
+        matrix and the candidate gather is one vectorised pass.  Exact
+        evaluation of a multi-row batch is one ragged kernel over every
+        query's own candidate segment (no union, no per-query distance
+        call).  Results are identical to mapping :meth:`search` over
+        the rows.
         """
         queries = validate_query_batch(queries, self._dim)
         if not len(queries):
@@ -491,7 +493,9 @@ class HashIndex:
         infos_per_table = [
             hasher.probe_info_batch(queries) for hasher in self._hashers
         ]
-        if len(self._tables) == 1:
+        # An index over no items has no bucket to score: its streams
+        # are empty, so the streams path answers it.
+        if len(self._tables) == 1 and self._tables[0].num_buckets:
             table = self._tables[0]
             infos = infos_per_table[0]
             signatures = np.fromiter(
@@ -508,7 +512,7 @@ class HashIndex:
             )
             if scores is not None:
                 return self._engine.execute_batch_ordered(
-                    queries, plan, table, scores, bucket_signatures
+                    queries, plan, table, scores
                 )
         streams = [
             self.candidate_stream(
@@ -646,7 +650,7 @@ class HashIndex:
                         if n_probed < len(chunk):
                             ctx.early_stop_triggered = done = True
                             pulled = int(starts[n_probed])
-                        kept_ids, kept_dists = CandidatePipeline.top_k(
+                        kept_ids, kept_dists = top_k(
                             np.concatenate((kept_ids, chunk_ids[:pulled])),
                             np.concatenate((kept_dists, chunk_dists[:pulled])),
                             k,

@@ -5,18 +5,20 @@ re-ranks them exactly) generalises to a typed **stage pipeline**::
 
     Retrieve → DedupBudget → Evaluate → Rerank → Fuse → Truncate
 
-Each stage is a small class with a uniform ``run(ctx, state)`` contract:
-it reads and mutates one :class:`PipelineState` and records whatever it
-learned into the query's ``ExecutionContext``.  ``Stage.execute`` wraps
-``run`` in an :func:`repro.obs.span` named after the stage and stores
-the measured wall time under ``ctx.stage_seconds[name]`` — so every
-stage is individually visible in sampled traces and the
+The engine (:class:`~repro.search.engine.QueryEngine`) runs the
+always-on prefix — retrieval, the :func:`drain_stream` dedup/budget
+loop and evaluation — itself, over a whole ragged batch at once.  The
+per-row tail is made of small stage classes with a uniform
+``run(ctx, state)`` contract: each reads and mutates one
+:class:`PipelineState` and records whatever it learned into the query's
+``ExecutionContext``.  ``Stage.execute`` wraps ``run`` in an
+:func:`repro.obs.span` named after the stage and stores the measured
+wall time under ``ctx.stage_seconds[name]`` — so every stage is
+individually visible in sampled traces and the
 ``repro_query_stage_seconds`` histogram without writing any
 instrumentation of its own.
 
-The always-on prefix (Retrieve / DedupBudget / Evaluate / Truncate)
-reproduces the classic engine path bit-for-bit; the two optional
-production stages open the hybrid-retrieval scenario:
+The two optional production stages open the hybrid-retrieval scenario:
 
 * :class:`RerankStage` — re-scores the evaluation stage's surviving
   pool with a second, more faithful scorer: exact distances over raw
@@ -30,19 +32,19 @@ production stages open the hybrid-retrieval scenario:
   ascending.  Candidates missing from one list get that list's worst
   normalised score (1.0).
 
-Stages compose **only** through :func:`build_pipeline` driven by a
-``QueryPlan`` — constructing or calling them from outside
-``repro/search`` is a lint error (reprolint RL011): the engine owns
-execution order, span naming and stats accounting, and a stage invoked
-on its own bypasses all three.  The plan-vocabulary dataclasses
-(:class:`RerankSpec`, :class:`FusionSpec`) and the fusion adapters are
-public API and freely importable.
+Stages are assembled **only** by the engine from a ``QueryPlan`` —
+constructing or calling them from outside ``repro/search`` is a lint
+error (reprolint RL011): the engine owns execution order, span naming
+and stats accounting, and a stage invoked on its own bypasses all
+three.  The plan-vocabulary dataclasses (:class:`RerankSpec`,
+:class:`FusionSpec`) and the fusion adapters are public API and freely
+importable.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
@@ -59,8 +61,6 @@ if TYPE_CHECKING:
     from repro.search.results import SearchResult
 
 __all__ = [
-    "DedupBudgetStage",
-    "EvaluateStage",
     "FusableIndex",
     "FuseStage",
     "FusionPartner",
@@ -69,10 +69,8 @@ __all__ = [
     "PipelineState",
     "RerankSpec",
     "RerankStage",
-    "RetrieveStage",
     "Stage",
     "TruncateStage",
-    "build_pipeline",
     "drain_stream",
     "linear_fusion",
 ]
@@ -223,19 +221,15 @@ class IndexFusionPartner:
 
 @dataclass
 class PipelineState:
-    """Mutable state threaded through one query's stage pipeline.
+    """One query's ranked ``(ids, scores)``, refined stage by stage.
 
-    ``stream`` carries the lazy retrieval source until
-    :class:`DedupBudgetStage` drains it into ``candidates``;
-    :class:`EvaluateStage` turns candidates into the ranked
-    ``(ids, scores)`` pair that later stages refine.
+    The engine seeds it with the evaluation stage's output; each
+    later stage replaces the pair.
     """
 
     query: np.ndarray
-    stream: Iterable[np.ndarray] | None = None
-    candidates: np.ndarray = field(default_factory=lambda: _EMPTY_IDS)
-    ids: np.ndarray = field(default_factory=lambda: _EMPTY_IDS)
-    scores: np.ndarray = field(default_factory=lambda: _EMPTY_SCORES)
+    ids: np.ndarray
+    scores: np.ndarray
 
 
 class Stage:
@@ -314,73 +308,6 @@ def drain_stream(
 
 
 # -- the stages --------------------------------------------------------
-
-class RetrieveStage(Stage):
-    """Bind the candidate source.
-
-    Retrieval is lazy by construction — probe orders are generators and
-    the cost of walking them is paid where the budget decisions are
-    made, inside :class:`DedupBudgetStage` — so this stage's own span
-    measures only source binding.  A custom ``source`` callable lets a
-    future tiered/graph retriever swap the stream without touching the
-    rest of the pipeline.
-    """
-
-    name = "retrieve"
-
-    def __init__(
-        self,
-        source: Callable[[PipelineState], Iterable[np.ndarray]] | None = None,
-    ) -> None:
-        self._source = source
-
-    def run(self, ctx: ExecutionContext, state: PipelineState) -> None:
-        if self._source is not None:
-            state.stream = self._source(state)
-        if state.stream is None:
-            state.stream = iter(())
-
-
-class DedupBudgetStage(Stage):
-    """Drain the stream under the plan's stopping criteria, deduplicated.
-
-    See :func:`drain_stream` for the accounting contract; this stage's
-    span carries the true retrieval cost (the generators actually run
-    here).
-    """
-
-    name = "dedup_budget"
-
-    def __init__(self, plan: QueryPlan) -> None:
-        self._plan = plan
-
-    def run(self, ctx: ExecutionContext, state: PipelineState) -> None:
-        assert state.stream is not None
-        state.candidates = drain_stream(state.stream, self._plan, ctx)
-
-
-class EvaluateStage(Stage):
-    """Score the candidate set and keep the best ``keep`` of them.
-
-    ``keep`` is the plan's ``evaluate_keep()``: ``k`` for plain plans
-    (the classic path, bit-identical), the rerank/fusion pool size when
-    a later stage re-scores, and ``None`` to keep the whole scored set.
-    """
-
-    name = "evaluate"
-
-    def __init__(self, evaluator: Evaluator, keep: int | None) -> None:
-        self._evaluator = evaluator
-        self._keep = keep
-
-    def run(self, ctx: ExecutionContext, state: PipelineState) -> None:
-        keep = (
-            self._keep if self._keep is not None else len(state.candidates)
-        )
-        state.ids, state.scores = self._evaluator.evaluate(
-            state.query, state.candidates, keep
-        )
-
 
 class RerankStage(Stage):
     """Re-score the surviving pool with a second, more faithful scorer.
@@ -500,40 +427,3 @@ def _minmax(scores: np.ndarray) -> np.ndarray:
     if span <= 0.0:
         return np.zeros(len(scores), dtype=np.float64)
     return (scores - low) / span
-
-
-# -- pipeline assembly -------------------------------------------------
-
-def build_pipeline(
-    plan: QueryPlan,
-    evaluator: Evaluator,
-    reranker: Evaluator | None = None,
-    partner: FusionPartner | None = None,
-    source: Callable[[PipelineState], Iterable[np.ndarray]] | None = None,
-) -> list[Stage]:
-    """The declarative stage list one plan executes, in order.
-
-    The caller (the engine) resolves ``reranker`` / ``partner`` from
-    the plan before building; a plan that names a stage whose
-    dependency is missing is an error here, not deep inside execution.
-    """
-    stages: list[Stage] = [
-        RetrieveStage(source),
-        DedupBudgetStage(plan),
-        EvaluateStage(evaluator, plan.evaluate_keep()),
-    ]
-    if plan.rerank is not None:
-        if reranker is None:
-            raise ValueError(
-                "plan requests a rerank stage but no reranker was resolved"
-            )
-        stages.append(RerankStage(reranker, plan.rerank))
-    if plan.fusion is not None:
-        if partner is None:
-            raise ValueError(
-                "plan requests a fuse stage but no fusion partner was "
-                "resolved"
-            )
-        stages.append(FuseStage(partner, plan.fusion, plan))
-    stages.append(TruncateStage(plan.k))
-    return stages

@@ -15,11 +15,8 @@ from repro.core.gqr import GQR
 from repro.data import gaussian_mixture
 from repro.hashing import ITQ
 from repro.search import HashIndex
-from repro.search.engine import (
-    CandidatePipeline,
-    ExecutionContext,
-    QueryPlan,
-)
+from repro.search.engine import ExecutionContext, QueryPlan
+from repro.search.stages import drain_stream
 
 
 class TestDrainDeduplication:
@@ -29,7 +26,7 @@ class TestDrainDeduplication:
             for bucket in ([1, 3, 7], [3, 5], [2, 9], [7, 11])
         )
         ctx = ExecutionContext()
-        ids = CandidatePipeline.drain(
+        ids = drain_stream(
             stream, QueryPlan(k=1, n_candidates=8), ctx
         )
         assert sorted(ids.tolist()) == [1, 2, 3, 5, 7, 9, 11]
@@ -43,7 +40,7 @@ class TestDrainDeduplication:
             for bucket in ([0, 1], [0, 2], [0, 3], [0, 4])
         )
         ctx = ExecutionContext()
-        ids = CandidatePipeline.drain(
+        ids = drain_stream(
             stream, QueryPlan(k=1, n_candidates=4), ctx
         )
         assert sorted(ids.tolist()) == [0, 1, 2, 3]
@@ -52,7 +49,7 @@ class TestDrainDeduplication:
     def test_within_bucket_duplicates_collapse(self):
         stream = iter([np.array([5, 5, 5, 8], dtype=np.int64)])
         ctx = ExecutionContext()
-        ids = CandidatePipeline.drain(
+        ids = drain_stream(
             stream, QueryPlan(k=1, n_candidates=10), ctx
         )
         assert sorted(ids.tolist()) == [5, 8]

@@ -378,7 +378,7 @@ class TestStagePipelineEncapsulationRL011:
         assert rule_ids(found) == ["RL011"]
 
     def test_assembly_helper_import_fires(self):
-        src = "from repro.search.stages import build_pipeline\n"
+        src = "from repro.search.stages import drain_stream\n"
         found = check_source(src, self.OUTSIDE, [get_rule("RL011")])
         assert rule_ids(found) == ["RL011"]
 
@@ -410,11 +410,39 @@ class TestStagePipelineEncapsulationRL011:
 
     def test_inside_search_is_exempt(self):
         src = (
-            "from repro.search.stages import build_pipeline\n"
+            "from repro.search.stages import drain_stream\n"
             "stage = TruncateStage(10)\n"
         )
         found = check_source(src, SEARCH_PATH, [get_rule("RL011")])
         assert found == []
+
+
+class TestInternalNameListsAreCurrent:
+    """RL011 and RL014 name engine internals by string; a name whose
+    symbol was deleted or renamed silently stops guarding anything."""
+
+    def test_every_listed_name_resolves_in_repro_search(self):
+        import importlib
+        import pkgutil
+
+        import repro.search
+        from reprolint.rules.architecture import (
+            StagePipelineEncapsulationRule,
+        )
+        from reprolint.rules.wholeprogram import _NAMED_INTERNALS
+
+        modules = [repro.search] + [
+            importlib.import_module(f"repro.search.{info.name}")
+            for info in pkgutil.iter_modules(repro.search.__path__)
+        ]
+        listed = (
+            StagePipelineEncapsulationRule._INTERNAL_NAMES | _NAMED_INTERNALS
+        )
+        missing = sorted(
+            name for name in listed
+            if not any(hasattr(module, name) for module in modules)
+        )
+        assert missing == []
 
 
 SERVING_PATH = "src/repro/serving/frontdoor.py"

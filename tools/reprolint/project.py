@@ -137,7 +137,7 @@ class FunctionInfo:
     calls: tuple[CallRef, ...] = ()
     mutations: tuple[Mutation, ...] = ()
     lock_facts: tuple[LockFact, ...] = ()
-    #: parameter name → terminal annotation name ("BucketTable", ...)
+    #: parameter name → terminal annotation name ("HashTable", ...)
     param_types: tuple[tuple[str, str], ...] = ()
 
 

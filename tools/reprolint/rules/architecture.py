@@ -133,11 +133,12 @@ class BucketEncapsulationRule(Rule):
 class StagePipelineEncapsulationRule(Rule):
     """RL011: pipeline stage internals stay inside ``repro/search``.
 
-    The stage classes (``RetrieveStage`` … ``TruncateStage``), the
-    ``PipelineState`` they thread, and the ``build_pipeline`` /
-    ``drain_stream`` assembly helpers are the engine's implementation
-    vocabulary.  Code outside ``repro/search`` configures pipelines
-    declaratively — ``RerankSpec`` / ``FusionSpec`` on a ``QueryPlan``,
+    The stage classes (``RerankStage``, ``FuseStage``,
+    ``TruncateStage`` and their ``Stage`` base), the ``PipelineState``
+    they thread, and the ``drain_stream`` dedup/budget loop are the
+    engine's implementation vocabulary.  Code outside ``repro/search``
+    configures pipelines declaratively — ``RerankSpec`` /
+    ``FusionSpec`` on a ``QueryPlan``,
     ``IndexFusionPartner`` / ``linear_fusion`` for fusion wiring — and
     lets the engine assemble and run the stages.  Direct stage
     construction elsewhere would execute retrieval or scoring outside
@@ -149,15 +150,13 @@ class StagePipelineEncapsulationRule(Rule):
     name = "stage-pipeline-encapsulation"
     description = (
         "pipeline stage internals (``*Stage`` classes, PipelineState, "
-        "build_pipeline, drain_stream) may only be used inside "
+        "drain_stream) may only be used inside "
         "repro/search; configure plans with RerankSpec/FusionSpec "
         "instead"
     )
 
     _STAGES_MODULE = "repro.search.stages"
-    _INTERNAL_NAMES = frozenset(
-        {"Stage", "PipelineState", "build_pipeline", "drain_stream"}
-    )
+    _INTERNAL_NAMES = frozenset({"Stage", "PipelineState", "drain_stream"})
 
     def applies(self, module: ModuleContext) -> bool:
         return module.within("src/repro") and not module.within(

@@ -1,8 +1,8 @@
 """RL014 — cross-module engine integrity (whole-program).
 
 RL001 (engine bypass) and RL011 (stage encapsulation) are per-file:
-they catch ``repro/eval`` importing ``pairwise_distances`` or touching
-``CandidatePipeline`` directly, but not a helper that reaches the same
+they catch ``repro/eval`` importing ``pairwise_distances`` or calling
+``drain_stream`` directly, but not a helper that reaches the same
 internals through one level of indirection.  This rule closes that
 hole with the project call graph:
 
@@ -54,9 +54,7 @@ _EXACT_EXEMPT_FILES = ("repro/search/engine.py", "repro/index/distance.py")
 #: Pipeline internals that are engine-private regardless of their
 #: leading character (``drain_stream`` has no underscore but is the
 #: stage pipeline's drain loop).
-_NAMED_INTERNALS = frozenset(
-    {"drain_stream", "build_pipeline", "_run_post_stages"}
-)
+_NAMED_INTERNALS = frozenset({"drain_stream"})
 
 
 def _is_engine_internal(info: FunctionInfo) -> bool:
