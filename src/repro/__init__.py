@@ -29,12 +29,6 @@ from repro.core import (
     quantization_distances,
     theorem2_mu,
 )
-from repro.distributed import (
-    DistributedHashIndex,
-    FaultPlan,
-    NetworkModel,
-    RetryPolicy,
-)
 from repro.hashing import (
     ITQ,
     AnchorGraphHashing,
@@ -90,9 +84,7 @@ __all__ = [
     "C2LSH",
     "CompactHashIndex",
     "E2LSH",
-    "DistributedHashIndex",
     "DynamicHashIndex",
-    "FaultPlan",
     "FlippingVectorGenerator",
     "GenerateHammingRanking",
     "HammingRanking",
@@ -109,7 +101,6 @@ __all__ = [
     "MIHSearchIndex",
     "MultiIndexHashing",
     "MultiProbeLSH",
-    "NetworkModel",
     "PrefixRanking",
     "OptimizedProductQuantizer",
     "PCAHashing",
@@ -118,7 +109,6 @@ __all__ = [
     "QDRanking",
     "RandomizedKDForest",
     "RandomProjectionLSH",
-    "RetryPolicy",
     "SemiSupervisedHashing",
     "SearchResult",
     "load_index",

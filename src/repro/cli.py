@@ -13,12 +13,7 @@ Commands
 ``obs``
     Run a demo workload under the telemetry subsystem and print the
     metrics it recorded — as a summary table, a JSON snapshot, or
-    Prometheus exposition text.  Includes a faulted distributed
-    workload so the retry / hedge / breaker series are populated.
-``chaos``
-    Fault-injection drill: run the distributed index under each fault
-    type and print recall, coverage and simulated makespan per
-    scenario.
+    Prometheus exposition text.
 ``eval``
     Score the stage pipeline's variants — candidate-only, exact
     rerank, ADC rerank, fused — against exact ground truth and print
@@ -161,30 +156,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         cache=QueryResultCache(capacity=256, name="hash"),
     )
 
-    # A small faulted, replicated cluster so the fault-tolerance
-    # series (retries, hedges, breaker state, coverage) have data.
-    from repro.distributed import (
-        DistributedHashIndex,
-        FaultPlan,
-        WorkerFaultSpec,
-    )
-
-    dist_data = data[:2000]
-    dist = DistributedHashIndex(
-        ITQ(code_length=8, seed=0).fit(dist_data),
-        dist_data,
-        num_workers=4,
-        seed=0,
-        replication_factor=2,
-        fault_plan=FaultPlan(
-            {
-                0: WorkerFaultSpec(crashed=True),
-                1: WorkerFaultSpec(slowdown_seconds=0.03),
-            },
-            seed=0,
-        ),
-    )
-
     sampler = obs.TraceSampler(every_n=args.sample_every, seed=0)
     with obs.telemetry_session(sampler=sampler) as telemetry:
         for query in queries:
@@ -195,16 +166,13 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             index.search(query, k=10, n_candidates=400)
         batch = index.search_batch(queries[:32], k=10, n_candidates=400)
         assert len(batch) == min(32, len(queries))
-        for query in queries[:16]:
-            dist.search(query, k=10, n_candidates=200)
         if args.format == "json":
             print(obs.snapshot_json(telemetry.registry))
         elif args.format == "prometheus":
             print(obs.to_prometheus_text(telemetry.registry), end="")
         else:
-            print(f"{args.queries} single + {len(batch)} batched + "
-                  "16 distributed (faulted, 2x replicated) queries "
-                  "under telemetry:")
+            print(f"{args.queries} single + {len(batch)} batched "
+                  "queries under telemetry:")
             print(format_table(
                 ["metric", "labels", "count", "mean", "p50", "p95"],
                 obs.summary_rows(telemetry.registry),
@@ -279,74 +247,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
           f"k={k}, budget={args.budget}, "
           f"fusion weight={args.fusion_weight}")
     print(format_ir_report(ir_report(pipelines, truth, k=k)))
-    return 0
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.data import gaussian_mixture, sample_queries
-    from repro.distributed import DistributedHashIndex, FaultPlan
-
-    workers = args.workers
-    total_workers = workers * args.replication
-    seed = args.seed
-    data = gaussian_mixture(3000, 24, n_clusters=12, seed=seed)
-    queries = sample_queries(data, args.queries, seed=seed + 1)
-    truth = ground_truth_knn(queries, data, args.k)
-    hasher = ITQ(code_length=8, seed=0).fit(data)
-
-    scenarios = [
-        ("fault-free", FaultPlan.none(seed=seed)),
-        ("crash", FaultPlan.crash(seed % workers, seed=seed)),
-        (
-            "transient",
-            FaultPlan.transient((seed + 1) % workers, failures=1, seed=seed),
-        ),
-        ("slow", FaultPlan.slow(seed % workers, 0.03, seed=seed)),
-        (
-            "corrupt",
-            FaultPlan.corrupt((seed + 2) % workers, attempts=1, seed=seed),
-        ),
-        ("random", FaultPlan.random(total_workers, seed=seed)),
-    ]
-    rows = []
-    for name, plan in scenarios:
-        index = DistributedHashIndex(
-            hasher,
-            data,
-            num_workers=workers,
-            seed=0,
-            replication_factor=args.replication,
-            fault_plan=plan,
-        )
-        hits = coverage = makespan = 0.0
-        retries = hedges = degraded = 0
-        for query, truth_row in zip(queries, truth):
-            result = index.search(query, k=args.k, n_candidates=args.budget)
-            hits += len(np.intersect1d(result.ids, truth_row))
-            coverage += result.extras["coverage"]
-            makespan += result.extras["makespan_seconds"]
-            retries += result.extras["retries"]
-            hedges += result.extras["hedges"]
-            degraded += int(result.extras["degraded"])
-        n = len(queries)
-        rows.append([
-            name,
-            plan.describe(),
-            f"{hits / (args.k * n):.3f}",
-            f"{coverage / n:.3f}",
-            f"{degraded}/{n}",
-            retries,
-            hedges,
-            f"{1000 * makespan / n:.2f}ms",
-        ])
-    print(f"chaos drill: {workers} partitions x {args.replication} "
-          f"replicas, {len(queries)} queries, seed={seed}, "
-          f"k={args.k}, budget={args.budget}")
-    print(format_table(
-        ["scenario", "faults", f"recall@{args.k}", "coverage",
-         "degraded", "retries", "hedges", "makespan"],
-        rows,
-    ))
     return 0
 
 
@@ -440,24 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="table", help="output format",
     )
 
-    chaos = commands.add_parser(
-        "chaos",
-        help="fault-injection drill: recall/coverage/makespan per "
-             "fault type",
-    )
-    chaos.add_argument("--queries", type=int, default=20,
-                       help="queries per scenario")
-    chaos.add_argument("--seed", type=int, default=0,
-                       help="fault-plan seed (chaos runs are "
-                            "deterministic per seed)")
-    chaos.add_argument("--workers", type=int, default=4,
-                       help="number of partitions")
-    chaos.add_argument("--replication", type=int, default=1,
-                       help="replicas per partition")
-    chaos.add_argument("--k", type=int, default=10)
-    chaos.add_argument("--budget", type=int, default=300,
-                       help="total candidate budget per query")
-
     eval_cmd = commands.add_parser(
         "eval",
         help="IR-metric table for candidate-only vs reranked vs fused "
@@ -526,7 +408,6 @@ def main(argv: list[str] | None = None) -> int:
         "compare": _cmd_compare,
         "demo": _cmd_demo,
         "obs": _cmd_obs,
-        "chaos": _cmd_chaos,
         "eval": _cmd_eval,
         "serve-sim": _cmd_serve_sim,
         "reproduce": _cmd_reproduce,

@@ -7,7 +7,7 @@ this package is where those numbers go.  Four self-contained layers:
   gauges and fixed-bucket labelled histograms, with a label-cardinality
   guard and a disabled fast path;
 * :mod:`repro.obs.spans` — nestable monotonic stage timing; the only
-  sanctioned home of ``perf_counter`` in the search/index/distributed
+  sanctioned home of ``perf_counter`` in the search and index
   packages (reprolint RL009);
 * :mod:`repro.obs.sampling` — a seeded every-Nth sampler ring-buffering
   the last K queries' span trees and probe detail for post-hoc "why was
@@ -52,12 +52,9 @@ from repro.obs.telemetry import (
     get_registry,
     get_sampler,
     observe_batch,
-    observe_breaker,
     observe_cache,
     observe_cache_evictions,
     observe_cache_occupancy,
-    observe_distributed,
-    observe_fault,
     observe_query,
     observe_serving_admission,
     observe_serving_batch,
@@ -66,7 +63,6 @@ from repro.obs.telemetry import (
     observe_serving_rejected,
     observe_serving_request,
     observe_serving_served,
-    observe_shard,
     should_sample,
     telemetry_enabled,
     telemetry_session,
@@ -92,12 +88,9 @@ __all__ = [
     "get_sampler",
     "now",
     "observe_batch",
-    "observe_breaker",
     "observe_cache",
     "observe_cache_evictions",
     "observe_cache_occupancy",
-    "observe_distributed",
-    "observe_fault",
     "observe_query",
     "observe_serving_admission",
     "observe_serving_batch",
@@ -106,7 +99,6 @@ __all__ = [
     "observe_serving_rejected",
     "observe_serving_request",
     "observe_serving_served",
-    "observe_shard",
     "parse_prometheus_text",
     "should_sample",
     "snapshot_json",

@@ -153,9 +153,8 @@ def counter_rows(registry: MetricsRegistry) -> list[list[object]]:
 
     Each row is ``[metric, labels, value]``.  Zero-valued counter
     series are dropped (they carry no signal in a summary); gauges are
-    always shown because 0 is a meaningful state (e.g. a closed
-    breaker).  Renders the fault-tolerance series behind
-    ``python -m repro obs``.
+    always shown because 0 is a meaningful state (e.g. an empty serving
+    queue).  Renders the totals table of ``python -m repro obs``.
     """
     rows: list[list[object]] = []
     for family in registry.collect():

@@ -23,10 +23,9 @@ measures both), while the per-query
 numbers even with the registry off.
 
 Reprolint rule RL009 makes this module the only legitimate home of
-``perf_counter`` in ``repro.search`` / ``repro.index`` /
-``repro.distributed``: stage timing goes through spans, and code that
-needs a raw monotonic timestamp (e.g. the engine's ``time_budget``
-deadline) uses :data:`now`.
+``perf_counter`` in ``repro.search`` / ``repro.index``: stage timing
+goes through spans, and code that needs a raw monotonic timestamp
+(e.g. the engine's ``time_budget`` deadline) uses :data:`now`.
 """
 
 from __future__ import annotations

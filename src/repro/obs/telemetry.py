@@ -1,11 +1,9 @@
 """Process-global telemetry state and the engine's recording hooks.
 
 The query engine calls three tiny hooks — :func:`should_sample`,
-:func:`observe_query` / :func:`observe_batch`, and the distributed
-layer's :func:`observe_shard` / :func:`observe_distributed` — all of
-which reduce to a single ``None`` check when telemetry is disabled
-(the default).  :func:`enable_telemetry` installs a
-:class:`TelemetryState` binding a
+:func:`observe_query` and :func:`observe_batch` — all of which reduce
+to a single ``None`` check when telemetry is disabled (the default).
+:func:`enable_telemetry` installs a :class:`TelemetryState` binding a
 :class:`~repro.obs.metrics.MetricsRegistry` (injected or fresh) and an
 optional :class:`~repro.obs.sampling.TraceSampler`; the state
 pre-registers every instrument and caches per-index label children so
@@ -22,17 +20,6 @@ metric                                    kind       labels
 ``repro_query_buckets_probed``            histogram  ``index``
 ``repro_early_stops_total``               counter    ``index``
 ``repro_sampled_traces_total``            counter    —
-``repro_shard_queries_total``             counter    ``worker``
-``repro_shard_seconds``                   histogram  ``worker``
-``repro_distributed_queries_total``       counter    —
-``repro_distributed_workers_contacted``   histogram  —
-``repro_distributed_stage_seconds``       histogram  ``stage``
-``repro_distributed_retries_total``       counter    —
-``repro_distributed_hedges_total``        counter    —
-``repro_distributed_degraded_total``      counter    —
-``repro_distributed_coverage``            histogram  —
-``repro_shard_faults_total``              counter    ``worker``, ``kind``
-``repro_breaker_state``                   gauge      ``worker``
 ``repro_cache_hits_total``                counter    ``cache``
 ``repro_cache_misses_total``              counter    ``cache``
 ``repro_cache_evictions_total``           counter    ``cache``
@@ -53,19 +40,12 @@ metric                                    kind       labels
 ========================================  =========  =====================
 
 ``index`` is the engine's name ("hash", "mih", "imi", "compact",
-"dynamic", "stream", "shard").  ``stage`` is a first-class label over
+"dynamic", "stream").  ``stage`` is a first-class label over
 the engine's pipeline stages: ``retrieval`` / ``evaluation`` /
 ``total`` always, plus ``rerank`` and ``fuse`` for queries whose plan
-ran those stages (``fanout`` / ``merge`` / ``rerank`` for the
-distributed coordinator).  The fault-tolerance series (PR 4) are fed
-by the coordinator: ``kind`` is a fault-taxonomy slug (``crash`` /
-``transient`` / ``timeout`` / ``corrupt``), and ``repro_breaker_state``
-encodes the circuit-breaker automaton as 0 = closed, 1 = half-open,
-2 = open.  When a trace sampler is installed, sampled distributed
-queries embed their classified fault events in the trace's ``stats``.
-The cache series (PR 5) are fed by
+ran those stages.  The cache series are fed by
 :class:`~repro.search.cache.QueryResultCache`; ``cache`` is the cache's
-name ("hash", "shard", …).
+name ("hash", …).
 
 The serving series are fed by the asynchronous front door
 (:mod:`repro.serving`): ``lane`` is the priority lane's name
@@ -108,12 +88,9 @@ __all__ = [
     "get_registry",
     "get_sampler",
     "observe_batch",
-    "observe_breaker",
     "observe_cache",
     "observe_cache_evictions",
     "observe_cache_occupancy",
-    "observe_distributed",
-    "observe_fault",
     "observe_query",
     "observe_serving_admission",
     "observe_serving_batch",
@@ -122,17 +99,12 @@ __all__ = [
     "observe_serving_rejected",
     "observe_serving_request",
     "observe_serving_served",
-    "observe_shard",
     "should_sample",
     "telemetry_enabled",
     "telemetry_session",
 ]
 
-_WORKERS_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128)
-_COVERAGE_BUCKETS = (0.25, 0.5, 0.75, 0.9, 0.99, 1.0)
-
-#: Circuit-breaker automaton states encoded for the gauge.
-_BREAKER_STATES = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
+_BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128)
 
 
 class QueryStats(Protocol):
@@ -237,59 +209,6 @@ class TelemetryState:
             "repro_sampled_traces_total",
             "Queries captured by the trace sampler",
         )
-        self.shard_queries: Counter = reg.counter(
-            "repro_shard_queries_total",
-            "Local searches answered per shard worker",
-            labels=("worker",),
-        )
-        self.shard_seconds: Histogram = reg.histogram(
-            "repro_shard_seconds",
-            "Per-shard local search latency",
-            labels=("worker",),
-        )
-        self.distributed_queries: Counter = reg.counter(
-            "repro_distributed_queries_total",
-            "Scatter-gather queries answered by the coordinator",
-        )
-        self.workers_contacted: Histogram = reg.histogram(
-            "repro_distributed_workers_contacted",
-            "Workers contacted per distributed query (fan-out)",
-            buckets=_WORKERS_BUCKETS,
-        )
-        self.distributed_stage_seconds: Histogram = reg.histogram(
-            "repro_distributed_stage_seconds",
-            "Coordinator stage latency (fanout = scatter + local work, "
-            "merge = gather + global top-k)",
-            labels=("stage",),
-        )
-        self.distributed_retries: Counter = reg.counter(
-            "repro_distributed_retries_total",
-            "Failed shard attempts that were retried or degraded",
-        )
-        self.distributed_hedges: Counter = reg.counter(
-            "repro_distributed_hedges_total",
-            "Hedged requests issued to replicas for straggler attempts",
-        )
-        self.distributed_degraded: Counter = reg.counter(
-            "repro_distributed_degraded_total",
-            "Distributed queries answered with partial coverage",
-        )
-        self.distributed_coverage: Histogram = reg.histogram(
-            "repro_distributed_coverage",
-            "Reachable fraction of routed items per distributed query",
-            buckets=_COVERAGE_BUCKETS,
-        )
-        self.shard_faults: Counter = reg.counter(
-            "repro_shard_faults_total",
-            "Classified shard failures by fault-taxonomy kind",
-            labels=("worker", "kind"),
-        )
-        self.breaker_state: Gauge = reg.gauge(
-            "repro_breaker_state",
-            "Per-worker circuit-breaker state "
-            "(0 = closed, 1 = half-open, 2 = open)",
-            labels=("worker",),
-        )
         self.cache_hits: Counter = reg.counter(
             "repro_cache_hits_total",
             "Query-result cache lookups answered from the cache",
@@ -368,7 +287,7 @@ class TelemetryState:
             "repro_serving_batch_size",
             "Queries coalesced into each dispatched engine batch",
             labels=("lane",),
-            buckets=_WORKERS_BUCKETS,
+            buckets=_BATCH_SIZE_BUCKETS,
         )
         self.serving_overload_level: Gauge = reg.gauge(
             "repro_serving_overload_level",
@@ -537,77 +456,6 @@ def observe_batch(index: str, contexts: list) -> None:
                 ins.observe_fuse(stage_seconds["fuse"])
 
 
-def observe_shard(worker_id: int, seconds: float) -> None:
-    """Record one shard-local search (called by ``ShardWorker``)."""
-    state = _STATE
-    if state is None:
-        return
-    state.shard_queries.labels(worker=worker_id).inc()
-    state.shard_seconds.labels(worker=worker_id).observe(seconds)
-
-
-def observe_distributed(
-    workers_contacted: int,
-    fanout_seconds: float,
-    merge_seconds: float,
-    retries: int = 0,
-    hedges: int = 0,
-    coverage: float = 1.0,
-    degraded: bool = False,
-    root: Span | None = None,
-    sampled: bool = False,
-    fault_events: list[dict] | None = None,
-    rerank_seconds: float | None = None,
-) -> None:
-    """Record one scatter-gather query (called by the coordinator).
-
-    Beyond the stage latencies, the coordinator reports its
-    fault-tolerance activity: ``retries`` failed attempts, ``hedges``
-    issued, the query's ``coverage`` fraction and whether it was
-    ``degraded``.  When ``sampled`` (decided by :func:`should_sample`
-    before execution) the query's span tree and classified
-    ``fault_events`` are stored as a sampled trace, so "why was this
-    query degraded" is answerable post hoc.  ``rerank_seconds`` is the
-    post-merge exact rerank stage's latency, when the plan ran one.
-    """
-    state = _STATE
-    if state is None:
-        return
-    state.distributed_queries.inc()
-    state.workers_contacted.observe(workers_contacted)
-    state.distributed_stage_seconds.labels(stage="fanout").observe(
-        fanout_seconds
-    )
-    state.distributed_stage_seconds.labels(stage="merge").observe(
-        merge_seconds
-    )
-    if rerank_seconds is not None:
-        state.distributed_stage_seconds.labels(stage="rerank").observe(
-            rerank_seconds
-        )
-    if retries:
-        state.distributed_retries.inc(retries)
-    if hedges:
-        state.distributed_hedges.inc(hedges)
-    state.distributed_coverage.observe(coverage)
-    if degraded:
-        state.distributed_degraded.inc()
-    if sampled and state.sampler is not None:
-        state.sampled_traces.inc()
-        state.sampler.record(
-            spans=root.to_dict() if root is not None else None,
-            stats={
-                "type": "distributed",
-                "workers_contacted": workers_contacted,
-                "retries": retries,
-                "hedges": hedges,
-                "coverage": coverage,
-                "degraded": degraded,
-                "fault_events": list(fault_events or ()),
-            },
-        )
-
-
 def observe_cache(
     cache: str, hit: bool, seconds: float | None = None
 ) -> None:
@@ -721,21 +569,3 @@ def observe_serving_overload(level: int, shedding: bool) -> None:
     if state is None:
         return
     state.serving_overload_level.set(float(level + 1 if shedding else level))
-
-
-def observe_fault(worker_id: int, kind: str) -> None:
-    """Record one classified shard failure (fault-taxonomy ``kind``)."""
-    state = _STATE
-    if state is None:
-        return
-    state.shard_faults.labels(worker=worker_id, kind=kind).inc()
-
-
-def observe_breaker(worker_id: int, breaker_state: str) -> None:
-    """Mirror a circuit-breaker transition into the state gauge."""
-    state = _STATE
-    if state is None:
-        return
-    state.breaker_state.labels(worker=worker_id).set(
-        _BREAKER_STATES.get(breaker_state, 2.0)
-    )

@@ -191,6 +191,19 @@ class QueryPlan:
                 "give at least one stopping criterion: n_candidates, "
                 "max_buckets or time_budget"
             )
+        # Negated comparisons so NaN fails them too.
+        if self.n_candidates is not None and not self.n_candidates >= 1:
+            raise ValueError(
+                f"n_candidates must be >= 1, got {self.n_candidates}"
+            )
+        if self.max_buckets is not None and not self.max_buckets >= 1:
+            raise ValueError(
+                f"max_buckets must be >= 1, got {self.max_buckets}"
+            )
+        if self.time_budget is not None and not self.time_budget >= 0:
+            raise ValueError(
+                f"time_budget must be >= 0 seconds, got {self.time_budget}"
+            )
         if self.metric not in METRICS:
             raise KeyError(
                 f"unknown metric {self.metric!r}; options: {sorted(METRICS)}"
@@ -296,14 +309,11 @@ class QueryPlan:
     def budget_fraction(self, other: QueryPlan) -> float:
         """``other``'s candidate budget as a fraction of this plan's.
 
-        The serving layer's coverage vocabulary for degraded responses
-        (mirroring the distributed layer's reachable-subset coverage):
-        1.0 when the budgets match (or neither plan bounds candidates),
-        smaller when ``other`` is a downgraded variant.
+        The ``coverage`` the serving layer reports on degraded
+        responses: 1.0 when the budgets match (or neither plan bounds
+        candidates), smaller when ``other`` is a downgraded variant.
         """
         if self.n_candidates is None or other.n_candidates is None:
-            return 1.0
-        if self.n_candidates <= 0:
             return 1.0
         return min(1.0, other.n_candidates / self.n_candidates)
 
@@ -538,7 +548,7 @@ class CodeEvaluator:
     (:mod:`repro.index.codes`): symmetric is one XOR +
     ``np.bitwise_count``, asymmetric builds the query's per-byte QD
     lookup tables once and scores every candidate with byte gathers —
-    no per-candidate bit unpacking, so worker shards stay ufunc-bound.
+    no per-candidate bit unpacking, so scoring stays ufunc-bound.
     """
 
     def __init__(

@@ -30,21 +30,15 @@ class SearchResult:
         Number of buckets fetched from the table(s) (retrieval cost).
     extras:
         Free-form per-result metadata.  Engine-backed searches attach
-        ``"stats"`` (see :attr:`stats`); distributed searches
-        additionally report their fault-tolerance outcome:
+        ``"stats"`` (see :attr:`stats`).  Results the serving layer
+        answered with a downgraded plan also carry:
 
-        * ``"coverage"`` — reachable fraction of the routed items in
-          ``[0, 1]``; 1.0 means every contacted partition answered.
-        * ``"degraded"`` — ``True`` when partitions stayed unreachable
-          after retries/hedging/failover and the result is the exact
-          top-k of the *reachable* subset only.
-        * ``"retries"`` / ``"hedges"`` — failed attempts retried and
-          hedged requests issued for this query.
-        * ``"fault_events"`` — classified fault records
-          (worker, taxonomy kind, attempt) in injection order.
-        * ``"makespan_seconds"`` / ``"worker_seconds"`` /
-          ``"workers_contacted"`` / ``"partitions_lost"`` — the
-          coordinator's simulated cost accounting.
+        * ``"degraded"`` — ``True``;
+        * ``"coverage"`` — the downgraded plan's candidate budget as a
+          fraction of the requested one, in ``(0, 1]``
+          (:meth:`~repro.search.engine.QueryPlan.budget_fraction`);
+        * ``"degrade_level"`` — the overload controller's ladder step
+          that chose the plan.
     """
 
     ids: np.ndarray

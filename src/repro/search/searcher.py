@@ -542,13 +542,14 @@ class HashIndex:
             raise ValueError(f"k must be positive, got {k}")
         if max_candidates is None:
             max_candidates = self.num_items
+        elif not max_candidates >= 1:
+            raise ValueError(
+                f"max_candidates must be >= 1, got {max_candidates}"
+            )
         ids, dists, ctx = self._theorem2_scan(query, k, np.inf, max_candidates)
         return SearchResult(
-            ids,
-            dists,
-            ctx.n_candidates,
-            ctx.n_buckets_probed,
-            extras={"stopped_early": bool(len(ids)), "stats": ctx},
+            ids, dists, ctx.n_candidates, ctx.n_buckets_probed,
+            extras={"stats": ctx},
         )
 
     def search_range(self, query: np.ndarray, radius: float) -> SearchResult:
@@ -560,8 +561,8 @@ class HashIndex:
         lie within the radius.  Same preconditions as
         :meth:`search_early_stop`.
         """
-        if radius < 0:
-            raise ValueError("radius must be non-negative")
+        if not radius >= 0:
+            raise ValueError(f"radius must be non-negative, got {radius}")
         ids, dists, ctx = self._theorem2_scan(query, None, radius, np.inf)
         return SearchResult(
             ids, dists, ctx.n_candidates, ctx.n_buckets_probed,

@@ -17,9 +17,9 @@ exceeds capacity.  Four cooperating mechanisms, declared in
   low-latency lane;
 * **graduated load shedding** — a hysteretic controller watching queue
   delay first *degrades* admitted queries to cheaper plans
-  (:meth:`QueryPlan.downgraded`; responses carry the distributed
-  layer's ``degraded`` / ``coverage`` vocabulary) and only sheds
-  outright beyond the last degrade level.
+  (:meth:`QueryPlan.downgraded`; responses carry ``degraded`` and a
+  ``coverage`` budget fraction) and only sheds outright beyond the
+  last degrade level.
 
 Two drivers share that core: :class:`AsyncFrontDoor` serves a real
 index on an asyncio event loop, and :class:`ServingSimulator` replays

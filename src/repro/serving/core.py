@@ -133,8 +133,9 @@ class ServedResponse:
 
     * ``served`` — full-fidelity result, ``result`` is set;
     * ``served_degraded`` — ``result`` is set but was produced by a
-      downgraded plan; ``degrade_level`` and ``coverage`` quantify the
-      fidelity loss, mirroring the distributed layer's vocabulary;
+      downgraded plan; ``degrade_level`` and ``coverage`` (the degraded
+      plan's candidate budget as a fraction of the requested one, see
+      :meth:`QueryPlan.budget_fraction`) quantify the fidelity loss;
     * ``rejected`` — no result; ``reason`` is one of
       :data:`REJECT_REASONS`.
     """
@@ -533,8 +534,7 @@ class FrontDoorCore:
 
         ``results`` align with ``batch.tickets``.  Degraded batches get
         the degradation vocabulary stamped into each result's extras
-        (``degraded`` / ``coverage`` / ``degrade_level``) — the same
-        keys the distributed layer uses for partial-coverage results.
+        (``degraded`` / ``coverage`` / ``degrade_level``).
         """
         if len(results) != len(batch.tickets):
             raise ValueError(

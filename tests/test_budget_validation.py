@@ -1,0 +1,62 @@
+"""Budgets and bounds that make no sense are rejected, not run.
+
+A negative or zero candidate budget, a bucket budget below one, a NaN
+or negative time budget, a NaN radius and a Theorem 2 candidate cap
+below one each raise ``ValueError`` before any bucket is probed.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from repro.core.gqr import GQR
+from repro.data import gaussian_mixture
+from repro.hashing import ITQ
+from repro.search.engine import QueryPlan
+from repro.search.searcher import HashIndex
+
+QUERY = np.zeros(16)
+
+
+@pytest.fixture(scope="module")
+def index():
+    data = gaussian_mixture(2000, 16, seed=0)
+    return HashIndex(ITQ(code_length=8, seed=0), data, prober=GQR())
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [
+        {"n_candidates": 0},
+        {"n_candidates": -1},
+        {"max_buckets": 0},
+        {"max_buckets": -3},
+        {"max_buckets": math.nan},
+        {"time_budget": math.nan},
+        {"time_budget": -0.5},
+    ],
+    ids=lambda budget: "-".join(f"{k}={v}" for k, v in budget.items()),
+)
+def test_query_plan_rejects_meaningless_budget(index, budget):
+    with pytest.raises(ValueError):
+        QueryPlan(k=10, **budget)
+    with pytest.raises(ValueError):
+        index.search(QUERY, 10, **budget)
+
+
+def test_zero_time_budget_stays_legal(index):
+    plan = QueryPlan(k=10, time_budget=0.0)
+    assert plan.time_budget == 0.0
+    index.search(QUERY, 10, time_budget=0.0)
+
+
+def test_search_range_rejects_nan_radius(index):
+    with pytest.raises(ValueError, match="radius"):
+        index.search_range(QUERY, math.nan)
+
+
+@pytest.mark.parametrize("max_candidates", [0, -5])
+def test_search_early_stop_rejects_cap_below_one(index, max_candidates):
+    with pytest.raises(ValueError, match="max_candidates"):
+        index.search_early_stop(QUERY, 10, max_candidates=max_candidates)

@@ -262,44 +262,3 @@ class TestTelemetry:
             assert evictions.labels(cache="ttl").value == 1
             assert occupancy.labels(cache="ttl").value == 0
             assert misses.labels(cache="ttl").value == 1
-
-
-class TestShardCache:
-    def test_repeat_query_answered_from_coordinator(self, data):
-        from repro.distributed.cluster import DistributedHashIndex
-
-        index = DistributedHashIndex(
-            ITQ(code_length=8, seed=0),
-            data,
-            num_workers=4,
-            shard_cache=QueryResultCache(name="shard"),
-        )
-        query = data[5]
-        first = index.search(query, k=5, n_candidates=200)
-        second = index.search(query, k=5, n_candidates=200)
-        assert first.extras["shard_cache_hits"] == 0
-        assert second.extras["shard_cache_hits"] == 4
-        assert np.array_equal(first.ids, second.ids)
-        assert np.array_equal(first.distances, second.distances)
-        # Cached partitions charge no compute to the makespan.
-        assert (
-            second.extras["makespan_seconds"]
-            < first.extras["makespan_seconds"]
-        )
-
-    def test_matches_uncached_cluster(self, data):
-        from repro.distributed.cluster import DistributedHashIndex
-
-        cached = DistributedHashIndex(
-            ITQ(code_length=8, seed=0), data, num_workers=4,
-            shard_cache=QueryResultCache(),
-        )
-        plain = DistributedHashIndex(
-            ITQ(code_length=8, seed=0), data, num_workers=4,
-        )
-        for query in data[:4]:
-            for _ in range(2):
-                got = cached.search(query, k=5, n_candidates=200)
-                want = plain.search(query, k=5, n_candidates=200)
-                assert np.array_equal(got.ids, want.ids)
-                assert np.array_equal(got.distances, want.distances)

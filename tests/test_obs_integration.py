@@ -2,9 +2,8 @@
 
 The contract under test: telemetry never changes *results* (enabled vs
 disabled searches are bit-identical), every index kind reports under
-its own ``index`` label, the distributed layer reports per-shard and
-coordinator series, and the engine's span-backed stage timings are the
-single source both ``ExecutionContext`` stats and the registry
+its own ``index`` label, and the engine's span-backed stage timings
+are the single source both ``ExecutionContext`` stats and the registry
 histograms read from.
 """
 
@@ -14,7 +13,6 @@ import pytest
 from repro import obs
 from repro.core.gqr import GQR
 from repro.data import gaussian_mixture
-from repro.distributed.cluster import DistributedHashIndex
 from repro.eval.latency import (
     measure_stage_latencies,
     stage_latencies_from_results,
@@ -111,17 +109,6 @@ class TestBitIdenticalResults:
             <= stats.total_seconds
         )
 
-    def test_distributed_path(self, data, queries):
-        hasher = ITQ(code_length=8, seed=0).fit(data)
-        cluster = DistributedHashIndex(hasher, data, num_workers=3)
-        baseline = cluster.search(queries[0], k=5, n_candidates=120)
-        with obs.telemetry_session():
-            telemetered = cluster.search(queries[0], k=5, n_candidates=120)
-        np.testing.assert_array_equal(baseline.ids, telemetered.ids)
-        np.testing.assert_array_equal(
-            baseline.distances, telemetered.distances
-        )
-
 
 class TestPerIndexLabels:
     def test_every_index_kind_reports_its_label(self, data, queries):
@@ -163,41 +150,6 @@ class TestPerIndexLabels:
             assert counter_value(
                 telemetry.registry, "repro_early_stops_total", index="hash"
             ) == expected
-
-
-class TestDistributedTelemetry:
-    def test_shard_and_coordinator_series(self, data, queries):
-        hasher = ITQ(code_length=8, seed=0).fit(data)
-        cluster = DistributedHashIndex(hasher, data, num_workers=3)
-        with obs.telemetry_session() as telemetry:
-            result = cluster.search(queries[0], k=5, n_candidates=120)
-            registry = telemetry.registry
-            for worker_id in range(3):
-                assert counter_value(
-                    registry, "repro_shard_queries_total", worker=worker_id
-                ) == 1
-                assert registry.get("repro_shard_seconds").labels(
-                    worker=worker_id
-                ).count == 1
-            assert registry.get("repro_distributed_queries_total").value == 1
-            workers_hist = registry.get(
-                "repro_distributed_workers_contacted"
-            ).labels()
-            assert workers_hist.count == 1 and workers_hist.sum == 3
-            for stage in ("fanout", "merge"):
-                assert registry.get(
-                    "repro_distributed_stage_seconds"
-                ).labels(stage=stage).count == 1
-            # Shard engines report under the "shard" index label, not
-            # under any top-level index's.
-            assert counter_value(
-                registry, "repro_queries_total", index="shard"
-            ) == 3
-        assert result.extras["fanout_seconds"] > 0
-        assert result.extras["merge_seconds"] >= 0
-        assert result.extras["fanout_seconds"] >= max(
-            result.extras["worker_seconds"]
-        )
 
 
 class TestSamplerIntegration:

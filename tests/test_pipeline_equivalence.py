@@ -7,8 +7,7 @@ returns *bit-identical* results to the classic inline loop.  The
 reference here re-implements that loop — drain the candidate stream
 with interleaved dedup/budget accounting, score once with the engine's
 own evaluator, cut to k — without touching any stage machinery, and
-hypothesis drives (k, budget, query) across all six index front-ends
-plus the distributed coordinator.
+hypothesis drives (k, budget, query) across all six index front-ends.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import gaussian_mixture, sample_queries
-from repro.distributed.cluster import DistributedHashIndex, _split_budget
 from repro.hashing import ITQ
 from repro.index.qalsh import QALSH
 from repro.quantization.pq import ProductQuantizer
@@ -225,95 +223,3 @@ class TestStreamsBatch:
             index.engine.execute_batch_streams(
                 QUERIES[:n_queries], index.plan(5, 100), streams
             )
-
-
-class TestDistributedCoordinator:
-    """Rerank-free coordinator results match an inline scatter-gather
-    reference (per-partition sub-search + sorted merge, no stages)."""
-
-    @pytest.fixture(scope="class")
-    def dist(self):
-        hasher = ITQ(code_length=8, seed=0).fit(DATA)
-        return DistributedHashIndex(hasher, DATA, num_workers=3, seed=0)
-
-    @given(
-        k=st.integers(1, 20),
-        budget=st.integers(3, 300),
-        query_index=st.integers(0, len(QUERIES) - 1),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_rerank_free_matches_reference(
-        self, dist, k, budget, query_index
-    ):
-        query = QUERIES[query_index]
-        result = dist.search(query, k=k, n_candidates=budget)
-        probe_info = dist._hasher.probe_info(query)
-        merged = []
-        budgets = _split_budget(budget, dist.num_partitions)
-        for worker, sub_budget in zip(dist.workers, budgets):
-            partial = worker.search_local(query, k, sub_budget, probe_info)
-            merged.extend(
-                (float(d), int(i))
-                for d, i in zip(partial.distances, partial.ids)
-            )
-        merged.sort()
-        del merged[k:]
-        np.testing.assert_array_equal(
-            result.ids, np.asarray([i for _, i in merged], dtype=np.int64)
-        )
-        np.testing.assert_array_equal(
-            result.distances,
-            np.asarray([d for d, _ in merged], dtype=np.float64),
-        )
-
-    def test_post_merge_rerank_rescores_the_merged_pool(self, dist):
-        from repro.search import ExactEvaluator, RerankSpec
-
-        query = QUERIES[0]
-        k, budget = 10, 150
-        probe_info = dist._hasher.probe_info(query)
-        merged = []
-        budgets = _split_budget(budget, dist.num_partitions)
-        for worker, sub_budget in zip(dist.workers, budgets):
-            partial = worker.search_local(query, k, sub_budget, probe_info)
-            merged.extend(
-                (float(d), int(i))
-                for d, i in zip(partial.distances, partial.ids)
-            )
-        merged.sort()
-        pool = np.asarray([i for _, i in merged], dtype=np.int64)
-        exact = ExactEvaluator(DATA, "euclidean")
-        want_ids, want_dists = exact.evaluate(query, pool, k)
-        result = dist.search(
-            query, k=k, n_candidates=budget, rerank=RerankSpec()
-        )
-        assert result.extras["reranked"] is True
-        np.testing.assert_array_equal(result.ids, want_ids)
-        np.testing.assert_array_equal(result.distances, want_dists)
-
-    def test_non_exact_rerank_rejected(self, dist):
-        from repro.search import RerankSpec
-
-        with pytest.raises(ValueError, match="exact"):
-            dist.search(
-                QUERIES[0], k=5, n_candidates=60,
-                rerank=RerankSpec(mode="adc"),
-            )
-
-    def test_shard_cache_shared_between_plain_and_reranked(self):
-        from repro.search import QueryResultCache, RerankSpec
-
-        hasher = ITQ(code_length=8, seed=0).fit(DATA)
-        dist = DistributedHashIndex(
-            hasher, DATA, num_workers=3, seed=0,
-            shard_cache=QueryResultCache(capacity=64, name="shard"),
-        )
-        query = QUERIES[0]
-        plain = dist.search(query, k=10, n_candidates=150)
-        reranked = dist.search(
-            query, k=10, n_candidates=150, rerank=RerankSpec()
-        )
-        # The sub-plans are rerank-agnostic, so the reranked query hits
-        # every per-partition entry the plain query stored.
-        assert reranked.extras["shard_cache_hits"] == dist.num_partitions
-        assert plain.extras["shard_cache_hits"] == 0

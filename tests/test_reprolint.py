@@ -34,11 +34,10 @@ def rule_ids(violations):
 
 
 class TestRegistry:
-    def test_all_fifteen_rules_registered(self):
+    def test_all_fourteen_rules_registered(self):
         ids = [rule.rule_id for rule in all_rules()]
         assert ids == sorted(ids)
         expected = {f"RL00{n}" for n in range(1, 10)} | {
-            "RL010",
             "RL011",
             "RL012",
             "RL013",
@@ -273,7 +272,7 @@ class TestSpanTimingRL009:
     def test_from_time_import_fires(self):
         src = "from time import perf_counter\n"
         found = check_source(
-            src, "src/repro/distributed/worker.py", [get_rule("RL009")]
+            src, "src/repro/index/hash_table.py", [get_rule("RL009")]
         )
         assert rule_ids(found) == ["RL009"]
 
@@ -307,65 +306,6 @@ class TestSpanTimingRL009:
             "start = time.perf_counter()  # reprolint: disable=RL009\n"
         )
         found = check_source(src, SEARCH_PATH, [get_rule("RL009")])
-        assert found == []
-
-
-class TestFaultTaxonomyRL010:
-    DIST_PATH = "src/repro/distributed/cluster.py"
-
-    def test_swallowing_broad_except_fires(self):
-        src = "try:\n    rpc()\nexcept Exception:\n    pass\n"
-        found = check_source(src, self.DIST_PATH, [get_rule("RL010")])
-        assert rule_ids(found) == ["RL010"]
-
-    def test_swallowing_bare_except_fires(self):
-        src = "try:\n    rpc()\nexcept:\n    result = None\n"
-        found = check_source(src, self.DIST_PATH, [get_rule("RL010")])
-        assert rule_ids(found) == ["RL010"]
-
-    def test_reraise_is_clean(self):
-        src = "try:\n    rpc()\nexcept Exception:\n    log()\n    raise\n"
-        found = check_source(src, self.DIST_PATH, [get_rule("RL010")])
-        assert found == []
-
-    def test_routing_through_taxonomy_is_clean(self):
-        src = (
-            "try:\n"
-            "    rpc()\n"
-            "except Exception as err:\n"
-            "    raise ShardTransientError(0, str(err)) from err\n"
-        )
-        found = check_source(src, self.DIST_PATH, [get_rule("RL010")])
-        assert found == []
-
-    def test_qualified_taxonomy_raise_is_clean(self):
-        src = (
-            "try:\n"
-            "    rpc()\n"
-            "except Exception as err:\n"
-            "    raise faults.ShardError(0, str(err)) from err\n"
-        )
-        found = check_source(src, self.DIST_PATH, [get_rule("RL010")])
-        assert found == []
-
-    def test_raising_something_else_fires(self):
-        src = (
-            "try:\n"
-            "    rpc()\n"
-            "except Exception:\n"
-            "    raise ValueError('oops')\n"
-        )
-        found = check_source(src, self.DIST_PATH, [get_rule("RL010")])
-        assert rule_ids(found) == ["RL010"]
-
-    def test_specific_except_is_exempt(self):
-        src = "try:\n    rpc()\nexcept KeyError:\n    pass\n"
-        found = check_source(src, self.DIST_PATH, [get_rule("RL010")])
-        assert found == []
-
-    def test_outside_distributed_is_exempt(self):
-        src = "try:\n    rpc()\nexcept Exception:\n    pass\n"
-        found = check_source(src, SEARCH_PATH, [get_rule("RL010")])
         assert found == []
 
 
@@ -611,7 +551,6 @@ class TestCli:
         out = capsys.readouterr().out
         for n in range(1, 10):
             assert f"RL00{n}" in out
-        assert "RL010" in out
 
 
 @pytest.mark.parametrize("tree", ["src", "tests", "benchmarks", "tools"])

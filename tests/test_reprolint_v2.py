@@ -357,14 +357,11 @@ class TestDeterminismRL013:
         )
         assert found == []
 
-    def test_probing_and_distributed_in_scope(self):
+    def test_probing_in_scope(self):
         source = "import random\nrandom.random()\n"
-        for path in (
-            "src/repro/probing/hamming_ball.py",
-            "src/repro/distributed/cluster.py",
-        ):
-            found = check_source(source, path, [get_rule("RL013")])
-            assert rule_ids(found) == ["RL013"], path
+        path = "src/repro/probing/hamming_ball.py"
+        found = check_source(source, path, [get_rule("RL013")])
+        assert rule_ids(found) == ["RL013"], path
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,6 @@ Rules are grouped by the contract they protect:
   ``__all__`` consistency.
 * :mod:`reprolint.rules.observability` — RL009 span timing (the PR-3
   telemetry subsystem).
-* :mod:`reprolint.rules.resilience` — RL010 fault-taxonomy routing
-  (the PR-4 distributed fault-tolerance layer).
 * :mod:`reprolint.rules.concurrency` — RL012 concurrency discipline
   (whole-program: the PR-5 per-child-lock contract on thread-reachable
   paths, plus lock-misuse patterns).
@@ -40,7 +38,6 @@ from reprolint.rules import (
     hygiene,
     numerics,
     observability,
-    resilience,
     serving,
     wholeprogram,
 )
@@ -53,7 +50,6 @@ __all__ = [
     "hygiene",
     "numerics",
     "observability",
-    "resilience",
     "serving",
     "wholeprogram",
 ]

@@ -25,7 +25,6 @@ _SEARCH_PATH_DIRS = (
     "repro/search",
     "repro/core",
     "repro/index",
-    "repro/distributed",
 )
 
 #: The engine itself and the module defining the distance kernels are

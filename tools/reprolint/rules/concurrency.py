@@ -18,11 +18,7 @@ contract statically, using the project call graph:
 
 Scope: ``repro/search``, ``repro/index``, ``repro/core`` and
 ``repro/obs`` — the packages whose objects are actually shared across
-worker threads.  ``repro/distributed`` simulates its network on a
-single thread (NetworkModel virtual time), so its mutations are not
-shared-state and are deliberately out of scope; helpers there that are
-*called from* engine threads still get caught through the call graph.
-Helpers that mutate only under a caller-held lock carry a
+worker threads.  Helpers that mutate only under a caller-held lock carry a
 ``# reprolint: disable=RL012`` justification at the mutation site.
 """
 

@@ -1,7 +1,7 @@
 """RL013 — determinism lint.
 
 The paper's efficiency claims are validated by bit-identity suites
-(oracle equivalence, qd_merge, pipeline equivalence, chaos), and those
+(oracle equivalence, qd_merge, pipeline equivalence), and those
 only make sense if query execution is deterministic.  Three constructs
 quietly break that:
 
@@ -19,8 +19,8 @@ quietly break that:
   reduction.  Generator/comprehension arguments are allowed — they fix
   their own order explicitly.
 
-Scope: ``repro/search``, ``repro/probing``, ``repro/distributed`` —
-where bit-identity is contractual per DESIGN.md.
+Scope: ``repro/search`` and ``repro/probing`` — where bit-identity is
+contractual per DESIGN.md.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from reprolint.core import ModuleContext, Rule, Violation, register
 
 __all__ = ["DeterminismLint"]
 
-_DIRS = ("repro/search", "repro/probing", "repro/distributed")
+_DIRS = ("repro/search", "repro/probing")
 
 #: ``np.random.X`` members that construct *seedable* objects rather
 #: than drawing from the hidden global state.

@@ -19,7 +19,7 @@ __all__ = ["SpanTimingRule"]
 
 #: Packages whose timing must flow through repro.obs spans.  repro/obs
 #: itself is a sibling package (the one sanctioned perf_counter home).
-_SPAN_DIRS = ("repro/search", "repro/index", "repro/distributed")
+_SPAN_DIRS = ("repro/search", "repro/index")
 
 
 @register
@@ -27,9 +27,9 @@ class SpanTimingRule(Rule):
     """RL009: query-path modules time with ``repro.obs`` spans.
 
     Direct ``time.perf_counter()`` calls (or ``from time import
-    perf_counter``) are forbidden in ``repro/search``, ``repro/index``
-    and ``repro/distributed``.  Use ``obs.span(name)`` for stage
-    timing, or ``obs.now()`` for deadline arithmetic (the engine's
+    perf_counter``) are forbidden in ``repro/search`` and
+    ``repro/index``.  Use ``obs.span(name)`` for stage timing, or
+    ``obs.now()`` for deadline arithmetic (the engine's
     ``time_budget`` check); both live in ``repro/obs/spans.py``, the
     one sanctioned home of the raw clock.
     """
@@ -37,9 +37,8 @@ class SpanTimingRule(Rule):
     rule_id = "RL009"
     name = "span-timing"
     description = (
-        "no direct time.perf_counter() in repro/search, repro/index or "
-        "repro/distributed; time stages with repro.obs spans "
-        "(obs.span / obs.now)"
+        "no direct time.perf_counter() in repro/search or repro/index; "
+        "time stages with repro.obs spans (obs.span / obs.now)"
     )
 
     _TARGET = "perf_counter"

@@ -15,7 +15,7 @@ hole with the project call graph:
   intended — so the traversal stops expanding once it crosses into
   ``repro/search``.
 * **Transitive exact-distance use** — a function in the search path
-  (``repro/search``/``core``/``index``/``distributed``) that reaches
+  (``repro/search``/``core``/``index``) that reaches
   ``pairwise_distances`` through helpers *outside* the exempt modules
   (``engine.py``, ``distance.py``) defeats RL001's budget-accounting
   contract one hop removed.
@@ -45,7 +45,6 @@ _SEARCH_PATH_DIRS = (
     "repro/search",
     "repro/core",
     "repro/index",
-    "repro/distributed",
 )
 #: Modules allowed to call ``pairwise_distances`` directly (RL001's
 #: exemption list): the evaluator itself and the distance kernels.
