@@ -58,6 +58,11 @@ class GQR(BucketProber):
         self._shared_tree = shared_tree
         self._cost_transform = cost_transform
 
+    @property
+    def cost_transform(self) -> Callable[[np.ndarray], np.ndarray] | None:
+        """The monotone map applied to flip costs, if any."""
+        return self._cost_transform
+
     def probe(
         self, table: HashTable, signature: int, flip_costs: np.ndarray
     ) -> Iterator[int]:
@@ -115,13 +120,21 @@ class GQR(BucketProber):
         query_signatures: np.ndarray,
         query_bits: np.ndarray,
         cost_matrix: np.ndarray,
+        bucket_complement: np.ndarray | None = None,
     ) -> np.ndarray:
         """Vectorised QD over occupied buckets for a whole query batch.
 
-        Restricted to occupied buckets, GQR's ascending-QD generation
-        order coincides with QD ranking's sorted order, so the batched
-        fast path scores occupied buckets directly instead of walking
-        the generation tree per query.
+        Restricted to occupied buckets, :meth:`probe_scored` yields
+        buckets in ascending ``(score, signature)`` order of these
+        scores (``tests/test_gqr.py`` checks it, with and without a
+        shared tree).  So callers that know the occupied buckets score
+        them here instead of walking the generation tree: the batched
+        path (``HashIndex.search_batch``) sorts every row, and the
+        Theorem 2 scan (``search_early_stop`` / ``search_range``) sorts
+        a prefix of its one row and uses the scores as its bounds.
+        Pass ``bucket_complement`` (``1 − bucket_bits``, float64) to
+        score without converting the bucket bits; see
+        :func:`~repro.core.quantization_distance.batch_quantization_distances`.
         """
         del bucket_signatures, query_signatures
         costs = np.asarray(cost_matrix, dtype=np.float64)
@@ -136,4 +149,6 @@ class GQR(BucketProber):
                 raise ValueError(
                     "cost_transform must keep (m,) non-negative costs"
                 )
-        return batch_quantization_distances(query_bits, costs, bucket_bits)
+        return batch_quantization_distances(
+            query_bits, costs, bucket_bits, bucket_complement
+        )

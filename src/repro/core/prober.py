@@ -46,6 +46,7 @@ class BucketProber(ABC):
         query_signatures: np.ndarray,
         query_bits: np.ndarray,
         cost_matrix: np.ndarray,
+        bucket_complement: np.ndarray | None = None,
     ) -> np.ndarray | None:
         """Score every occupied bucket for every query at once, or ``None``.
 
@@ -54,10 +55,12 @@ class BucketProber(ABC):
         — one ``(B, nb)`` matrix instead of B generator walks.  The
         query-execution engine uses this as the batched retrieval fast
         path; returning ``None`` (the default) keeps the per-query
-        stream path.
+        stream path.  ``bucket_bits`` is ``(nb, m)``; callers may pass it
+        as float64 with its complement ``1 − bucket_bits`` in
+        ``bucket_complement`` so a QD kernel converts nothing.
         """
         del bucket_signatures, bucket_bits, query_signatures
-        del query_bits, cost_matrix
+        del query_bits, cost_matrix, bucket_complement
         return None
 
     def collect(

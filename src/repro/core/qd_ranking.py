@@ -47,9 +47,10 @@ class QDRanking(BucketProber):
         query_signatures: np.ndarray,
         query_bits: np.ndarray,
         cost_matrix: np.ndarray,
+        bucket_complement: np.ndarray | None = None,
     ) -> np.ndarray:
         """Vectorised QD of every (query, bucket) pair — Algorithm 1 batched."""
         del bucket_signatures, query_signatures
         return batch_quantization_distances(
-            query_bits, cost_matrix, bucket_bits
+            query_bits, cost_matrix, bucket_bits, bucket_complement
         )

@@ -60,6 +60,7 @@ def batch_quantization_distances(
     query_bits: np.ndarray,
     cost_matrix: np.ndarray,
     bucket_bits: np.ndarray,
+    bucket_complement: np.ndarray | None = None,
 ) -> np.ndarray:
     """QD from every query in a batch to every bucket, two matmuls total.
 
@@ -68,11 +69,19 @@ def batch_quantization_distances(
     the bucket has 1, and vice versa.  Each half is a ``(B, m) @ (m, nb)``
     product, so the whole batch is scored in one shot — the vectorised
     counterpart of calling :func:`quantization_distances` per query.
+
+    Callers that score one table many times pass ``bucket_bits`` as
+    float64 together with ``bucket_complement`` (``1 − bucket_bits``),
+    both C-contiguous ``(nb, m)``; neither is then converted or
+    recomputed, and the result is bit-identical to passing the bits
+    alone.
     """
     qb = np.asarray(query_bits, dtype=np.float64)
     costs = np.asarray(cost_matrix, dtype=np.float64)
     bits = np.asarray(bucket_bits, dtype=np.float64)
-    return (costs * (1.0 - qb)) @ bits.T + (costs * qb) @ (1.0 - bits).T
+    if bucket_complement is None:
+        bucket_complement = 1.0 - bits
+    return (costs * (1.0 - qb)) @ bits.T + (costs * qb) @ bucket_complement.T
 
 
 def theorem2_mu(hashing_matrix: np.ndarray) -> float:

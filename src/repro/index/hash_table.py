@@ -149,6 +149,22 @@ class HashTable:
                     self._layout = layout
         return layout
 
+    def gather(self, positions: np.ndarray) -> np.ndarray:
+        """Ids of the buckets at ``positions`` of :meth:`dense_layout`.
+
+        One vectorised pass over the flat id array: each bucket's ids
+        in stored order, the buckets concatenated in ``positions``
+        order.
+        """
+        _, sizes, offsets, ids_flat = self.dense_layout()
+        lengths = sizes[positions]
+        ends = np.cumsum(lengths)
+        total = int(ends[-1]) if len(ends) else 0
+        within = np.arange(total, dtype=np.int64) - np.repeat(
+            ends - lengths, lengths
+        )
+        return ids_flat[np.repeat(offsets[positions], lengths) + within]
+
     def bucket_sizes(self) -> dict[int, int]:
         """Mapping of signature to bucket population."""
         return {sig: len(ids) for sig, ids in self._buckets.items()}

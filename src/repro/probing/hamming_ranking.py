@@ -50,6 +50,7 @@ class HammingRanking(BucketProber):
         query_signatures: np.ndarray,
         query_bits: np.ndarray,
         cost_matrix: np.ndarray,
+        bucket_complement: np.ndarray | None = None,
     ) -> np.ndarray:
         """Hamming distance of every (query, bucket) pair in one XOR.
 
@@ -57,7 +58,7 @@ class HammingRanking(BucketProber):
         bit-for-bit the per-query probe order — and the engine can sort
         on a collision-free composite integer key.
         """
-        del bucket_bits, query_bits, cost_matrix
+        del bucket_bits, query_bits, cost_matrix, bucket_complement
         return np.asarray(hamming_distance(
             np.asarray(query_signatures, dtype=np.int64)[:, np.newaxis],
             np.asarray(bucket_signatures, dtype=np.int64)[np.newaxis, :],

@@ -325,11 +325,16 @@ class ExecutionContext:
     Attributes
     ----------
     n_buckets_probed:
-        Non-empty buckets (or cells / rings) fetched during retrieval.
+        Non-empty buckets (or cells / rings) fetched during retrieval;
+        empty buckets a generate-to-probe method passes are not
+        counted, on any path.
     n_candidates:
         Candidate ids gathered before evaluation.
     early_stop_triggered:
-        Whether a Theorem 2 bound terminated retrieval early.
+        Whether a Theorem 2 bound terminated retrieval before an
+        occupied bucket (``search_early_stop`` / ``search_range``).
+        False when every occupied bucket was probed or the candidate
+        cap was reached first.
     retrieval_seconds / evaluation_seconds / total_seconds:
         Wall time of the coarse stages as measured by the engine's
         spans (:mod:`repro.obs.spans`).  For a single query
@@ -1096,9 +1101,7 @@ class QueryEngine:
         ) -> tuple[np.ndarray, np.ndarray]:
             n_queries = len(contexts)
             with obs.span("retrieve") as retrieve:
-                signatures, sizes, bucket_offsets, ids_flat = (
-                    table.dense_layout()
-                )
+                signatures, sizes = table.dense_layout()[:2]
                 order, cumulative, stops = _probe_prefix(
                     scores, signatures, sizes, budget
                 )
@@ -1107,15 +1110,7 @@ class QueryEngine:
                 col_mask = (
                     np.arange(width)[np.newaxis, :] <= stops[:, np.newaxis]
                 )
-                flat_buckets = order[col_mask]
-                lengths = sizes[flat_buckets]
-                ends = np.cumsum(lengths)
-                within = np.arange(int(ends[-1])) - np.repeat(
-                    ends - lengths, lengths
-                )
-                candidates = ids_flat[
-                    np.repeat(bucket_offsets[flat_buckets], lengths) + within
-                ]
+                candidates = table.gather(order[col_mask])
                 counts = cumulative[np.arange(n_queries), stops]
                 for ctx, stop, count in zip(contexts, stops, counts):
                     ctx.n_buckets_probed = int(stop) + 1

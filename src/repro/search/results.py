@@ -27,7 +27,9 @@ class SearchResult:
     n_candidates:
         Number of candidate items retrieved (evaluation cost).
     n_buckets_probed:
-        Number of buckets fetched from the table(s) (retrieval cost).
+        Number of non-empty buckets fetched from the table(s)
+        (retrieval cost); empty buckets passed on the way are not
+        counted.
     extras:
         Free-form per-result metadata.  Engine-backed searches attach
         ``"stats"`` (see :attr:`stats`).  Results the serving layer

@@ -49,6 +49,8 @@ from repro.search.engine import (
     ExecutionContext,
     QueryEngine,
     QueryPlan,
+    _probe_order,
+    _probe_order_prefix,
     qd_merged_scored_stream,
     round_robin_stream,
     top_k,
@@ -108,12 +110,9 @@ def _first_stop(
     exceeds the k-th smallest distance over ``kept_dists`` (the best
     ``k`` before the chunk) and ``chunk_dists[:starts[j]]`` (the
     chunk's candidates before ``j``).  Bucket 0 never stops: it passed
-    the bound against ``kept_dists`` when it was fetched.  The k-th
-    distance never rises with ``j`` and GQR's QD never falls, so the
-    predicate flips at most once and bisection finds the flip.  The
-    bisection runs on the running maximum of the bounds, which stays
-    monotone even where float rounding lets a QD dip by an ulp; a short
-    forward walk then checks the exact predicate.
+    the bound against ``kept_dists`` when it was fetched.  The bounds
+    arrive sorted and the k-th distance never rises with ``j``, so the
+    predicate flips at most once and bisection finds the flip.
     """
 
     def kth(j: int) -> float:
@@ -123,18 +122,15 @@ def _first_stop(
         return float(np.partition(pool, k - 1)[k - 1])
 
     n = len(bounds)
-    peaks = np.maximum.accumulate(bounds)
-    if peaks[-1] <= kth(n):
+    if bounds[-1] <= kth(n):
         return n
     lo, hi = 1, n
     while lo < hi:
         mid = (lo + hi) // 2
-        if peaks[mid] > kth(mid):
+        if bounds[mid] > kth(mid):
             hi = mid
         else:
             lo = mid + 1
-    while lo < n and bounds[lo] <= kth(lo):
-        lo += 1
     return lo
 
 
@@ -235,12 +231,17 @@ class HashIndex:
             self._engine.rerankers["adc"] = ADCEvaluator(
                 rerank_quantizer, rerank_quantizer.encode(self._data)
             )
-        # Per-table (signatures, unpacked bits), lazily built for
-        # batched scoring; the tables are static but
+        # Per-table (signatures, bits, 1 - bits), lazily built for
+        # vectorised scoring; the tables are static but
         # AsyncFrontDoor(max_workers>1) worker threads may race to
         # build an entry on first use.
-        self._bucket_bits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._bucket_bits: dict[
+            int, tuple[np.ndarray, np.ndarray, np.ndarray]
+        ] = {}
         self._bucket_bits_lock = threading.Lock()
+        # Theorem 2's µ, computed on the first early-stop call under
+        # the same lock.
+        self._mu: float | None = None
 
     @property
     def data(self) -> np.ndarray:
@@ -352,8 +353,14 @@ class HashIndex:
 
     def _bucket_batch_info(
         self, table_index: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Cached (ascending signatures, unpacked bits) of one table."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cached ``(signatures, bits, 1 − bits)`` of one table.
+
+        Signatures ascending, as in :meth:`HashTable.dense_layout`; the
+        bits and their complement are float64 ``(nb, m)``, the operands
+        :meth:`BucketProber.batch_scores` multiplies, so no scoring call
+        converts them.
+        """
         cached = self._bucket_bits.get(table_index)
         if cached is None:
             # Double-checked: the fast path stays lock-free once built
@@ -364,10 +371,10 @@ class HashIndex:
                 if cached is None:
                     table = self._tables[table_index]
                     signatures = table.dense_layout()[0]
-                    cached = (
-                        signatures,
-                        unpack_bits(signatures, table.code_length),
-                    )
+                    bits = unpack_bits(
+                        signatures, table.code_length
+                    ).astype(np.float64)
+                    cached = (signatures, bits, 1.0 - bits)
                     self._bucket_bits[table_index] = cached
         return cached
 
@@ -502,13 +509,16 @@ class HashIndex:
                 (sig for sig, _ in infos), dtype=np.int64, count=len(infos)
             )
             cost_matrix = np.stack([costs for _, costs in infos])
-            bucket_signatures, bucket_bits = self._bucket_batch_info(0)
+            bucket_signatures, bucket_bits, bucket_complement = (
+                self._bucket_batch_info(0)
+            )
             scores = self._prober.batch_scores(
                 bucket_signatures,
                 bucket_bits,
                 signatures,
                 unpack_bits(signatures, table.code_length),
                 cost_matrix,
+                bucket_complement,
             )
             if scores is not None:
                 return self._engine.execute_batch_ordered(
@@ -535,7 +545,8 @@ class HashIndex:
         also stops after the first non-empty bucket that brings the
         candidate count to ``max_candidates`` (default: every item).
 
-        Requires a GQR prober, a hasher with a linear hashing matrix
+        Requires a GQR prober without a ``cost_transform`` (the bound
+        holds for plain QD only), a hasher with a linear hashing matrix
         (the bound needs ``M = σ_max(H)``), and the Euclidean metric.
         """
         if k < 1:
@@ -582,14 +593,19 @@ class HashIndex:
         ``µ·qd_j`` exceeds the limit: ``radius`` for range search
         (``k is None``); for kNN, the k-th smallest distance over the
         buckets before ``j``, and ``radius`` (infinite) until ``k``
-        candidates are seen.  It also stops after the first non-empty bucket that
+        candidates are seen.  It also stops after the bucket that
         brings the candidate count to ``max_candidates``.  Returns the
         kept ``(ids, distances)``, ascending by ``(distance, id)``: the
         ``k`` nearest, or every probed item within ``radius``.
 
-        Buckets are fetched in chunks of growing candidate count and
-        each chunk is scored with one distance call.  Every bucket in
-        a chunk passed the bound against the limit known before the
+        Only occupied buckets are visited.  One ``batch_scores`` row
+        scores them all; a partitioned prefix of that row, widened ×4
+        whenever a chunk runs past it, gives the probe order — GQR's
+        order over occupied buckets — with the bounds sorted, so the
+        first bucket past the limit is a ``searchsorted``.  Buckets are
+        taken in chunks of growing candidate count, gathered in one
+        pass and scored with one distance call.  Every bucket in a
+        chunk passed the bound against the limit known before the
         chunk; with ``k`` given the limit can only fall inside it, and
         :func:`_first_stop` finds where.  The probed buckets, counters
         and distances are those of visiting one bucket at a time.
@@ -598,6 +614,7 @@ class HashIndex:
         query = validate_query(query, self._dim)
         signature, costs = hasher.probe_info(query)
         table = self._tables[0]
+        n_buckets = table.num_buckets
 
         ctx = ExecutionContext()
         kept_ids = np.empty(0, dtype=np.int64)
@@ -605,63 +622,91 @@ class HashIndex:
         limit = radius
         target = _FIRST_CHUNK
         with obs.span("query") as root:
-            stream = prober.probe_scored(table, signature, costs)
-            done = False
+            if n_buckets:
+                signatures, bits, complement = self._bucket_batch_info(0)
+                query_signature = np.array([signature], dtype=np.int64)
+                row = prober.batch_scores(
+                    signatures,
+                    bits,
+                    query_signature,
+                    unpack_bits(query_signature, table.code_length),
+                    costs[np.newaxis, :],
+                    complement,
+                )
+                sizes = table.dense_layout()[1]
+                # The prefix _probe_prefix would start from for this
+                # budget; it widens ×4 until a chunk ends inside it.
+                budget = min(max_candidates, self.num_items)
+                width = int(min(
+                    n_buckets,
+                    max(16, 4 * budget * n_buckets / self.num_items + 1),
+                ))
+            order = np.empty(0, dtype=np.int64)
+            bounds = np.empty(0, dtype=np.float64)
+            cumulative = np.empty(0, dtype=np.int64)
+            done = not n_buckets
             while not done:
-                chunk: list[np.ndarray] = []
-                bounds: list[float] = []
-                pulled = 0
-                for bucket, qd in stream:
-                    bound = mu * qd
-                    if bound > limit:
-                        ctx.early_stop_triggered = done = True
+                pos = ctx.n_buckets_probed
+                while True:
+                    # First bucket past the limit, and first one that
+                    # brings the count to the cap or the chunk target.
+                    stop = pos + int(
+                        np.searchsorted(bounds[pos:], limit, side="right")
+                    )
+                    capped = int(np.searchsorted(cumulative, max_candidates))
+                    filled = int(
+                        np.searchsorted(cumulative, ctx.n_candidates + target)
+                    )
+                    last = min(capped, filled)
+                    if min(stop, last) < len(order) or len(order) == n_buckets:
                         break
-                    ids = table.get(bucket)
-                    chunk.append(ids)
-                    bounds.append(bound)
-                    pulled += len(ids)
-                    reached = ctx.n_candidates + pulled >= max_candidates
-                    if len(ids) and reached:
-                        done = True
-                        break
-                    if pulled >= target:
-                        break
-                else:
-                    done = True
-                target *= 2
-                n_probed = len(chunk)
-                if pulled:
-                    chunk_ids = np.concatenate(chunk)
-                    with obs.span("evaluate"):
-                        chunk_dists = self._exact.distances(query, chunk_ids)
-                    if k is None:
-                        within = chunk_dists <= radius
-                        kept_ids = np.concatenate(
-                            (kept_ids, chunk_ids[within])
-                        )
-                        kept_dists = np.concatenate(
-                            (kept_dists, chunk_dists[within])
-                        )
+                    if width == n_buckets:
+                        order = _probe_order(row, signatures)[0]
                     else:
-                        starts = np.cumsum([0] + [len(ids) for ids in chunk])
-                        n_probed = _first_stop(
-                            np.asarray(bounds, dtype=np.float64),
-                            starts, kept_dists, chunk_dists, k,
-                        )
-                        if n_probed < len(chunk):
-                            ctx.early_stop_triggered = done = True
-                            pulled = int(starts[n_probed])
-                        kept_ids, kept_dists = top_k(
-                            np.concatenate((kept_ids, chunk_ids[:pulled])),
-                            np.concatenate((kept_dists, chunk_dists[:pulled])),
-                            k,
-                        )
-                        if len(kept_dists) == k:
-                            limit = float(kept_dists[-1])
+                        order = _probe_order_prefix(row, signatures, width)[0]
+                    bounds = mu * row[0, order]
+                    cumulative = np.cumsum(sizes[order])
+                    width = min(n_buckets, 4 * width)
+                end = min(stop, last + 1)
+                target *= 2
+                if stop <= last:
+                    ctx.early_stop_triggered = stop < n_buckets
+                    done = True
+                else:
+                    done = capped <= filled or end == n_buckets
+                if end == pos:
+                    continue
+                chunk_ids = table.gather(order[pos:end])
+                with obs.span("evaluate"):
+                    chunk_dists = self._exact.distances(query, chunk_ids)
+                n_probed, pulled = end - pos, len(chunk_ids)
+                if k is None:
+                    within = chunk_dists <= radius
+                    kept_ids = np.concatenate((kept_ids, chunk_ids[within]))
+                    kept_dists = np.concatenate(
+                        (kept_dists, chunk_dists[within])
+                    )
+                else:
+                    starts = np.concatenate(
+                        ([0], cumulative[pos:end] - ctx.n_candidates)
+                    )
+                    n_probed = _first_stop(
+                        bounds[pos:end], starts, kept_dists, chunk_dists, k
+                    )
+                    if n_probed < end - pos:
+                        ctx.early_stop_triggered = done = True
+                        pulled = int(starts[n_probed])
+                    kept_ids, kept_dists = top_k(
+                        np.concatenate((kept_ids, chunk_ids[:pulled])),
+                        np.concatenate((kept_dists, chunk_dists[:pulled])),
+                        k,
+                    )
+                    if len(kept_dists) == k:
+                        limit = float(kept_dists[-1])
                 ctx.n_buckets_probed += n_probed
                 ctx.n_candidates += pulled
         # Evaluation is the chunks' distance calls; retrieval is the
-        # rest (probing, bucket fetches, the stop search, selection).
+        # rest (scoring, ordering, gathers, the stop search, selection).
         ctx.total_seconds = root.duration
         ctx.evaluation_seconds = root.child_duration("evaluate")
         ctx.retrieval_seconds = ctx.total_seconds - ctx.evaluation_seconds
@@ -672,7 +717,7 @@ class HashIndex:
         return kept_ids, kept_dists, ctx
 
     def _early_stop_setup(self) -> tuple[GQR, ProjectionHasher, float]:
-        """Shared preconditions of the Theorem 2 search modes."""
+        """Shared preconditions of the Theorem 2 search modes, and µ."""
         if len(self._tables) != 1:
             raise ValueError("early stop is defined for a single table")
         if self._metric != "euclidean":
@@ -682,7 +727,18 @@ class HashIndex:
             raise TypeError("early stop needs a hasher with a hashing matrix")
         if not isinstance(self._prober, GQR):
             raise TypeError("early stop needs a GQR prober")
-        return self._prober, hasher, theorem2_mu(hasher.hashing_matrix)
+        if self._prober.cost_transform is not None:
+            # µ·QD bounds true distance only for the untransformed QD.
+            raise ValueError(
+                "early stop needs a GQR prober without a cost_transform"
+            )
+        mu = self._mu
+        if mu is None:
+            with self._bucket_bits_lock:
+                mu = self._mu
+                if mu is None:
+                    mu = self._mu = theorem2_mu(hasher.hashing_matrix)
+        return self._prober, hasher, mu
 
 
 class MIHSearchIndex:

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.generation_tree import SharedGenerationTree
 from repro.core.gqr import GQR
 from repro.core.qd_ranking import QDRanking
 from repro.core.quantization_distance import quantization_distances
+from repro.index import HashTable
+from repro.index.codes import unpack_bits
 
 
 @pytest.fixture()
@@ -105,3 +109,45 @@ class TestGQR:
     def test_zero_costs_fine(self, small_table):
         buckets = list(GQR().probe(small_table, 0, np.zeros(8)))
         assert sorted(buckets) == list(range(256))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    code_length=st.integers(1, 10),
+    n_items=st.integers(1, 400),
+    seed=st.integers(0, 2**32 - 1),
+    shared=st.booleans(),
+)
+def test_probe_scored_follows_batch_score_order(
+    code_length, n_items, seed, shared
+):
+    """Over occupied buckets, GQR's heap yields ascending
+    ``(batch_scores, signature)`` — the order the batched path and the
+    Theorem 2 scan sort by instead of walking the heap.
+
+    Costs come from a seeded generator: continuous draws leave no exact
+    or ulp-level QD ties, whose order neither kernel defines.
+    """
+    rng = np.random.default_rng(seed)
+    table = HashTable(
+        rng.integers(0, 1 << code_length, n_items), code_length=code_length
+    )
+    signature = int(rng.integers(0, 1 << code_length))
+    costs = rng.exponential(size=code_length)
+    buckets = table.dense_layout()[0]
+    bits = unpack_bits(buckets, code_length).astype(np.float64)
+    query = np.array([signature], dtype=np.int64)
+    scores = GQR().batch_scores(
+        buckets, bits, query, unpack_bits(query, code_length),
+        costs[np.newaxis, :], 1.0 - bits,
+    )[0]
+    expected = buckets[np.lexsort((buckets, scores))]
+    tree = SharedGenerationTree(code_length) if shared else None
+    walked = [
+        bucket
+        for bucket, _ in GQR(shared_tree=tree).probe_scored(
+            table, signature, costs
+        )
+        if bucket in table
+    ]
+    assert walked == expected.tolist()

@@ -1,15 +1,16 @@
 """Differential tests: the chunked Theorem 2 scan against per-bucket loops.
 
-``HashIndex.search_early_stop`` and ``HashIndex.search_range`` fetch
-buckets in chunks and score each chunk with one distance call.  The
-reference loops below visit one bucket at a time — the simple path the
-scan replaced — and every test requires the two to agree exactly: the
-same ids and distances, the same ``n_candidates`` and
-``n_buckets_probed``, and the same ``early_stop_triggered``.
+``HashIndex.search_early_stop`` and ``HashIndex.search_range`` rank the
+occupied buckets from one vectorised QD score row, take them in chunks
+and score each chunk with one distance call.  The reference loops below
+walk GQR's generation heap one non-empty bucket at a time — the simple
+path the scan replaced — and every test requires the two to agree
+exactly: the same ids and distances, the same ``n_candidates`` and
+``n_buckets_probed`` (non-empty buckets), and the same
+``early_stop_triggered`` (False once every occupied bucket is probed).
 """
 
 from functools import lru_cache
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -39,12 +40,14 @@ def _index(code_length: int, tight: bool) -> tuple[HashIndex, ITQ]:
 
 
 def _probe(index: HashIndex, hasher: ITQ, query: np.ndarray):
-    """Yield ``(µ·qd, bucket ids)`` in GQR order, as the old loops did."""
+    """Yield ``(µ·qd, bucket ids)`` of non-empty buckets in GQR order."""
     table = index.tables[0]
     mu = theorem2_mu(hasher.hashing_matrix)
     signature, costs = hasher.probe_info(query)
     for bucket, qd in index.prober.probe_scored(table, signature, costs):
-        yield mu * qd, table.get(bucket)
+        ids = table.get(bucket)
+        if len(ids):
+            yield mu * qd, ids
 
 
 def reference_early_stop(index, hasher, query, k, max_candidates=None):
@@ -217,11 +220,50 @@ class TestChunkEdges:
         assert_same(result, reference_range(index, hasher, query, 1e9))
         assert result.n_buckets_probed == 2**4
 
-    def test_empty_buckets_are_counted(self):
+    def test_prefix_widens_past_small_buckets(self, monkeypatch):
+        # Two rows stored 1,000 times each make the mean bucket large,
+        # so a query among the one-item buckets exhausts its first
+        # probe-order prefix before the cap and the prefix widens.
+        rng = np.random.default_rng(3)
+        sparse = rng.standard_normal((400, 12))
+        data = np.vstack([np.repeat(sparse[:2], 1000, axis=0), sparse])
+        hasher = ITQ(code_length=10, seed=0)
+        index = HashIndex(hasher, data, prober=GQR())
+        widths: list[int] = []
+        order_prefix = searcher._probe_order_prefix
+
+        def spy(row, signatures, width):
+            widths.append(width)
+            return order_prefix(row, signatures, width)
+
+        monkeypatch.setattr(searcher, "_probe_order_prefix", spy)
+        widened = 0
+        for row in range(2, 40):
+            for cap in (50, 100):
+                widths.clear()
+                assert_same(
+                    index.search_early_stop(sparse[row], 5, cap),
+                    reference_early_stop(index, hasher, sparse[row], 5, cap),
+                )
+                widened += len(widths) > 1
+        assert widened > 0
+
+    def test_empty_buckets_are_not_counted(self):
         index, hasher = _index(10, False)
         query = _query(index, 11, 0.3)
         result = index.search_early_stop(query, 20)
         assert_same(result, reference_early_stop(index, hasher, query, 20))
-        # 600 items cannot fill 1024 buckets: some probed ones are empty.
-        probed = islice(_probe(index, hasher, query), result.n_buckets_probed)
-        assert any(not len(ids) for _, ids in probed)
+        # 600 items cannot fill 1024 buckets: the heap's walk to the
+        # last probed bucket passes empty ones, and only the non-empty
+        # buckets whose items were gathered are counted.
+        table = index.tables[0]
+        signature, costs = hasher.probe_info(query)
+        walked, gathered = 0, []
+        for bucket in index.prober.probe(table, signature, costs):
+            walked += 1
+            if bucket in table:
+                gathered.append(len(table.get(bucket)))
+            if sum(gathered) == result.n_candidates:
+                break
+        assert result.n_buckets_probed == len(gathered)
+        assert walked > len(gathered)
