@@ -164,8 +164,11 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         # have data (the first pass populated the cache).
         for query in queries[:16]:
             index.search(query, k=10, n_candidates=400)
-        batch = index.search_batch(queries[:32], k=10, n_candidates=400)
-        assert len(batch) == min(32, len(queries))
+        # Half the batch repeats cached queries (hits), half is fresh,
+        # so the batched execution series have data too.
+        mixed = np.vstack([queries[:16], sample_queries(data, 16, seed=2)])
+        batch = index.search_batch(mixed, k=10, n_candidates=400)
+        assert len(batch) == len(mixed)
         if args.format == "json":
             print(obs.snapshot_json(telemetry.registry))
         elif args.format == "prometheus":

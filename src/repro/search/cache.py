@@ -47,7 +47,13 @@ if TYPE_CHECKING:
     from repro.search.engine import QueryPlan
     from repro.search.results import SearchResult
 
-__all__ = ["CacheKey", "QueryResultCache", "cache_token", "query_fingerprint"]
+__all__ = [
+    "CacheKey",
+    "QueryResultCache",
+    "cache_token",
+    "query_fingerprint",
+    "query_fingerprints",
+]
 
 #: Cache-key tuple: ``(engine token, generation, serialized stage
 #: list, fusion-partner identity, query fingerprint)``.
@@ -81,14 +87,28 @@ def query_fingerprint(query: np.ndarray, decimals: int = 12) -> bytes:
     entry.  The shape participates so a ``(d,)`` query and a ``(1, d)``
     array never collide.
     """
-    arr = np.round(
-        np.ascontiguousarray(query, dtype=np.float64), decimals
-    )
+    arr = np.ascontiguousarray(query, dtype=np.float64)
+    return query_fingerprints(arr[np.newaxis], decimals)[0]
+
+
+def query_fingerprints(queries: np.ndarray, decimals: int = 12) -> list[bytes]:
+    """:func:`query_fingerprint` of every row of ``queries``.
+
+    The block is converted and rounded once, and each row's digest is
+    taken over a slice of its bytes, so a batch costs one numpy pass
+    plus one hash per row.
+    """
+    arr = np.ascontiguousarray(queries, dtype=np.float64).round(decimals)
     arr += 0.0
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(repr(arr.shape).encode("ascii"))
-    digest.update(arr.tobytes())
-    return digest.digest()
+    shape = repr(arr.shape[1:]).encode("ascii")
+    data = memoryview(arr.tobytes())
+    row_bytes = arr.nbytes // len(arr) if len(arr) else 0
+    fingerprints = []
+    for row in range(len(arr)):
+        digest = hashlib.blake2b(shape, digest_size=16)
+        digest.update(data[row * row_bytes:(row + 1) * row_bytes])
+        fingerprints.append(digest.digest())
+    return fingerprints
 
 
 class QueryResultCache:
@@ -172,13 +192,30 @@ class QueryResultCache:
         fusion partner's engine token and generation for fusion plans;
         a partner mutation then makes prior fused entries unreachable.
         """
-        return (
-            token,
-            generation,
-            plan.stage_list(),
-            tuple(partner_identity),
-            query_fingerprint(query, self.decimals),
-        )
+        row = np.ascontiguousarray(query, dtype=np.float64)[np.newaxis]
+        [key] = self.keys_for(token, generation, plan, row, partner_identity)
+        return key
+
+    def keys_for(
+        self,
+        token: str,
+        generation: int,
+        plan: QueryPlan,
+        queries: np.ndarray,
+        partner_identity: tuple[object, ...] = (),
+    ) -> list[CacheKey]:
+        """:meth:`key_for` of every row of ``queries``, in row order.
+
+        The stage list and partner identity are built once per batch
+        and the rows are fingerprinted together
+        (:func:`query_fingerprints`).
+        """
+        stages = plan.stage_list()
+        partner = tuple(partner_identity)
+        return [
+            (token, generation, stages, partner, fingerprint)
+            for fingerprint in query_fingerprints(queries, self.decimals)
+        ]
 
     def lookup(self, key: CacheKey) -> SearchResult | None:
         """Return the cached result for ``key``, or ``None`` on a miss."""

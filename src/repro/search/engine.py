@@ -28,9 +28,11 @@ adapter instead of a private re-implementation::
   to one private body that evaluates it, applies the rerank / fuse /
   truncate stages (:mod:`repro.search.stages`), assembles the
   ``SearchResult`` list and records telemetry; a single query is a
-  batch of one.  Engines resolve rerank modes from
-  :attr:`QueryEngine.rerankers` and fusion partners from
-  :attr:`QueryEngine.fusion_partner`.
+  batch of one.  :meth:`~QueryEngine.run_cached` is the one result-cache
+  path in front of them: ``execute`` and ``HashIndex.search_batch``
+  both run through it, so only cache misses are executed.  Engines
+  resolve rerank modes from :attr:`QueryEngine.rerankers` and fusion
+  partners from :attr:`QueryEngine.fusion_partner`.
 
 Evaluators encapsulate scoring: exact distances over raw vectors
 (:class:`ExactEvaluator`), asymmetric distance over PQ codes
@@ -47,7 +49,7 @@ from collections.abc import Callable, Iterable, Iterator
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
-from typing import Protocol
+from typing import Protocol, cast
 
 import numpy as np
 
@@ -59,7 +61,7 @@ from repro.index.codes import (
 )
 from repro.index.distance import METRICS, pairwise_distances
 from repro.index.hash_table import HashTable
-from repro.search.cache import QueryResultCache, cache_token
+from repro.search.cache import CacheKey, QueryResultCache, cache_token
 from repro.search.results import SearchResult
 from repro.search.stages import (
     FuseStage,
@@ -903,9 +905,10 @@ class QueryEngine:
     (``repro_queries_total{index="hash"}``, …) when telemetry is on.
 
     Serving-layer hook (optional, off by default): ``cache`` — a
-    :class:`~repro.search.cache.QueryResultCache`; :meth:`execute`
-    consults it before running a cacheable plan and stores the result
-    after.  Keys include this engine's identity token and
+    :class:`~repro.search.cache.QueryResultCache`; every entry point
+    (:meth:`execute`, ``HashIndex.search_batch``) consults it through
+    :meth:`run_cached` before running a cacheable plan and stores the
+    results after.  Keys include this engine's identity token and
     :attr:`generation`, which mutating indexes bump via
     :meth:`bump_generation` on every add/remove/append — entries from an
     older generation can never be returned again.
@@ -985,36 +988,68 @@ class QueryEngine:
         with self._generation_lock:
             self.generation += 1
 
+    def run_cached(
+        self,
+        queries: np.ndarray,
+        plan: QueryPlan,
+        compute: Callable[[np.ndarray], list[SearchResult]],
+    ) -> list[SearchResult]:
+        """Answer ``queries`` from the :attr:`cache`, computing the misses.
+
+        The one cache path every entry point runs.  With a cache
+        attached and a cacheable plan, each row's key (engine token,
+        generation, the plan's stage list, the fusion partner's
+        identity, the query fingerprint) is looked up; rows that miss
+        and share a key collapse onto one row, ``compute`` runs once on
+        the distinct misses (not at all when every row hits), and their
+        results are stored.  Otherwise ``compute`` runs on every row.
+        ``compute`` takes a ``(m, dim)`` query block and returns its
+        ``m`` results in row order; the returned list aligns with
+        ``queries``.
+        """
+        cache = self.cache if QueryResultCache.cacheable(plan) else None
+        if cache is None:
+            return compute(queries)
+        _, partner = self._resolve_stages(plan)
+        partner_identity = (
+            partner.fusion_identity() if partner is not None else ()
+        )
+        keys = cache.keys_for(
+            self._cache_token, self.generation, plan, queries, partner_identity
+        )
+        hits = [cache.lookup(key) for key in keys]
+        # First row of each distinct missed key, in row order.
+        missed: dict[CacheKey, int] = {}
+        for row, hit in enumerate(hits):
+            if hit is None:
+                missed.setdefault(keys[row], row)
+        if not missed:
+            return cast(list[SearchResult], hits)
+        rows = list(missed.values())
+        block = queries if len(rows) == len(queries) else queries[rows]
+        computed = dict(zip(missed, compute(block), strict=True))
+        for key, result in computed.items():
+            cache.store(key, result)
+        return [
+            computed[key] if hit is None else hit
+            for key, hit in zip(keys, hits, strict=True)
+        ]
+
     def execute(
         self,
         query: np.ndarray,
         plan: QueryPlan,
         stream: Iterable[np.ndarray],
-        extras: dict | None = None,
     ) -> SearchResult:
         """Run ``plan`` over ``stream`` — one query, a batch of one.
 
         Returns a :class:`~repro.search.results.SearchResult` whose
         ``extras["stats"]`` carries the :class:`ExecutionContext` and
         ``extras["spans"]`` the root :class:`~repro.obs.spans.Span` of
-        the query→stages tree.  With a :attr:`cache` attached and a
-        cacheable plan, a hit returns the stored result without
-        touching the stream; keys incorporate the plan's full stage
-        list and — for fusion plans — the partner's identity.
+        the query→stages tree.  Runs through :meth:`run_cached`: a
+        cache hit returns the stored result without touching the
+        stream.
         """
-        cache = self.cache if QueryResultCache.cacheable(plan) else None
-        if cache is not None:
-            _, partner = self._resolve_stages(plan)
-            partner_identity = (
-                partner.fusion_identity() if partner is not None else ()
-            )
-            key = cache.key_for(
-                self._cache_token, self.generation, plan, query,
-                partner_identity,
-            )
-            hit = cache.lookup(key)
-            if hit is not None:
-                return hit
 
         def drain(
             contexts: list[ExecutionContext],
@@ -1029,11 +1064,11 @@ class QueryEngine:
             ctx.retrieval_seconds = retrieve.duration + dedup.duration
             return candidates, np.array([len(candidates)], dtype=np.int64)
 
-        [result] = self._run(query[np.newaxis], plan, drain, single=True)
-        if extras:
-            result.extras.update(extras)
-        if cache is not None:
-            cache.store(key, result)
+        [result] = self.run_cached(
+            query[np.newaxis],
+            plan,
+            lambda block: self._run(block, plan, drain, single=True),
+        )
         return result
 
     def execute_batch_streams(

@@ -483,8 +483,12 @@ class HashIndex:
     ) -> list[SearchResult]:
         """``search`` over a query batch, genuinely batched.
 
-        The whole batch issues exactly one projection/encode call per
-        table (:meth:`BinaryHasher.probe_info_batch`).  For probers with
+        With a result cache attached, every row is looked up first
+        (:meth:`QueryEngine.run_cached`): hits cost one fingerprint and
+        one dict lookup, equal rows that miss are computed once, and
+        everything below runs on the distinct miss rows only.  Those
+        rows issue exactly one projection/encode call per table
+        (:meth:`BinaryHasher.probe_info_batch`).  For probers with
         vectorised bucket scoring (HR, QR, GQR) on a single table, the
         per-query probe orders additionally come from one shared score
         matrix and the candidate gather is one vectorised pass.  Exact
@@ -497,6 +501,14 @@ class HashIndex:
         if not len(queries):
             return []
         plan = self.plan(k, n_candidates, rerank=rerank, fusion=fusion)
+        return self._engine.run_cached(
+            queries, plan, lambda block: self._execute_batch(block, plan)
+        )
+
+    def _execute_batch(
+        self, queries: np.ndarray, plan: QueryPlan
+    ) -> list[SearchResult]:
+        """:meth:`search_batch`'s uncached body over validated rows."""
         infos_per_table = [
             hasher.probe_info_batch(queries) for hasher in self._hashers
         ]

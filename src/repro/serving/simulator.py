@@ -350,12 +350,19 @@ def measure_serial_cost(
 
     Calibrates :class:`ServingSimulator`'s ``per_query_cost`` (and the
     SLO report's serial-capacity baseline) by timing the index's real
-    ``search_batch`` over ``queries`` with ``plan``'s budget.
+    ``search_batch`` over ``queries`` with ``plan``'s budget.  The
+    index must have no result cache: ``search_batch`` would answer the
+    timed repeats from it.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     if plan.n_candidates is None:
         raise ValueError("serial-cost calibration needs a candidate budget")
+    if getattr(index, "cache", None) is not None:
+        raise ValueError(
+            "serial-cost calibration needs an index without a result "
+            "cache; the timed repeats would be cache hits"
+        )
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     index.search_batch(
         queries, plan.k, plan.n_candidates,

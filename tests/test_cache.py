@@ -20,6 +20,7 @@ from repro.data import gaussian_mixture, sample_queries
 from repro.hashing import ITQ
 from repro.search import (
     DynamicHashIndex,
+    FusionSpec,
     HashIndex,
     QueryPlan,
     QueryResultCache,
@@ -27,6 +28,7 @@ from repro.search import (
     cache_token,
     query_fingerprint,
 )
+from repro.search.cache import query_fingerprints
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +75,16 @@ class TestFingerprint:
         assert query_fingerprint(a, decimals=8) != query_fingerprint(
             b, decimals=8
         )
+
+    def test_batch_matches_each_row(self):
+        rows = np.random.default_rng(4).standard_normal((6, 8))
+        rows[2] = -0.0
+        rows[4] = rows[1] + 1e-14
+        for block in (rows, np.asfortranarray(rows), rows[:, ::2]):
+            assert query_fingerprints(block) == [
+                query_fingerprint(row) for row in block
+            ]
+        assert query_fingerprints(np.empty((0, 8))) == []
 
 
 class TestCacheCore:
@@ -262,3 +274,116 @@ class TestTelemetry:
             assert evictions.labels(cache="ttl").value == 1
             assert occupancy.labels(cache="ttl").value == 0
             assert misses.labels(cache="ttl").value == 1
+
+
+class TestBatchCache:
+    """``search_batch`` reads and fills the cache through the engine's
+    one cache path, against an uncached twin built from the same hasher
+    seed and data."""
+
+    @staticmethod
+    def same_answers(got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.ids, b.ids)
+            assert np.array_equal(a.distances, b.distances)
+            assert a.n_candidates == b.n_candidates
+            assert a.n_buckets_probed == b.n_buckets_probed
+
+    @staticmethod
+    def spy(monkeypatch, obj, name):
+        """Record the row count of every call to ``obj.name``."""
+        calls = []
+        original = getattr(obj, name)
+
+        def recording(*args, **kwargs):
+            calls.append(len(args[0]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(obj, name, recording)
+        return calls
+
+    def test_all_hit_batch_skips_hashing_and_scoring(
+        self, data, queries, monkeypatch
+    ):
+        hasher, prober = ITQ(code_length=8, seed=0), GQR()
+        index = HashIndex(
+            hasher, data, prober=prober, cache=QueryResultCache()
+        )
+        first = index.search_batch(queries, k=5, n_candidates=100)
+        hashed = self.spy(monkeypatch, hasher, "probe_info_batch")
+        scored = self.spy(monkeypatch, prober, "batch_scores")
+        second = index.search_batch(queries, k=5, n_candidates=100)
+        assert all(a is b for a, b in zip(first, second))
+        assert hashed == [] and scored == []
+        stats = index.cache.stats
+        assert stats["hits"] == stats["misses"] == len(queries)
+        # A fresh row does reach the spies.
+        index.search_batch(queries[:1] + 1.0, k=5, n_candidates=100)
+        assert hashed == [1] and len(scored) == 1
+
+    def test_mixed_batch_bit_identical_to_twin_and_single(
+        self, data, queries
+    ):
+        cached = make_index(data, cache=QueryResultCache())
+        plain = make_index(data)
+        cached.search_batch(queries[:3], k=10, n_candidates=200)
+        # Rows 0-2 hit, rows 3-4 miss, rows 5 and 6 are equal misses.
+        mixed = np.vstack([queries[:5], queries[6], queries[6]])
+        got = cached.search_batch(mixed, k=10, n_candidates=200)
+        self.same_answers(
+            got, plain.search_batch(mixed, k=10, n_candidates=200)
+        )
+        self.same_answers(
+            got, [plain.search(q, 10, n_candidates=200) for q in mixed]
+        )
+        assert got[5] is got[6]
+        assert cached.cache.stats["hits"] == 3
+
+    def test_equal_rows_computed_once(self, data, queries, monkeypatch):
+        index = make_index(data, cache=QueryResultCache())
+        index.search_batch(queries[:1], k=5, n_candidates=100)
+        rows = self.spy(monkeypatch, index.engine, "execute_batch_ordered")
+        batch = np.vstack([queries[0], queries[1], queries[2], queries[1]])
+        got = index.search_batch(batch, k=5, n_candidates=100)
+        assert rows == [2]  # queries[1] and queries[2]; queries[0] hit
+        assert got[1] is got[3]
+        assert index.cache.stats["misses"] == 1 + 3
+
+    def test_multi_table_streams_path_hits(self, data, queries, monkeypatch):
+        def build(cache=None):
+            hashers = [ITQ(code_length=8, seed=s) for s in (0, 1)]
+            return HashIndex(hashers, data, prober=GQR(), cache=cache)
+
+        cached, plain = build(QueryResultCache()), build()
+        first = cached.search_batch(queries, k=5, n_candidates=100)
+        self.same_answers(
+            first, plain.search_batch(queries, k=5, n_candidates=100)
+        )
+        streamed = self.spy(
+            monkeypatch, cached.engine, "execute_batch_streams"
+        )
+        second = cached.search_batch(queries, k=5, n_candidates=100)
+        assert all(a is b for a, b in zip(first, second))
+        assert streamed == []
+        assert cached.cache.stats["hits"] == len(queries)
+
+    def test_fusion_plan_misses_after_partner_mutates(self, data, queries):
+        partner = DynamicHashIndex(
+            ITQ(code_length=8, seed=5).fit(data), dim=data.shape[1]
+        )
+        partner.add(data)
+        cached = make_index(data, cache=QueryResultCache())
+        plain = make_index(data)
+        cached.fuse_with(partner)
+        plain.fuse_with(partner)
+        kwargs = dict(k=5, n_candidates=100, fusion=FusionSpec(pool=10))
+        first = cached.search_batch(queries, **kwargs)
+        again = cached.search_batch(queries, **kwargs)
+        assert all(a is b for a, b in zip(first, again))
+        partner.remove(np.unique(np.concatenate([r.ids for r in first])))
+        misses = cached.cache.stats["misses"]
+        fresh = cached.search_batch(queries, **kwargs)
+        assert cached.cache.stats["misses"] == misses + len(queries)
+        assert all(a is not b for a, b in zip(first, fresh))
+        self.same_answers(fresh, plain.search_batch(queries, **kwargs))

@@ -73,6 +73,17 @@ class TestObsCommand:
         key = ("repro_queries_total", (("index", "hash"),))
         assert parsed[key] >= 20
 
+    def test_batch_half_fresh_is_executed(self, capsys):
+        # The demo batch repeats 16 cached queries and adds 16 fresh
+        # ones: the hits skip execution, the fresh rows must run.
+        from repro.obs import parse_prometheus_text
+
+        code = main(["obs", "--queries", "20", "--format", "prometheus"])
+        assert code == 0
+        parsed = parse_prometheus_text(capsys.readouterr().out)
+        key = ("repro_queries_total", (("index", "hash"),))
+        assert parsed[key] >= 20 + 16
+
     def test_telemetry_disabled_after_run(self):
         from repro import obs
 

@@ -15,6 +15,11 @@ checked on randomly drawn offered loads in deterministic virtual time:
   infeasible-drop makes this structural, not statistical;
 * degraded responses are bit-identical to running the downgraded plan
   directly — degradation changes *which* plan runs, never how.
+
+A fourth property pins the result cache under the degrade ladder: at
+every level, a cached index answers a coalesced batch bit-identically
+to its uncached twin, on the miss and on the repeat hit, and a hit
+stored under one level is never returned for another.
 """
 
 import numpy as np
@@ -25,8 +30,9 @@ from repro.core.gqr import GQR
 from repro.data import gaussian_mixture, sample_queries
 from repro.data.workloads import TrafficTrace, zipfian_stream
 from repro.hashing import ITQ
-from repro.search import HashIndex
-from repro.serving import ServingSimulator, default_config
+from repro.search import HashIndex, QueryResultCache, RerankSpec
+from repro.serving import ServingSimulator, default_config, execute_batch
+from repro.serving.core import Batch, Ticket
 
 DURATION = 0.5
 #: Virtual serial capacity of 300 q/s: the drawn load multipliers cross
@@ -138,3 +144,65 @@ class TestServingProperties:
         # The 8x run overloads by construction; degradation must have
         # produced at least one verifiable response.
         assert checked > 0
+
+
+def batch_at(level: int, query_ids: list[int], plan) -> Batch:
+    """A coalesced batch of ``query_ids`` dispatched at ``level``."""
+    config = default_config()
+    tickets = tuple(
+        Ticket(seq, "interactive", _QUERIES[qid], plan, 0.0, 1.0)
+        for seq, qid in enumerate(query_ids)
+    )
+    return Batch(
+        lane="interactive",
+        tickets=tickets,
+        plan=plan,
+        effective_plan=plan.downgraded(level, floor=config.downgrade_floor),
+        degrade_level=level,
+        dispatch_time=0.0,
+    )
+
+
+class TestDegradedCacheProperty:
+    @given(
+        query_ids=st.lists(
+            st.integers(min_value=0, max_value=len(_QUERIES) - 1),
+            min_size=1,
+            max_size=12,
+        ),
+        budget=st.integers(min_value=64, max_value=256),
+        rerank=st.booleans(),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_every_level_matches_the_uncached_twin(
+        self, query_ids, budget, rerank
+    ):
+        cached = HashIndex(
+            ITQ(code_length=8, seed=0), _DATA, prober=GQR(),
+            cache=QueryResultCache(),
+        )
+        plan = cached.plan(
+            k=5,
+            n_candidates=budget,
+            rerank=RerankSpec(pool=20) if rerank else None,
+        )
+        levels = range(default_config().overload.max_level + 1)
+        batches = [batch_at(level, query_ids, plan) for level in levels]
+        # Each level runs a distinct plan, so no two levels share a key.
+        effective = {b.effective_plan.stage_list() for b in batches}
+        assert len(effective) == len(batches)
+
+        served = []
+        for batch in batches:
+            want = execute_batch(_INDEX, batch)
+            first = execute_batch(cached, batch)
+            again = execute_batch(cached, batch)
+            for got in (first, again):
+                for a, b in zip(got, want, strict=True):
+                    assert np.array_equal(a.ids, b.ids)
+                    assert np.array_equal(a.distances, b.distances)
+            assert all(a is b for a, b in zip(first, again))
+            served.append({id(result) for result in first})
+        for level, ids in enumerate(served):
+            for other in served[level + 1:]:
+                assert not ids & other

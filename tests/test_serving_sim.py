@@ -25,7 +25,7 @@ from repro.core.gqr import GQR
 from repro.data import gaussian_mixture, sample_queries
 from repro.data.workloads import FlashCrowd, traffic_trace
 from repro.hashing import ITQ
-from repro.search import HashIndex
+from repro.search import HashIndex, QueryResultCache
 from repro.serving import (
     REJECT_REASONS,
     SLO_REPORT_SCHEMA,
@@ -262,6 +262,17 @@ class TestSerialCalibration:
         plan = index.plan(k=5, n_candidates=100)
         cost = measure_serial_cost(index, plan, queries[:16])
         assert 0 < cost < 1.0
+
+    def test_rejects_a_cached_index(self, data, queries):
+        # search_batch reads the cache, so timed repeats would be hits.
+        cached = HashIndex(
+            ITQ(code_length=8, seed=0), data, prober=GQR(),
+            cache=QueryResultCache(),
+        )
+        with pytest.raises(ValueError, match="result cache"):
+            measure_serial_cost(
+                cached, cached.plan(k=5, n_candidates=100), queries[:4]
+            )
 
     def test_needs_candidate_budget(self, index, queries):
         with pytest.raises(ValueError, match="candidate budget"):

@@ -19,7 +19,9 @@ builds.
 
 The hammer tests force thread interleaving with a tiny
 ``sys.setswitchinterval`` and a start barrier; they assert invariants
-that must hold under the per-child-lock contract, not timing.
+that must hold under the per-child-lock contract, not timing.  The
+batch-cache test hammers ``search_batch`` on one cached index from
+many threads, as ``AsyncFrontDoor(max_workers>1)`` workers do.
 """
 
 import sys
@@ -28,9 +30,13 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core.gqr import GQR
+from repro.data import gaussian_mixture, sample_queries
+from repro.hashing import ITQ
 from repro.index.dynamic import DynamicHashTable
 from repro.index.hash_table import HashTable
 from repro.obs.sampling import TraceSampler
+from repro.search import HashIndex, QueryResultCache
 from repro.search.engine import ExactEvaluator, QueryEngine
 
 
@@ -174,3 +180,34 @@ class TestGenerationBumpRace:
 
         _hammer(n_threads, work)
         assert engine.generation == n_threads * per_thread
+
+
+class TestBatchCacheRace:
+    def test_concurrent_batches_match_the_uncached_twin(self):
+        # Front-door worker threads share one index and its cache;
+        # batches overlap, so threads race to miss, compute and store
+        # the same keys.
+        data = gaussian_mixture(600, 16, n_clusters=6, seed=11)
+        queries = sample_queries(data, 12, seed=3)
+        cached = HashIndex(
+            ITQ(code_length=8, seed=0), data, prober=GQR(),
+            cache=QueryResultCache(),
+        )
+        plain = HashIndex(ITQ(code_length=8, seed=0), data, prober=GQR())
+        want = plain.search_batch(queries, 5, 100)
+        n_threads, rounds, width = 8, 5, 8
+
+        def work():
+            for shift in range(rounds):
+                rows = np.roll(np.arange(len(queries)), shift)[:width]
+                got = cached.search_batch(queries[rows], 5, 100)
+                for row, result in zip(rows, got):
+                    assert np.array_equal(result.ids, want[row].ids)
+                    assert np.array_equal(
+                        result.distances, want[row].distances
+                    )
+
+        _hammer(n_threads, work)
+        stats = cached.cache.stats
+        assert stats["hits"] + stats["misses"] == n_threads * rounds * width
+        assert stats["occupancy"] == len(queries)
