@@ -7,44 +7,163 @@ production deployment ingests and expires items continuously.
 ``num_items``, ``num_buckets``, ``get``, ``signatures`` — so every
 prober works on it unchanged, while supporting ``add`` and ``remove``.
 
-Deletions are tombstoned and compacted lazily per bucket: ``remove`` is
-O(1), and a bucket pays its cleanup cost on its next ``get`` only when
-tombstones exceed half its population.
+Storage is a :class:`BucketLayout`: bucket slots sorted by signature,
+each with its size and its id array, plus the float64 bucket bits and
+their complement that :meth:`~repro.core.prober.BucketProber.batch_scores`
+multiplies.  The same layout serves the engine's ordered kernel
+(score every slot, rank, gather a prefix), so a search whose prober
+scores buckets never walks a generator through ``get``.
+
+Writes are batched numpy operations under one writer lock, applied in
+place: a removed id leaves its bucket array at once (there are no
+tombstones), and a slot whose bucket empties keeps its signature with
+size 0.  A new layout is built and published — one attribute
+assignment — only when a write inserts a signature the layout lacks,
+or when more than half of its slots are empty (compaction).  Reads take
+no lock and never mutate the table.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from collections.abc import Iterator
+from itertools import accumulate, groupby
 
 import numpy as np
 
-from repro.index.codes import pack_bits, validate_code_length
+from repro.index.codes import pack_bits, unpack_bits, validate_code_length
 
-__all__ = ["DynamicHashTable"]
+__all__ = ["BucketLayout", "DynamicHashTable"]
+
+
+class BucketLayout:
+    """One published layout of a :class:`DynamicHashTable`.
+
+    ``signatures`` ascend, so a column index is also the signature's
+    rank (the ordered kernel's tie-break).  ``sizes`` and ``buckets``
+    are updated in place by the table's writers; ``signatures``,
+    ``bits`` and ``complement`` never change, so one read scores, ranks
+    and gathers from one layout even while the table publishes a newer
+    one.
+    """
+
+    __slots__ = (
+        "_table", "bits", "buckets", "code_length", "complement",
+        "signatures", "sizes",
+    )
+
+    def __init__(
+        self,
+        table: DynamicHashTable,
+        signatures: np.ndarray,
+        sizes: np.ndarray,
+        buckets: list[np.ndarray],
+        bits: np.ndarray,
+    ) -> None:
+        self._table = table
+        self.code_length = table.code_length
+        self.signatures = signatures
+        self.sizes = sizes
+        self.buckets = buckets
+        self.bits = bits
+        self.complement = 1.0 - bits
+
+    def widened(self, fresh: np.ndarray) -> BucketLayout:
+        """A copy with empty slots for the ascending new ``fresh`` signatures."""
+        at = np.searchsorted(self.signatures, fresh)
+        buckets: list[np.ndarray] = []
+        done = 0
+        for slot in at.tolist():
+            buckets += self.buckets[done:slot]
+            buckets.append(_EMPTY_IDS)
+            done = slot
+        buckets += self.buckets[done:]
+        bits = unpack_bits(fresh, self.code_length).astype(np.float64)
+        return BucketLayout(
+            self._table,
+            np.insert(self.signatures, at, fresh),
+            np.insert(self.sizes, at, 0),
+            buckets,
+            np.insert(self.bits, at, bits, axis=0),
+        )
+
+    def compacted(self) -> BucketLayout:
+        """A copy without the slots of size 0."""
+        keep = np.flatnonzero(self.sizes)
+        return BucketLayout(
+            self._table,
+            self.signatures[keep],
+            self.sizes[keep],
+            [self.buckets[slot] for slot in keep.tolist()],
+            self.bits[keep],
+        )
+
+    def dense_layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(signatures, sizes)`` of every slot, empty ones included."""
+        return self.signatures, self.sizes
+
+    def bucket_bits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(signatures, bits, 1 − bits)``, the scoring operands."""
+        return self.signatures, self.bits, self.complement
+
+    def gather(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ids of the slots at ``positions``, and each slot's id count.
+
+        The bucket arrays are read between two writes: a read that
+        overlapped one is retried, so the gathered ids are the table's
+        contents at one instant (an id a writer moved between buckets
+        appears once).  The counts are those of the arrays read, which
+        may differ from ``sizes`` as the caller saw it.
+        """
+        buckets = self.buckets
+        slots = positions.tolist()
+        while True:
+            before = self._table._writes
+            arrays = [buckets[slot] for slot in slots]
+            if before % 2 == 0 and self._table._writes == before:
+                break
+            time.sleep(0)  # let the writer finish
+        lengths = np.fromiter(
+            map(len, arrays), dtype=np.int64, count=len(arrays)
+        )
+        ids = np.concatenate(arrays) if arrays else _EMPTY_IDS
+        return ids, lengths
 
 
 class DynamicHashTable:
-    """Bucketed id storage supporting add/remove with lazy compaction.
+    """Bucketed id storage supporting batched add/remove in place.
 
     Parameters
     ----------
     code_length:
         Number of bits per code; fixed for the table's lifetime.
+
+    Writers hold one lock and validate a whole batch before changing
+    anything.  A removed id leaves its bucket array in the same write;
+    there are no tombstones.  Readers take the published
+    :meth:`layout` and never mutate the table; ``get`` returns a bucket
+    as of the latest write.  Item ids are non-negative integers and
+    index a dense array of their signatures, so keep them compact
+    (``DynamicHashIndex`` assigns ``0 … n-1`` and recycles freed ids).
     """
 
     def __init__(self, code_length: int) -> None:
         self._m = validate_code_length(code_length)
-        self._buckets: dict[int, list[int]] = {}
-        self._dead: set[int] = set()
-        self._bucket_of: dict[int, int] = {}
         self._n_alive = 0
-        # ``get`` compacts lazily, so *reads* mutate the table too;
-        # AsyncFrontDoor(max_workers>1) worker threads call ``get``
-        # concurrently and must not interleave with each other or with
-        # add/remove.  Non-reentrant by design: no method below calls
-        # another locked method while holding the lock
-        # (num_buckets/signatures call ``get`` from outside it).
+        # Item id -> signature, -1 when absent.
+        self._signature_of = np.full(16, -1, dtype=np.int64)
+        # Odd while a writer mutates the published layout in place;
+        # BucketLayout.gather retries a read that overlapped a write.
+        self._writes = 0
+        self._layout = BucketLayout(
+            self,
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            [],
+            np.empty((0, self._m), dtype=np.float64),
+        )
+        # Writers only: reads go through the published layout.
         self._lock = threading.Lock()
 
     @property
@@ -53,118 +172,195 @@ class DynamicHashTable:
 
     @property
     def num_items(self) -> int:
-        """Number of live (non-removed) items."""
+        """Number of stored items."""
         return self._n_alive
 
     @property
     def num_buckets(self) -> int:
-        """Occupied buckets, counting only live items.
+        """Occupied buckets (slots of size 0 are not counted)."""
+        return int(np.count_nonzero(self._layout.sizes))
 
-        Iterates a snapshot of the bucket keys: ``get`` compacts lazily
-        and deletes a bucket whose members are all tombstoned, which
-        would otherwise mutate the dict mid-iteration and raise
-        ``RuntimeError`` (crashing any search whose prober asks for the
-        bucket count after removals emptied a bucket).
-        """
-        return sum(1 for sig in list(self._buckets) if len(self.get(sig)))
+    def layout(self) -> BucketLayout:
+        """The published layout: what one read scores, ranks and gathers."""
+        return self._layout
 
     def add(self, item_id: int, code: np.ndarray | int) -> None:
         """Insert one item under its bit-array or signature code."""
-        item_id = int(item_id)
         if isinstance(code, (int, np.integer)):
             signature = int(code)
         else:
             signature = int(pack_bits(code))
-        if not 0 <= signature < (1 << self._m):
-            raise ValueError(f"signature out of range for m={self._m}")
-        with self._lock:
-            if item_id in self._bucket_of:
-                if item_id not in self._dead:
-                    raise KeyError(f"item {item_id} already present")
-                # Re-using a tombstoned id: purge it from its old
-                # bucket now.
-                old_signature = self._bucket_of.pop(item_id)
-                members = self._buckets.get(old_signature)
-                if members is not None:
-                    members.remove(item_id)
-                    if not members:
-                        del self._buckets[old_signature]
-                self._dead.discard(item_id)
-            self._buckets.setdefault(signature, []).append(item_id)
-            self._bucket_of[item_id] = signature
-            self._dead.discard(item_id)
-            self._n_alive += 1
+        self._insert(
+            np.array([item_id], dtype=np.int64),
+            np.array([signature], dtype=np.int64),
+        )
 
     def add_batch(self, item_ids: np.ndarray, codes: np.ndarray) -> None:
-        """Insert many items; ``codes`` is a ``(n, m)`` bit array."""
-        ids = np.asarray(item_ids, dtype=np.int64)
+        """Insert many items; ``codes`` is a ``(n, m)`` bit array.
+
+        All or nothing: a repeated or already present id, or a code
+        out of range, raises before the table changes.
+        """
+        ids = np.atleast_1d(np.asarray(item_ids, dtype=np.int64))
         signatures = np.atleast_1d(
             np.asarray(pack_bits(codes), dtype=np.int64)
         )
         if len(ids) != len(signatures):
             raise ValueError("item_ids must align with codes")
-        for item_id, signature in zip(ids, signatures):
-            self.add(int(item_id), int(signature))
+        self._insert(ids, signatures)
 
     def remove(self, item_id: int) -> None:
-        """Tombstone one item; raises ``KeyError`` if absent."""
-        item_id = int(item_id)
+        """Remove one item; raises ``KeyError`` if absent."""
+        self.remove_batch(np.array([item_id], dtype=np.int64))
+
+    def remove_batch(self, item_ids: np.ndarray) -> None:
+        """Remove many items, all or nothing.
+
+        Raises ``KeyError`` before the table changes if any id is
+        absent or repeated.
+        """
+        ids = np.asarray(item_ids, dtype=np.int64).reshape(-1)
+        keys = ids.tolist()
+        if not keys:
+            return
         with self._lock:
-            if item_id not in self._bucket_of or item_id in self._dead:
-                raise KeyError(f"item {item_id} not present")
-            self._dead.add(item_id)
-            self._n_alive -= 1
+            if min(keys) < 0 or max(keys) >= len(self._signature_of):
+                absent = ids[(ids < 0) | (ids >= len(self._signature_of))]
+                raise KeyError(f"item {int(absent[0])} not present")
+            signatures = self._signature_of[ids]
+            if min(signatures.tolist()) < 0:
+                absent = ids[signatures < 0]
+                raise KeyError(f"item {int(absent[0])} not present")
+            _reject_repeats(keys)
+            layout = self._layout
+            slots = sorted(set(
+                layout.signatures.searchsorted(signatures).tolist()
+            ))
+            # One membership test over every touched bucket's ids.
+            arrays = [layout.buckets[slot] for slot in slots]
+            keep = ~_within(np.concatenate(arrays), np.sort(ids))
+            ends = list(accumulate(map(len, arrays)))
+            emptied = False
+            self._writes += 1
+            try:
+                for slot, bucket, lo, hi in zip(
+                    slots, arrays, [0, *ends], ends
+                ):
+                    kept = bucket[keep[lo:hi]]
+                    layout.buckets[slot] = kept
+                    layout.sizes[slot] = len(kept)
+                    emptied = emptied or not len(kept)
+            finally:
+                self._writes += 1
+            self._signature_of[ids] = -1
+            self._n_alive -= len(ids)
+            empty = np.count_nonzero(layout.sizes == 0) if emptied else 0
+            if 2 * empty > len(layout.sizes):
+                self._layout = layout.compacted()
+
+    def _insert(self, ids: np.ndarray, signatures: np.ndarray) -> None:
+        """Validate a batch, then append it to its buckets in place."""
+        if not len(ids):
+            return
+        keys = ids.tolist()
+        codes = signatures.tolist()
+        if min(codes) < 0 or max(codes) >> self._m:
+            raise ValueError(f"signature out of range for m={self._m}")
+        if min(keys) < 0:
+            raise ValueError("item ids must be non-negative")
+        with self._lock:
+            _reject_repeats(keys)
+            if max(keys) >= len(self._signature_of):
+                grown = np.full(
+                    max(2 * len(self._signature_of), max(keys) + 1),
+                    -1,
+                    dtype=np.int64,
+                )
+                grown[: len(self._signature_of)] = self._signature_of
+                self._signature_of = grown
+            if max(self._signature_of[ids].tolist()) >= 0:
+                present = ids[self._signature_of[ids] >= 0]
+                raise KeyError(f"item {int(present[0])} already present")
+            target = self._layout
+            known = _within(signatures, target.signatures)
+            if not known.all():
+                # New signatures: widen a copy of the layout and publish
+                # it once it holds the batch.
+                target = target.widened(np.unique(signatures[~known]))
+            # Group the batch by slot, keeping its order inside a slot.
+            slots = target.signatures.searchsorted(signatures)
+            order = slots.argsort(kind="stable")
+            grouped = ids[order]
+            self._writes += 1
+            try:
+                lo = 0
+                for slot, run in groupby(slots[order].tolist()):
+                    hi = lo + len(list(run))
+                    target.buckets[slot] = np.concatenate(
+                        (target.buckets[slot], grouped[lo:hi])
+                    )
+                    target.sizes[slot] += hi - lo
+                    lo = hi
+            finally:
+                self._writes += 1
+            # Publish only after the buckets hold the items.
+            self._signature_of[ids] = signatures
+            self._n_alive += len(ids)
+            self._layout = target
 
     def __contains__(self, signature: int) -> bool:
         return len(self.get(int(signature))) > 0
 
     def get(self, signature: int) -> np.ndarray:
-        """Live item ids in the bucket (compacting tombstones lazily)."""
-        with self._lock:
-            members = self._buckets.get(int(signature))
-            if not members:
-                return _EMPTY_IDS
-            dead_here = [item for item in members if item in self._dead]
-            if dead_here:
-                if len(dead_here) * 2 >= len(members):
-                    # Compact: drop tombstones for good.
-                    members[:] = [m for m in members if m not in self._dead]
-                    for item in dead_here:
-                        del self._bucket_of[item]
-                        self._dead.discard(item)
-                    if not members:
-                        del self._buckets[int(signature)]
-                        return _EMPTY_IDS
-                    return np.asarray(members, dtype=np.int64)
-                return np.asarray(
-                    [m for m in members if m not in self._dead],
-                    dtype=np.int64,
-                )
-            return np.asarray(members, dtype=np.int64)
+        """Item ids in the bucket, or an empty array if unoccupied."""
+        layout = self._layout
+        slot = int(np.searchsorted(layout.signatures, int(signature)))
+        if (
+            slot < len(layout.signatures)
+            and layout.signatures[slot] == signature
+        ):
+            return layout.buckets[slot]
+        return _EMPTY_IDS
 
     def signatures(self) -> Iterator[int]:
-        """Iterate over buckets that currently hold at least one live item."""
-        for signature in list(self._buckets):
-            if len(self.get(signature)):
-                yield signature
+        """Iterate over occupied bucket signatures, ascending."""
+        layout = self._layout
+        return iter(layout.signatures[layout.sizes > 0].tolist())
 
     def bucket_sizes(self) -> dict[int, int]:
-        return {
-            sig: len(self.get(sig))
-            for sig in self.signatures()
-        }
+        layout = self._layout
+        occupied = layout.sizes > 0
+        return dict(zip(
+            layout.signatures[occupied].tolist(),
+            layout.sizes[occupied].tolist(),
+        ))
 
     def expected_population(self) -> float:
-        sizes = self.bucket_sizes()
-        if not sizes:
+        buckets = self.num_buckets
+        if not buckets:
             return 0.0
-        return self._n_alive / len(sizes)
+        return self._n_alive / buckets
 
     def __repr__(self) -> str:
         return (
             f"DynamicHashTable(code_length={self._m}, items={self._n_alive}, "
-            f"buckets={len(self._buckets)})"
+            f"buckets={self.num_buckets})"
         )
+
+
+def _within(values: np.ndarray, ordered: np.ndarray) -> np.ndarray:
+    """Which ``values`` occur in the ascending array ``ordered``."""
+    if not len(ordered):
+        return np.zeros(len(values), dtype=bool)
+    return ordered.take(ordered.searchsorted(values), mode="clip") == values
+
+
+def _reject_repeats(keys: list[int]) -> None:
+    """Raise ``KeyError`` naming an id that occurs twice in ``keys``."""
+    if len(set(keys)) != len(keys):
+        ordered = np.sort(np.array(keys, dtype=np.int64))
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        raise KeyError(f"item {int(repeated[0])} repeated")
 
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)

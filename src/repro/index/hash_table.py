@@ -14,7 +14,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from repro.index.codes import pack_bits, validate_code_length
+from repro.index.codes import pack_bits, unpack_bits, validate_code_length
 
 __all__ = ["HashTable"]
 
@@ -81,9 +81,10 @@ class HashTable:
             int(sig): group for sig, group in zip(uniques, groups)
         }
         self._layout: tuple[np.ndarray, ...] | None = None
-        # The table is immutable but the layout cache is not:
+        self._bits: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        # The table is immutable but the layout caches are not:
         # AsyncFrontDoor(max_workers>1) worker threads may race to
-        # build it on first use.
+        # build them on first use.
         self._layout_lock = threading.Lock()
 
     @property
@@ -149,12 +150,31 @@ class HashTable:
                     self._layout = layout
         return layout
 
-    def gather(self, positions: np.ndarray) -> np.ndarray:
+    def bucket_bits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cached ``(signatures, bits, 1 − bits)`` of the occupied buckets.
+
+        Signatures ascending, as in :meth:`dense_layout`; the bits and
+        their complement are float64 ``(nb, m)``, the operands
+        :meth:`~repro.core.prober.BucketProber.batch_scores` multiplies,
+        so no scoring call converts them.
+        """
+        cached = self._bits
+        if cached is None:
+            signatures = self.dense_layout()[0]
+            with self._layout_lock:
+                cached = self._bits
+                if cached is None:
+                    bits = unpack_bits(signatures, self._m).astype(np.float64)
+                    cached = (signatures, bits, 1.0 - bits)
+                    self._bits = cached
+        return cached
+
+    def gather(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ids of the buckets at ``positions`` of :meth:`dense_layout`.
 
         One vectorised pass over the flat id array: each bucket's ids
         in stored order, the buckets concatenated in ``positions``
-        order.
+        order.  Also returns each bucket's size.
         """
         _, sizes, offsets, ids_flat = self.dense_layout()
         lengths = sizes[positions]
@@ -163,7 +183,8 @@ class HashTable:
         within = np.arange(total, dtype=np.int64) - np.repeat(
             ends - lengths, lengths
         )
-        return ids_flat[np.repeat(offsets[positions], lengths) + within]
+        ids = ids_flat[np.repeat(offsets[positions], lengths) + within]
+        return ids, lengths
 
     def bucket_sizes(self) -> dict[int, int]:
         """Mapping of signature to bucket population."""

@@ -5,11 +5,16 @@ into the same search interface as :class:`~repro.search.searcher.HashIndex`.
 The hash functions stay fixed (trained once on a representative sample,
 as L2H deployments do); items stream in and out of the bucket table.
 Search delegates to the shared query-execution engine, with the exact
-evaluator wired to the index's live (growable) vector storage.
+evaluator wired to the index's live (growable) vector storage: each
+read scores the table's published bucket layout, ranks it and gathers
+a prefix, taking no lock.  Writes are batched and serialised by one
+write lock; ``add`` stores vectors before the table publishes their
+ids, so a read never sees an id without its vector.
 """
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterator
 
 import numpy as np
@@ -79,6 +84,8 @@ class DynamicHashIndex:
         self._vectors = np.empty((0, dim), dtype=np.float64)
         self._size = 0
         self._free_ids: list[int] = []
+        # Serialises writers (storage, id bookkeeping, the table).
+        self._write_lock = threading.Lock()
         # The storage array is reallocated as it grows, so the evaluator
         # is wired to a live view rather than one (stale) array object.
         self._engine = QueryEngine(
@@ -104,46 +111,65 @@ class DynamicHashIndex:
     def engine(self) -> QueryEngine:
         return self._engine
 
-    def _grow_to(self, capacity: int) -> None:
-        if capacity <= len(self._vectors):
-            return
-        new_capacity = max(capacity, 2 * len(self._vectors), 16)
-        grown = np.empty((new_capacity, self._dim), dtype=np.float64)
-        grown[: self._size] = self._vectors[: self._size]
-        self._vectors = grown
-
     def add(self, items: np.ndarray) -> np.ndarray:
-        """Insert one vector or a batch; returns the assigned item ids."""
+        """Insert one vector or a batch; returns the assigned item ids.
+
+        Freed ids are reused first, most recently freed first.  Rows
+        with a NaN or infinite entry are rejected before anything
+        changes.
+        """
         items = np.atleast_2d(np.asarray(items, dtype=np.float64))
-        if items.shape[1] != self._dim:
+        if items.ndim != 2 or items.shape[1] != self._dim:
             raise ValueError(
-                f"expected dimensionality {self._dim}, got {items.shape[1]}"
+                f"expected dimensionality {self._dim}, got shape {items.shape}"
             )
+        if not np.isfinite(items).all():
+            raise ValueError("items contain non-finite values (nan or inf)")
         codes = self._hasher.encode(items)
-        ids = np.empty(len(items), dtype=np.int64)
-        for row, (item, code) in enumerate(zip(items, codes)):
-            if self._free_ids:
-                item_id = self._free_ids.pop()
-            else:
-                item_id = self._size
-                self._grow_to(self._size + 1)
-                self._size += 1
-            self._vectors[item_id] = item
-            self._table.add(item_id, code)
-            ids[row] = item_id
+        with self._write_lock:
+            n_recycled = min(len(self._free_ids), len(items))
+            recycled = self._free_ids[len(self._free_ids) - n_recycled:]
+            end = self._size + len(items) - n_recycled
+            ids = np.array(
+                [*reversed(recycled), *range(self._size, end)], dtype=np.int64
+            )
+            if end > len(self._vectors):
+                # Powers of two from 16, as if grown one item at a time.
+                capacity = max(len(self._vectors), 16)
+                while capacity < end:
+                    capacity *= 2
+                grown = np.empty((capacity, self._dim), dtype=np.float64)
+                grown[: self._size] = self._vectors[: self._size]
+                self._vectors = grown
+            # Vectors first: a read may see the ids once the table has
+            # them, and evaluates them against this storage.
+            self._vectors[ids] = items
+            self._table.add_batch(ids, codes)
+            del self._free_ids[len(self._free_ids) - n_recycled:]
+            self._size = end
         self._engine.bump_generation()
         return ids
 
     def remove(self, item_ids: np.ndarray | int) -> None:
-        """Delete items by id; their ids may be recycled by later adds."""
-        for item_id in np.atleast_1d(np.asarray(item_ids, dtype=np.int64)):
-            self._table.remove(int(item_id))
-            self._free_ids.append(int(item_id))
+        """Delete items by id; their ids may be recycled by later adds.
+
+        All or nothing: an absent or repeated id raises ``KeyError``
+        and nothing is removed.
+        """
+        ids = np.atleast_1d(np.asarray(item_ids, dtype=np.int64))
+        with self._write_lock:
+            self._table.remove_batch(ids)
+            self._free_ids.extend(ids.tolist())
         self._engine.bump_generation()
 
     def candidate_stream(self, query: np.ndarray) -> Iterator[np.ndarray]:
+        """Non-empty buckets in the prober's order, fetched one by one."""
         query = validate_query(query, self._dim)
-        signature, costs = self._hasher.probe_info(query)
+        return self._bucket_stream(*self._hasher.probe_info(query))
+
+    def _bucket_stream(
+        self, signature: int, costs: np.ndarray
+    ) -> Iterator[np.ndarray]:
         for bucket in self._prober.probe(self._table, signature, costs):
             ids = self._table.get(bucket)
             if len(ids):
@@ -156,9 +182,35 @@ class DynamicHashIndex:
         n_candidates: int,
         rerank: RerankSpec | None = None,
     ) -> SearchResult:
-        """Approximate kNN over the current live items."""
+        """Approximate kNN over the current live items.
+
+        Ranks the published layout's buckets from one score row and
+        gathers a prefix of that order
+        (:meth:`~repro.search.engine.QueryEngine.execute_probed`); a
+        prober that cannot score buckets streams them instead.  The
+        result cache is consulted once, before any of that.
+        """
         query = validate_query(query, self._dim)
         plan = QueryPlan(
             k=k, n_candidates=n_candidates, metric=self._metric, rerank=rerank
         )
-        return self._engine.execute(query, plan, self.candidate_stream(query))
+        [result] = self._engine.run_cached(
+            query[np.newaxis], plan, lambda block: self._execute(block, plan)
+        )
+        return result
+
+    def _execute(
+        self, queries: np.ndarray, plan: QueryPlan
+    ) -> list[SearchResult]:
+        """:meth:`search`'s uncached body over its one validated row."""
+        info = self._hasher.probe_info(queries[0])
+        return self._engine.execute_probed(
+            queries,
+            plan,
+            self._prober,
+            self._table.layout(),
+            [info],
+            lambda: [self._bucket_stream(*info)],
+            single=True,
+        )
+

@@ -28,9 +28,13 @@ adapter instead of a private re-implementation::
   to one private body that evaluates it, applies the rerank / fuse /
   truncate stages (:mod:`repro.search.stages`), assembles the
   ``SearchResult`` list and records telemetry; a single query is a
-  batch of one.  :meth:`~QueryEngine.run_cached` is the one result-cache
-  path in front of them: ``execute`` and ``HashIndex.search_batch``
-  both run through it, so only cache misses are executed.  Engines
+  batch of one.  :meth:`~QueryEngine.execute_probed` picks between the
+  two batch paths: the ordered one when the prober can score the
+  table's buckets, the streams one otherwise.
+  :meth:`~QueryEngine.run_cached` is the one result-cache path in front
+  of them: ``execute``, ``HashIndex.search_batch`` and
+  ``DynamicHashIndex.search`` run through it, so only cache misses are
+  executed.  Engines
   resolve rerank modes from :attr:`QueryEngine.rerankers` and fusion
   partners from :attr:`QueryEngine.fusion_partner`.
 
@@ -45,7 +49,7 @@ from __future__ import annotations
 
 import heapq
 import threading
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
@@ -54,13 +58,14 @@ from typing import Protocol, cast
 import numpy as np
 
 from repro import obs
+from repro.core.prober import BucketProber
 from repro.index.codes import (
     hamming_distance,
     packed_qd_distances,
     qd_cost_tables,
+    unpack_bits,
 )
 from repro.index.distance import METRICS, pairwise_distances
-from repro.index.hash_table import HashTable
 from repro.search.cache import CacheKey, QueryResultCache, cache_token
 from repro.search.results import SearchResult
 from repro.search.stages import (
@@ -85,6 +90,7 @@ __all__ = [
     "ProbeInfoHasher",
     "QueryEngine",
     "QueryPlan",
+    "RankedTable",
     "qd_merged_scored_stream",
     "round_robin_stream",
     "top_k",
@@ -340,9 +346,11 @@ class ExecutionContext:
     retrieval_seconds / evaluation_seconds / total_seconds:
         Wall time of the coarse stages as measured by the engine's
         spans (:mod:`repro.obs.spans`).  For a single query
-        (:meth:`QueryEngine.execute`) ``retrieval_seconds`` covers the
-        retrieve + dedup_budget stages together and ``total_seconds``
-        is the query's root span.  On the streams batch path
+        (:meth:`QueryEngine.execute`, ``DynamicHashIndex.search``)
+        ``retrieval_seconds`` covers the retrieve + dedup_budget stages
+        together and ``total_seconds`` is the query's root span; on
+        the ordered kernel, hashing and bucket scoring run before that
+        span and are not in it.  On the streams batch path
         ``retrieval_seconds`` is the query's own drain span; on the
         ordered batch path it is the batch's retrieval span divided by
         the batch size — an average, not a per-query measurement.  On
@@ -446,6 +454,30 @@ class ProbeInfoHasher(Protocol):
     """The slice of a binary hasher :class:`CodeEvaluator` needs."""
 
     def probe_info(self, query: np.ndarray) -> tuple[int, np.ndarray]: ...
+
+
+class RankedTable(Protocol):
+    """The buckets the ordered kernel ranks and gathers from.
+
+    A static :class:`~repro.index.hash_table.HashTable`, or the
+    published :class:`~repro.index.dynamic.BucketLayout` of a dynamic
+    table.  ``dense_layout()`` starts with the signatures (ascending)
+    and sizes of its bucket slots; ``bucket_bits()`` gives the
+    signatures with their float64 bits and complement;
+    ``gather(positions)`` returns the ids of those slots and each
+    slot's id count.
+    """
+
+    @property
+    def code_length(self) -> int: ...
+
+    def dense_layout(self) -> tuple[np.ndarray, ...]: ...
+
+    def bucket_bits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
+
+    def gather(
+        self, positions: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]: ...
 
 
 # -- evaluators -------------------------------------------------------
@@ -665,8 +697,8 @@ def _probe_prefix(
     signatures: np.ndarray,
     sizes: np.ndarray,
     budget: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Probe orders, cumulative candidate counts and stop columns.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Probe orders and stop columns: each row's last bucket to gather.
 
     Returns only the shortest column prefix that satisfies every
     query's candidate budget: sorting and cumulating all ``nb`` bucket
@@ -687,7 +719,7 @@ def _probe_prefix(
             stops = np.minimum(
                 (cumulative < budget).sum(axis=1), order.shape[1] - 1
             )
-            return order, cumulative, stops
+            return order, stops
         width = min(n_buckets, width * 4)
 
 
@@ -1050,39 +1082,74 @@ class QueryEngine:
         cache hit returns the stored result without touching the
         stream.
         """
-
-        def drain(
-            contexts: list[ExecutionContext],
-        ) -> tuple[np.ndarray, np.ndarray]:
-            ctx = contexts[0]
-            with obs.span("retrieve") as retrieve:
-                source = iter(stream)
-            with obs.span("dedup_budget") as dedup:
-                candidates = drain_stream(source, plan, ctx)
-            ctx.stage_seconds["retrieve"] = retrieve.duration
-            ctx.stage_seconds["dedup_budget"] = dedup.duration
-            ctx.retrieval_seconds = retrieve.duration + dedup.duration
-            return candidates, np.array([len(candidates)], dtype=np.int64)
-
         [result] = self.run_cached(
             query[np.newaxis],
             plan,
-            lambda block: self._run(block, plan, drain, single=True),
+            lambda block: self.execute_batch_streams(
+                block, plan, [stream], single=True
+            ),
         )
         return result
+
+    def execute_probed(
+        self,
+        queries: np.ndarray,
+        plan: QueryPlan,
+        prober: BucketProber,
+        table: RankedTable,
+        probe_infos: Sequence[tuple[int, np.ndarray]],
+        streams: Callable[[], list[Iterable[np.ndarray]]],
+        *,
+        single: bool = False,
+    ) -> list[SearchResult]:
+        """Rank ``table``'s buckets by score if ``prober`` can, else stream.
+
+        ``probe_infos`` holds each row's ``(signature, flip_costs)``.
+        When the table has buckets and ``prober.batch_scores`` scores
+        them, the rows run through :meth:`execute_batch_ordered`;
+        otherwise ``streams()`` builds one candidate stream per row for
+        :meth:`execute_batch_streams`.  Uncached: callers go through
+        :meth:`run_cached` first.  ``single`` marks one row with
+        per-query telemetry (see :meth:`_run`).
+        """
+        signatures, bits, complement = table.bucket_bits()
+        scores = None
+        if len(signatures):
+            query_signatures = np.fromiter(
+                (signature for signature, _ in probe_infos),
+                dtype=np.int64,
+                count=len(probe_infos),
+            )
+            scores = prober.batch_scores(
+                signatures,
+                bits,
+                query_signatures,
+                unpack_bits(query_signatures, table.code_length),
+                np.stack([costs for _, costs in probe_infos]),
+                complement,
+            )
+        if scores is None:
+            return self.execute_batch_streams(
+                queries, plan, streams(), single=single
+            )
+        return self.execute_batch_ordered(
+            queries, plan, table, scores, single=single
+        )
 
     def execute_batch_streams(
         self,
         queries: np.ndarray,
         plan: QueryPlan,
         streams: list[Iterable[np.ndarray]],
+        *,
+        single: bool = False,
     ) -> list[SearchResult]:
         """Batched execution over per-query candidate streams.
 
         Retrieval stays per-query (each stream's probe order is exactly
         the per-query path's, and each query's ``retrieval_seconds`` is
-        its own drain span), but evaluation is amortised across the
-        whole block.  ``queries`` and ``streams`` must align one to one.
+        its own drain), but evaluation is amortised across the whole
+        block.  ``queries`` and ``streams`` must align one to one.
         """
         streams = list(streams)
         if len(queries) != len(streams):
@@ -1097,8 +1164,13 @@ class QueryEngine:
             per_query: list[np.ndarray] = []
             for stream, ctx in zip(streams, contexts):
                 with obs.span("retrieve") as retrieve:
-                    per_query.append(drain_stream(stream, plan, ctx))
-                ctx.retrieval_seconds = retrieve.duration
+                    source = iter(stream)
+                with obs.span("dedup_budget") as dedup:
+                    per_query.append(drain_stream(source, plan, ctx))
+                ctx.retrieval_seconds = retrieve.duration + dedup.duration
+                if single:
+                    ctx.stage_seconds["retrieve"] = retrieve.duration
+                    ctx.stage_seconds["dedup_budget"] = dedup.duration
             counts = np.fromiter(
                 (len(ids) for ids in per_query),
                 dtype=np.int64,
@@ -1107,25 +1179,30 @@ class QueryEngine:
             flat = np.concatenate(per_query) if per_query else _EMPTY_IDS
             return flat, counts
 
-        return self._run(queries, plan, drain)
+        return self._run(queries, plan, drain, single=single)
 
     def execute_batch_ordered(
         self,
         queries: np.ndarray,
         plan: QueryPlan,
-        table: HashTable,
+        table: RankedTable,
         scores: np.ndarray,
+        *,
+        single: bool = False,
     ) -> list[SearchResult]:
         """Batched execution from a precomputed ``(B, nb)`` score matrix.
 
-        The fast path behind ``search_batch``: column ``j`` of
-        ``scores`` scores the ``j``-th bucket of ``table.dense_layout()``
-        (signatures ascending), and every query's probe order is
-        ascending ``(score, bucket signature)`` — the order the sorting
-        probers (and, over occupied buckets, GQR) produce — so the whole
+        The fast path behind ``search_batch`` and
+        ``DynamicHashIndex.search``: column ``j`` of ``scores`` scores
+        the ``j``-th bucket slot of ``table.dense_layout()`` (signatures
+        ascending), and every query's probe order is ascending
+        ``(score, bucket signature)`` — the order the sorting probers
+        (and, over occupied buckets, GQR) produce — so the whole
         batch's bucket orders come from one vectorised argsort and the
         candidate gather from one cumulative-sum drain, instead of B
-        generator walks.
+        generator walks.  Each row's counts come from the ids actually
+        gathered, so slots of size 0 (a dynamic table's emptied
+        buckets) are not counted as probed.
         """
         budget = plan.n_candidates
         if budget is None:
@@ -1134,27 +1211,42 @@ class QueryEngine:
         def gather(
             contexts: list[ExecutionContext],
         ) -> tuple[np.ndarray, np.ndarray]:
-            n_queries = len(contexts)
             with obs.span("retrieve") as retrieve:
                 signatures, sizes = table.dense_layout()[:2]
-                order, cumulative, stops = _probe_prefix(
+                order, stops = _probe_prefix(
                     scores, signatures, sizes, budget
                 )
+            with obs.span("dedup_budget") as cut:
                 # Ragged gather of every query's probed buckets in one shot.
-                width = order.shape[1]
                 col_mask = (
-                    np.arange(width)[np.newaxis, :] <= stops[:, np.newaxis]
+                    np.arange(order.shape[1])[np.newaxis, :]
+                    <= stops[:, np.newaxis]
                 )
-                candidates = table.gather(order[col_mask])
-                counts = cumulative[np.arange(n_queries), stops]
-                for ctx, stop, count in zip(contexts, stops, counts):
-                    ctx.n_buckets_probed = int(stop) + 1
+                candidates, lengths = table.gather(order[col_mask])
+                starts = np.concatenate(([0], np.cumsum(stops + 1)[:-1]))
+                counts = np.add.reduceat(lengths, starts)
+                probed = np.add.reduceat(
+                    (lengths > 0).astype(np.int64), starts
+                )
+                for ctx, start, stop, count, n_probed in zip(
+                    contexts, starts, stops, counts, probed
+                ):
+                    ctx.n_buckets_probed = int(n_probed)
                     ctx.n_candidates = int(count)
+                    if ctx.bucket_sizes is not None:
+                        segment = lengths[start:start + stop + 1]
+                        ctx.bucket_sizes.extend(
+                            segment[segment > 0].tolist()
+                        )
+            spent = retrieve.duration + cut.duration
             for ctx in contexts:
-                ctx.retrieval_seconds = retrieve.duration / n_queries
+                ctx.retrieval_seconds = spent / len(contexts)
+            if single:
+                contexts[0].stage_seconds["retrieve"] = retrieve.duration
+                contexts[0].stage_seconds["dedup_budget"] = cut.duration
             return candidates, counts
 
-        return self._run(queries, plan, gather)
+        return self._run(queries, plan, gather, single=single)
 
     def _run(
         self,
@@ -1174,7 +1266,8 @@ class QueryEngine:
         segment — then applies the plan's rerank / fuse / truncate
         stages per row, assembles the results and records telemetry.
 
-        ``single`` marks :meth:`execute`'s batch of one: it runs under
+        ``single`` marks a batch of one run as a query of its own
+        (:meth:`execute`, ``DynamicHashIndex.search``): it runs under
         its own ``query`` root span (retrieve, dedup_budget, evaluate,
         [rerank], [fuse], truncate), may be trace-sampled, and its
         total is the root span.  Batch rows share batch-level spans and

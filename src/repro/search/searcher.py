@@ -24,7 +24,7 @@ under ``extras["stats"]``.
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -231,17 +231,10 @@ class HashIndex:
             self._engine.rerankers["adc"] = ADCEvaluator(
                 rerank_quantizer, rerank_quantizer.encode(self._data)
             )
-        # Per-table (signatures, bits, 1 - bits), lazily built for
-        # vectorised scoring; the tables are static but
-        # AsyncFrontDoor(max_workers>1) worker threads may race to
-        # build an entry on first use.
-        self._bucket_bits: dict[
-            int, tuple[np.ndarray, np.ndarray, np.ndarray]
-        ] = {}
-        self._bucket_bits_lock = threading.Lock()
-        # Theorem 2's µ, computed on the first early-stop call under
-        # the same lock.
+        # Theorem 2's µ, computed on the first early-stop call; front
+        # door worker threads may race to compute it.
         self._mu: float | None = None
+        self._mu_lock = threading.Lock()
 
     @property
     def data(self) -> np.ndarray:
@@ -350,33 +343,6 @@ class HashIndex:
     def _probe_infos(self, query: np.ndarray) -> list[tuple[int, np.ndarray]]:
         """Per-table ``(signature, flip_costs)`` for one query."""
         return [hasher.probe_info(query) for hasher in self._hashers]
-
-    def _bucket_batch_info(
-        self, table_index: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cached ``(signatures, bits, 1 − bits)`` of one table.
-
-        Signatures ascending, as in :meth:`HashTable.dense_layout`; the
-        bits and their complement are float64 ``(nb, m)``, the operands
-        :meth:`BucketProber.batch_scores` multiplies, so no scoring call
-        converts them.
-        """
-        cached = self._bucket_bits.get(table_index)
-        if cached is None:
-            # Double-checked: the fast path stays lock-free once built
-            # (tuple assignment is atomic), losers of the build race
-            # just re-read the winner's entry.
-            with self._bucket_bits_lock:
-                cached = self._bucket_bits.get(table_index)
-                if cached is None:
-                    table = self._tables[table_index]
-                    signatures = table.dense_layout()[0]
-                    bits = unpack_bits(
-                        signatures, table.code_length
-                    ).astype(np.float64)
-                    cached = (signatures, bits, 1.0 - bits)
-                    self._bucket_bits[table_index] = cached
-        return cached
 
     def candidate_stream(
         self,
@@ -512,38 +478,26 @@ class HashIndex:
         infos_per_table = [
             hasher.probe_info_batch(queries) for hasher in self._hashers
         ]
-        # An index over no items has no bucket to score: its streams
-        # are empty, so the streams path answers it.
-        if len(self._tables) == 1 and self._tables[0].num_buckets:
-            table = self._tables[0]
-            infos = infos_per_table[0]
-            signatures = np.fromiter(
-                (sig for sig, _ in infos), dtype=np.int64, count=len(infos)
-            )
-            cost_matrix = np.stack([costs for _, costs in infos])
-            bucket_signatures, bucket_bits, bucket_complement = (
-                self._bucket_batch_info(0)
-            )
-            scores = self._prober.batch_scores(
-                bucket_signatures,
-                bucket_bits,
-                signatures,
-                unpack_bits(signatures, table.code_length),
-                cost_matrix,
-                bucket_complement,
-            )
-            if scores is not None:
-                return self._engine.execute_batch_ordered(
-                    queries, plan, table, scores
+
+        def streams() -> list[Iterable[np.ndarray]]:
+            return [
+                self.candidate_stream(
+                    query,
+                    [infos[qi] for infos in infos_per_table],
                 )
-        streams = [
-            self.candidate_stream(
-                query,
-                [infos[qi] for infos in infos_per_table],
+                for qi, query in enumerate(queries)
+            ]
+
+        if len(self._tables) == 1:
+            return self._engine.execute_probed(
+                queries,
+                plan,
+                self._prober,
+                self._tables[0],
+                infos_per_table[0],
+                streams,
             )
-            for qi, query in enumerate(queries)
-        ]
-        return self._engine.execute_batch_streams(queries, plan, streams)
+        return self._engine.execute_batch_streams(queries, plan, streams())
 
     def search_early_stop(
         self, query: np.ndarray, k: int, max_candidates: int | None = None
@@ -635,7 +589,7 @@ class HashIndex:
         target = _FIRST_CHUNK
         with obs.span("query") as root:
             if n_buckets:
-                signatures, bits, complement = self._bucket_batch_info(0)
+                signatures, bits, complement = table.bucket_bits()
                 query_signature = np.array([signature], dtype=np.int64)
                 row = prober.batch_scores(
                     signatures,
@@ -688,7 +642,7 @@ class HashIndex:
                     done = capped <= filled or end == n_buckets
                 if end == pos:
                     continue
-                chunk_ids = table.gather(order[pos:end])
+                chunk_ids, _ = table.gather(order[pos:end])
                 with obs.span("evaluate"):
                     chunk_dists = self._exact.distances(query, chunk_ids)
                 n_probed, pulled = end - pos, len(chunk_ids)
@@ -746,7 +700,7 @@ class HashIndex:
             )
         mu = self._mu
         if mu is None:
-            with self._bucket_bits_lock:
+            with self._mu_lock:
                 mu = self._mu
                 if mu is None:
                     mu = self._mu = theorem2_mu(hasher.hashing_matrix)

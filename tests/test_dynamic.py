@@ -8,6 +8,7 @@ from repro.data import gaussian_mixture
 from repro.hashing import ITQ
 from repro.index.dynamic import DynamicHashTable
 from repro.index.linear_scan import knn_linear_scan
+from repro.search.cache import QueryResultCache
 from repro.search.dynamic_index import DynamicHashIndex
 
 
@@ -83,6 +84,30 @@ class TestDynamicHashTable:
         table.add_batch(np.arange(4), np.array(
             [[0], [0], [1], [1]], dtype=np.uint8))
         assert table.expected_population() == 2.0
+
+    def test_gather_overlapping_a_write_sees_one_instant(self):
+        # A write that lands between a gather's bucket reads (another
+        # thread, in production) must not make the gather see an id in
+        # both its old and its new bucket.
+        table = DynamicHashTable(code_length=2)
+        for item, signature in enumerate((0, 1, 2)):
+            table.add(item, signature)
+        layout = table.layout()
+        moves = []
+
+        class MovingList(list):
+            def __getitem__(self, slot):
+                if slot == 1 and not moves:
+                    moves.append(slot)
+                    table.remove(0)
+                    table.add(0, 2)
+                return super().__getitem__(slot)
+
+        layout.buckets = MovingList(layout.buckets)
+        ids, lengths = layout.gather(np.arange(3))
+        assert moves
+        assert sorted(ids.tolist()) == [0, 1, 2]
+        assert lengths.tolist() == [0, 1, 2]
 
     def test_misaligned_batch(self):
         table = DynamicHashTable(code_length=2)
@@ -161,3 +186,62 @@ class TestDynamicHashIndex:
         dists = np.linalg.norm(live_rows - query, axis=1)
         expected = live_ids[np.lexsort((live_ids, dists))[:5]]
         assert np.array_equal(np.sort(result.ids), np.sort(expected))
+
+
+class TestAllOrNothingWrites:
+    """A write that raises leaves the index (and its cache) untouched."""
+
+    @pytest.fixture()
+    def cached_index(self, stream_data):
+        hasher = ITQ(code_length=7, seed=0).fit(stream_data)
+        index = DynamicHashIndex(hasher, dim=16, cache=QueryResultCache())
+        index.add(stream_data[:100])
+        return index
+
+    def test_remove_with_an_absent_id_removes_nothing(
+        self, cached_index, stream_data
+    ):
+        query = stream_data[0]
+        before = cached_index.search(query, k=5, n_candidates=100)
+        live = int(before.ids[0])
+        with pytest.raises(KeyError):
+            cached_index.remove([live, 10**6])
+        assert cached_index.num_items == 100
+        after = cached_index.search(query, k=5, n_candidates=100)
+        np.testing.assert_array_equal(after.ids, before.ids)
+        # The id was not freed: the next add gets a fresh one.
+        assert cached_index.add(stream_data[100:101]).tolist() == [100]
+        # And it can still be removed, which the cache sees at once.
+        cached_index.remove(live)
+        fresh = cached_index.search(query, k=5, n_candidates=100)
+        assert live not in fresh.ids.tolist()
+
+    def test_remove_with_a_repeated_id_removes_nothing(self, cached_index):
+        with pytest.raises(KeyError, match="repeated"):
+            cached_index.remove([5, 5])
+        assert cached_index.num_items == 100
+        cached_index.remove(5)
+        assert cached_index.num_items == 99
+
+    def test_add_rejects_non_finite_items(self, cached_index, stream_data):
+        for bad in (np.nan, np.inf, -np.inf):
+            items = stream_data[100:103].copy()
+            items[1, 3] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                cached_index.add(items)
+        assert cached_index.num_items == 100
+        assert cached_index.add(stream_data[100:101]).tolist() == [100]
+
+    def test_table_batches_are_all_or_nothing(self):
+        table = DynamicHashTable(code_length=3)
+        table.add_batch(np.arange(4), np.eye(4, 3, dtype=np.uint8))
+        with pytest.raises(KeyError):
+            table.remove_batch(np.array([0, 9]))
+        with pytest.raises(KeyError):
+            table.add_batch(np.array([7, 2]), np.zeros((2, 3), dtype=np.uint8))
+        with pytest.raises(KeyError):
+            table.add_batch(np.array([7, 7]), np.zeros((2, 3), dtype=np.uint8))
+        assert table.num_items == 4
+        assert sorted(table.bucket_sizes().items()) == [
+            (0, 1), (1, 1), (2, 1), (4, 1)
+        ]

@@ -2,7 +2,7 @@
 
 Hypothesis drives random add/remove/lookup sequences and checks the
 table never diverges from a trivially correct reference model —
-covering the tombstone/compaction/recycling interactions that
+covering the emptied-slot/compaction/recycling interactions that
 example-based tests can miss.
 """
 

@@ -1,11 +1,11 @@
 """Regression tests for races found by reprolint RL012.
 
-The compaction test fails against the pre-fix code with a ``KeyError``
-(run it on the parent commit to see): ``DynamicHashTable.get``
-compacts tombstones lazily — a *read* that mutates
-``_buckets``/``_bucket_of``/``_dead`` — so worker threads probing
-the same bucket raced the compaction and double-``del``ed entries.  The
-layout test likewise failed pre-fix: racing first calls to
+The compaction test was written when ``DynamicHashTable.get``
+compacted tombstones lazily — a *read* that mutated the table — and
+worker threads probing the same bucket raced the compaction and
+double-``del``ed entries.  Reads no longer mutate the table; the test
+still pins that concurrent ``get`` calls see the survivors.  The
+layout test failed on the code before its fix: racing first calls to
 ``HashTable.dense_layout`` built distinct tuples instead of one cached
 layout.
 
@@ -21,7 +21,9 @@ The hammer tests force thread interleaving with a tiny
 ``sys.setswitchinterval`` and a start barrier; they assert invariants
 that must hold under the per-child-lock contract, not timing.  The
 batch-cache test hammers ``search_batch`` on one cached index from
-many threads, as ``AsyncFrontDoor(max_workers>1)`` workers do.
+many threads, as ``AsyncFrontDoor(max_workers>1)`` workers do.  The
+dynamic-index hammer runs lock-free readers against one writer that
+adds, removes and recycles ids.
 """
 
 import sys
@@ -36,7 +38,8 @@ from repro.hashing import ITQ
 from repro.index.dynamic import DynamicHashTable
 from repro.index.hash_table import HashTable
 from repro.obs.sampling import TraceSampler
-from repro.search import HashIndex, QueryResultCache
+from repro.probing.ghr import GenerateHammingRanking
+from repro.search import DynamicHashIndex, HashIndex, QueryResultCache
 from repro.search.engine import ExactEvaluator, QueryEngine
 
 
@@ -146,6 +149,68 @@ class TestDynamicTableCompactionRace:
 
         _hammer(n_threads, work)
         assert table.num_items == n_threads * per_thread
+
+
+class TestDynamicIndexReadWriteHammer:
+    @pytest.mark.parametrize("prober", [GQR, GenerateHammingRanking])
+    def test_readers_see_whole_answers_while_a_writer_churns(self, prober):
+        # Reads take no lock: they rank the published layout while one
+        # writer adds and removes in place and recycles freed ids.  A
+        # read may see each bucket before or after a write, but must
+        # never raise, repeat an id or return one never added.
+        data = gaussian_mixture(900, 16, n_clusters=6, seed=5)
+        queries = sample_queries(data, 8, seed=6)
+        index = DynamicHashIndex(
+            ITQ(code_length=7, seed=0).fit(data), dim=16, prober=prober()
+        )
+        live = list(index.add(data[:300]).tolist())
+        ever = set(live)
+        seen: list[np.ndarray] = []
+        errors: list[BaseException] = []
+        done = threading.Event()
+        k = 10
+
+        def write():
+            try:
+                for step in range(60):
+                    rows = data[300 + 8 * step:300 + 8 * (step + 1)]
+                    added = index.add(rows).tolist()
+                    ever.update(added)
+                    index.remove(live[:8])
+                    live[:8] = []
+                    live.extend(added)
+            except BaseException as exc:  # noqa: B036  # reprolint: disable=RL005 -- re-raised on the main thread below
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def read():
+            try:
+                while not done.is_set():
+                    for query in queries:
+                        result = index.search(query, k, 60)
+                        assert len(result.ids) == k
+                        assert len(set(result.ids.tolist())) == k
+                        assert np.all(np.diff(result.distances) >= 0)
+                        assert result.n_candidates >= k
+                        seen.append(result.ids)
+            except BaseException as exc:  # noqa: B036  # reprolint: disable=RL005 -- re-raised on the main thread below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=target, daemon=True)
+            for target in (read, read, read, write)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        if errors:
+            raise errors[0]
+        assert seen
+        assert set(np.concatenate(seen).tolist()) <= ever
+        assert index.num_items == 300
 
 
 class TestDenseLayoutRace:
