@@ -58,6 +58,7 @@ from repro.obs.telemetry import (
     observe_query,
     observe_serving_admission,
     observe_serving_batch,
+    observe_serving_cache_hit,
     observe_serving_overload,
     observe_serving_queue_depth,
     observe_serving_rejected,
@@ -94,6 +95,7 @@ __all__ = [
     "observe_query",
     "observe_serving_admission",
     "observe_serving_batch",
+    "observe_serving_cache_hit",
     "observe_serving_overload",
     "observe_serving_queue_depth",
     "observe_serving_rejected",

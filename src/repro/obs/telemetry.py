@@ -31,6 +31,7 @@ metric                                    kind       labels
 ``repro_serving_shed_total``              counter    ``lane``
 ``repro_serving_degraded_total``          counter    ``lane``
 ``repro_serving_served_total``            counter    ``lane``
+``repro_serving_cache_hits_total``        counter    ``lane``
 ``repro_serving_queue_depth``             gauge      ``lane``
 ``repro_serving_queue_delay_seconds``     histogram  ``lane``
 ``repro_serving_latency_seconds``         histogram  ``lane``
@@ -94,6 +95,7 @@ __all__ = [
     "observe_query",
     "observe_serving_admission",
     "observe_serving_batch",
+    "observe_serving_cache_hit",
     "observe_serving_overload",
     "observe_serving_queue_depth",
     "observe_serving_rejected",
@@ -262,6 +264,11 @@ class TelemetryState:
         self.serving_served: Counter = reg.counter(
             "repro_serving_served_total",
             "Requests served to completion (full-fidelity or degraded)",
+            labels=("lane",),
+        )
+        self.serving_cache_hits: Counter = reg.counter(
+            "repro_serving_cache_hits_total",
+            "Requests answered from the result cache at admission",
             labels=("lane",),
         )
         self.serving_queue_depth: Gauge = reg.gauge(
@@ -557,6 +564,14 @@ def observe_serving_served(
     state.serving_latency.labels(lane=lane).observe(latency_seconds)
     if degraded:
         state.serving_degraded.labels(lane=lane).inc()
+
+
+def observe_serving_cache_hit(lane: str) -> None:
+    """Record one request answered from the result cache at admission."""
+    state = _STATE
+    if state is None:
+        return
+    state.serving_cache_hits.labels(lane=lane).inc()
 
 
 def observe_serving_overload(level: int, shedding: bool) -> None:

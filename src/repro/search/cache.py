@@ -24,6 +24,12 @@ keyed on
 Time-budgeted plans are never cached (:meth:`QueryResultCache.cacheable`)
 — their results depend on wall-clock load, not only on the query.
 
+Each request is counted once.  A caller that has already looked a
+request up (the serving front door does so at admission) runs the
+request's later execution inside :meth:`QueryResultCache.rechecking`:
+lookups there still return stored results but count neither a hit nor
+a miss.
+
 Hits, misses and evictions are exported through :mod:`repro.obs`
 (``repro_cache_hits_total`` / ``..._misses_total`` /
 ``..._evictions_total``), along with an occupancy gauge and a
@@ -36,7 +42,9 @@ import hashlib
 import itertools
 import threading
 from collections import OrderedDict
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -66,6 +74,11 @@ CacheKey = tuple[
 ]
 
 _TOKENS = itertools.count()
+
+#: The cache whose lookups the current context is re-checking, if any.
+_RECHECKING: ContextVar[QueryResultCache | None] = ContextVar(
+    "repro_cache_rechecking", default=None
+)
 
 
 def cache_token(prefix: str) -> str:
@@ -217,9 +230,26 @@ class QueryResultCache:
             for fingerprint in query_fingerprints(queries, self.decimals)
         ]
 
+    @contextmanager
+    def rechecking(self) -> Iterator[None]:
+        """Stop counting this cache's lookups made in the block.
+
+        For a caller that has already looked each request up and counted
+        it: the block's lookups return stored results as usual but add
+        no hit or miss, to :attr:`stats` or to telemetry.  The scope is
+        the current thread's context, so lookups other threads make
+        meanwhile are counted as usual.
+        """
+        token = _RECHECKING.set(self)
+        try:
+            yield
+        finally:
+            _RECHECKING.reset(token)
+
     def lookup(self, key: CacheKey) -> SearchResult | None:
         """Return the cached result for ``key``, or ``None`` on a miss."""
         start = obs.now()
+        counted = _RECHECKING.get() is not self
         expired = False
         with self._lock:
             entry = self._entries.get(key)
@@ -229,19 +259,22 @@ class QueryResultCache:
                     self._evictions += 1
                     expired = True
                     entry = None
-            if entry is None:
-                self._misses += 1
-            else:
+            if entry is not None:
                 self._entries.move_to_end(key)
+            if counted and entry is None:
+                self._misses += 1
+            elif counted:
                 self._hits += 1
             occupancy = len(self._entries)
         if expired:
             obs.observe_cache_evictions(self.name, 1)
             obs.observe_cache_occupancy(self.name, occupancy)
         if entry is None:
-            obs.observe_cache(self.name, hit=False)
+            if counted:
+                obs.observe_cache(self.name, hit=False)
             return None
-        obs.observe_cache(self.name, hit=True, seconds=obs.now() - start)
+        if counted:
+            obs.observe_cache(self.name, hit=True, seconds=obs.now() - start)
         return entry[1]
 
     def store(self, key: CacheKey, result: SearchResult) -> None:

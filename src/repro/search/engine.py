@@ -1020,6 +1020,31 @@ class QueryEngine:
         with self._generation_lock:
             self.generation += 1
 
+    def lookup(
+        self, queries: np.ndarray, plan: QueryPlan
+    ) -> tuple[list[CacheKey], list[SearchResult | None]] | None:
+        """Look ``queries`` up in the :attr:`cache` without computing.
+
+        Each row's key is the engine token, generation, the plan's stage
+        list, the fusion partner's identity and the query fingerprint.
+        Returns the keys and the stored results (``None`` where a row
+        misses), in row order, or ``None`` when no cache is attached or
+        the plan is not cacheable.  :meth:`run_cached` keys through this
+        method, so an admission lookup and the batch that follows it
+        agree on every key.
+        """
+        cache = self.cache if QueryResultCache.cacheable(plan) else None
+        if cache is None:
+            return None
+        _, partner = self._resolve_stages(plan)
+        partner_identity = (
+            partner.fusion_identity() if partner is not None else ()
+        )
+        keys = cache.keys_for(
+            self._cache_token, self.generation, plan, queries, partner_identity
+        )
+        return keys, [cache.lookup(key) for key in keys]
+
     def run_cached(
         self,
         queries: np.ndarray,
@@ -1029,27 +1054,18 @@ class QueryEngine:
         """Answer ``queries`` from the :attr:`cache`, computing the misses.
 
         The one cache path every entry point runs.  With a cache
-        attached and a cacheable plan, each row's key (engine token,
-        generation, the plan's stage list, the fusion partner's
-        identity, the query fingerprint) is looked up; rows that miss
-        and share a key collapse onto one row, ``compute`` runs once on
-        the distinct misses (not at all when every row hits), and their
-        results are stored.  Otherwise ``compute`` runs on every row.
-        ``compute`` takes a ``(m, dim)`` query block and returns its
-        ``m`` results in row order; the returned list aligns with
-        ``queries``.
+        attached and a cacheable plan, each row is looked up
+        (:meth:`lookup`); rows that miss and share a key collapse onto
+        one row, ``compute`` runs once on the distinct misses (not at
+        all when every row hits), and their results are stored.
+        Otherwise ``compute`` runs on every row.  ``compute`` takes a
+        ``(m, dim)`` query block and returns its ``m`` results in row
+        order; the returned list aligns with ``queries``.
         """
-        cache = self.cache if QueryResultCache.cacheable(plan) else None
-        if cache is None:
+        found = self.lookup(queries, plan)
+        if found is None:
             return compute(queries)
-        _, partner = self._resolve_stages(plan)
-        partner_identity = (
-            partner.fusion_identity() if partner is not None else ()
-        )
-        keys = cache.keys_for(
-            self._cache_token, self.generation, plan, queries, partner_identity
-        )
-        hits = [cache.lookup(key) for key in keys]
+        keys, hits = found
         # First row of each distinct missed key, in row order.
         missed: dict[CacheKey, int] = {}
         for row, hit in enumerate(hits):
@@ -1060,6 +1076,7 @@ class QueryEngine:
         rows = list(missed.values())
         block = queries if len(rows) == len(queries) else queries[rows]
         computed = dict(zip(missed, compute(block), strict=True))
+        cache = cast(QueryResultCache, self.cache)
         for key, result in computed.items():
             cache.store(key, result)
         return [

@@ -471,6 +471,27 @@ class HashIndex:
             queries, plan, lambda block: self._execute_batch(block, plan)
         )
 
+    def cached_result(
+        self, query: np.ndarray, plan: QueryPlan
+    ) -> SearchResult | None:
+        """The stored result for ``query`` under ``plan``, computing nothing.
+
+        Validates ``query`` against this index's dimension (a malformed
+        query raises ``ValueError``) and looks it up under the key
+        :meth:`search` and :meth:`search_batch` would use for ``plan``'s
+        budgets and stages (:meth:`QueryEngine.lookup`).  Returns
+        ``None`` on a miss, without a cache, and for time-budgeted
+        plans, which are never cached.  The serving front door calls
+        this at admission to answer repeats without queueing them.
+        """
+        query = validate_query(query, self._dim)
+        plan = self.plan(
+            plan.k, plan.n_candidates, plan.max_buckets, plan.time_budget,
+            plan.rerank, plan.fusion,
+        )
+        found = self._engine.lookup(query[np.newaxis], plan)
+        return None if found is None else found[1][0]
+
     def _execute_batch(
         self, queries: np.ndarray, plan: QueryPlan
     ) -> list[SearchResult]:

@@ -15,6 +15,7 @@ pinned deterministically.
 
 The request lifecycle::
 
+    serve_cached(now) ──▶ ServedResponse(status="served")   (cache hit)
     admit(now) ──rejected──▶ ServedResponse(status="rejected", reason=…)
        │accepted
        ▼
@@ -264,6 +265,8 @@ class FrontDoorCore:
     :meth:`poll` whenever the clock advances (it expires overdue
     tickets and proposes at most one :class:`Batch` to execute), and
     :meth:`complete` / :meth:`fail` when the caller has run the batch.
+    A caller that finds an arriving request's answer in the result
+    cache resolves it with :meth:`serve_cached` instead of admitting it.
     Every path that resolves a request emits the matching
     ``repro_serving_*`` telemetry and tallies :attr:`stats`, which the
     SLO report reads without requiring telemetry to be enabled.
@@ -280,6 +283,7 @@ class FrontDoorCore:
             "offered": {name: 0 for name in self._lanes},
             "admitted": {name: 0 for name in self._lanes},
             "served": {name: 0 for name in self._lanes},
+            "cache_hits": {name: 0 for name in self._lanes},
             "degraded": {name: 0 for name in self._lanes},
             "rejected": {
                 name: dict.fromkeys(REJECT_REASONS, 0)
@@ -308,6 +312,39 @@ class FrontDoorCore:
                     delay, now - state.queue[0].enqueue_time
                 )
         return delay
+
+    def serve_cached(
+        self,
+        lane: str,
+        plan: QueryPlan,
+        result: SearchResult,
+        now: float,
+    ) -> ServedResponse:
+        """Answer an arriving request from the result cache, unqueued.
+
+        The caller found ``result`` stored under the request's own plan,
+        so the answer is full fidelity whatever the degrade level: it
+        resolves ``served`` with no queue wait.  It needs no worker, so
+        it is served even while the lane is full or admissions are
+        shed.  Like every arrival it feeds the overload controller the
+        live backlog delay, and it counts as offered, served and a
+        cache hit.
+        """
+        self._seq += 1
+        self.stats["offered"][lane] += 1  # unknown lane: caller bug, raise
+        self.stats["served"][lane] += 1
+        self.stats["cache_hits"][lane] += 1
+        obs.observe_serving_request(lane)
+        self.controller.observe(self._backlog_delay(now), now)
+        obs.observe_serving_cache_hit(lane)
+        obs.observe_serving_served(lane, 0.0, False)
+        return ServedResponse(
+            status=STATUS_SERVED,
+            lane=lane,
+            seq=self._seq,
+            result=result,
+            effective_plan=plan,
+        )
 
     def admit(
         self,

@@ -17,6 +17,13 @@ the core and executes its batches, and the *blocking* engine calls run
 on a thread-pool executor so the event loop never stalls (reprolint
 RL015 enforces that no blocking search runs inside an ``async def``
 here).
+
+An index with a ``cached_result(query, plan)`` lookup
+(:meth:`~repro.search.HashIndex.cached_result`) is asked at
+submission: a request whose answer the result cache already holds is
+served at once (:meth:`FrontDoorCore.serve_cached`) instead of waiting
+out its lane's coalesce window, and a query the lookup rejects never
+joins a batch.
 """
 
 from __future__ import annotations
@@ -79,7 +86,9 @@ class AsyncFrontDoor:
     ----------
     index:
         Any engine-backed index exposing ``search`` /
-        ``search_batch`` (e.g. :class:`~repro.search.HashIndex`).
+        ``search_batch`` (e.g. :class:`~repro.search.HashIndex`).  If
+        it also has ``cached_result``, requests are looked up in its
+        result cache when submitted.
     config:
         The declared serving policy; defaults to
         :func:`~repro.serving.config.default_config`.
@@ -101,9 +110,9 @@ class AsyncFrontDoor:
         self.index = index
         self.config = config or default_config()
         self.core = FrontDoorCore(self.config)
-        self._executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-serving"
-        )
+        self._max_workers = max_workers
+        self._lookup = getattr(index, "cached_result", None)
+        self._executor: ThreadPoolExecutor | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._drainer: asyncio.Task[None] | None = None
         self._wake = asyncio.Event()
@@ -111,11 +120,19 @@ class AsyncFrontDoor:
         self._inflight: set[asyncio.Task[None]] = set()
 
     async def start(self) -> None:
-        """Bind to the running loop and start the drain task."""
+        """Bind to the running loop and start the drain task.
+
+        A closed door may be started again; each start gets a fresh
+        executor, since :meth:`close` shuts the previous one down.
+        """
         if self._drainer is not None:
             raise RuntimeError("front door already started")
         self._loop = asyncio.get_running_loop()
         self._closing = False
+        self._wake = asyncio.Event()
+        self._executor = ThreadPoolExecutor(
+            max_workers=self._max_workers, thread_name_prefix="repro-serving"
+        )
         self._drainer = self._loop.create_task(self._drain())
 
     async def close(self) -> None:
@@ -129,7 +146,9 @@ class AsyncFrontDoor:
         assert self._loop is not None
         for _, response in self.core.shutdown(self._loop.time()):
             self._resolve(response)
+        assert self._executor is not None
         self._executor.shutdown(wait=True)
+        self._executor = None
 
     async def __aenter__(self) -> AsyncFrontDoor:
         await self.start()
@@ -150,14 +169,19 @@ class AsyncFrontDoor:
 
         Overload and malformed queries resolve as ``rejected``
         responses, never exceptions — the caller always gets a
-        :class:`~repro.serving.core.ServedResponse` to inspect.
+        :class:`~repro.serving.core.ServedResponse` to inspect.  With
+        a lookup-capable index, a request the result cache can answer
+        resolves ``served`` without queueing.
         """
         if self._loop is None or self._drainer is None or self._closing:
             raise RuntimeError("front door is not running; call start()")
         try:
             query = validate_query(query)
+            hit = self._lookup(query, plan) if self._lookup else None
         except ValueError as error:
             return self.core.reject_invalid(lane, str(error))
+        if hit is not None:
+            return self.core.serve_cached(lane, plan, hit, self._loop.time())
         future: asyncio.Future[ServedResponse] = self._loop.create_future()
         ticket, rejection = self.core.admit(
             lane, query, plan, self._loop.time(),
@@ -205,7 +229,7 @@ class AsyncFrontDoor:
         assert self._loop is not None
         try:
             results = await self._loop.run_in_executor(
-                self._executor, execute_batch, self.index, batch
+                self._executor, self._execute, batch
             )
             resolved = self.core.complete(
                 batch, results, self._loop.time()
@@ -216,6 +240,19 @@ class AsyncFrontDoor:
             )
         for _, response in resolved:
             self._resolve(response)
+
+    def _execute(self, batch: Batch) -> list[SearchResult]:
+        """Run ``batch`` on an executor thread, counting no lookup twice.
+
+        Every cacheable ticket was looked up, and counted, when it was
+        submitted; the batch's own lookups only re-check for answers
+        stored since.
+        """
+        cache = getattr(self.index, "cache", None)
+        if self._lookup is None or cache is None:
+            return execute_batch(self.index, batch)
+        with cache.rechecking():
+            return execute_batch(self.index, batch)
 
     def _batch_done(self, task: asyncio.Task[None]) -> None:
         self._inflight.discard(task)

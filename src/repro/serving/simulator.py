@@ -26,6 +26,14 @@ immediately (:meth:`FrontDoorCore.drop_infeasible`), so every completed
 request meets its deadline *by construction* — the acceptance
 invariant "accepted-and-completed latencies respect deadlines" is a
 property of the scheduler, not luck.
+
+The simulator does not model the asyncio front door's admission cache
+hits (:meth:`FrontDoorCore.serve_cached`): it offers every arrival to
+:meth:`FrontDoorCore.admit` and never calls the index's
+``cached_result``.  An index with a result cache still answers repeats
+from it inside ``search_batch``, but the cost model charges them full
+service time, and :func:`measure_serial_cost` refuses such an index.
+Simulated latencies are therefore those of a door without a cache.
 """
 
 from __future__ import annotations
@@ -143,7 +151,8 @@ class ServingSimulator:
     ----------
     index:
         The engine-backed index batches execute against (results are
-        real; only their timing is simulated).
+        real; only their timing is simulated).  Its result cache, if
+        any, is not consulted at admission (see the module docstring).
     config:
         The front door policy under test; defaults to
         :func:`~repro.serving.config.default_config`.

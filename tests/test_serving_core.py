@@ -9,6 +9,7 @@ traffic simulator execute are pinned deterministically.
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.search.engine import QueryPlan
 from repro.search.results import SearchResult
 from repro.serving import (
@@ -424,6 +425,79 @@ class TestSheddingPath:
             now += 0.05
         assert admitted
         assert not core.controller.shedding
+
+
+class TestServeCached:
+    """Cache hits answered at admission: served, whatever the backlog."""
+
+    RESULT = SearchResult(ids=np.arange(3, dtype=np.int64),
+                          distances=np.zeros(3))
+
+    def test_hit_served_undegraded_without_queueing(self):
+        core = TestDegradedDispatch().degraded_core()
+        depth = core.depth("interactive")
+        response = core.serve_cached("interactive", PLAN, self.RESULT,
+                                     now=1.0)
+        assert response.status == STATUS_SERVED
+        assert response.result is self.RESULT
+        assert response.degrade_level == 0 and response.coverage == 1.0
+        assert response.queue_seconds == 0.0
+        assert response.effective_plan == PLAN
+        assert core.depth("interactive") == depth
+        assert core.stats["cache_hits"]["interactive"] == 1
+        assert core.stats["served"]["interactive"] == 1
+        assert core.stats["admitted"]["interactive"] == 2
+
+    def test_hit_feeds_the_controller_the_backlog_delay(self):
+        config = two_lane_config(overload=OverloadConfig(
+            degrade_delay_seconds=0.01, shed_delay_seconds=10.0,
+            recover_ratio=0.5, ewma_alpha=1.0, max_level=2,
+            dwell_seconds=0.0,
+        ))
+        core = FrontDoorCore(config)
+        core.admit("interactive", QUERY, PLAN, now=0.0,
+                   deadline_seconds=10.0)
+        core.serve_cached("interactive", PLAN, self.RESULT, now=1.0)
+        assert core.controller.ewma == pytest.approx(1.0)
+        assert core.controller.degrade_level == 1
+
+    def test_hit_served_while_shedding(self):
+        core = TestSheddingPath().shed_engaged_core()
+        response = core.serve_cached("interactive", PLAN, self.RESULT,
+                                     now=1.021)
+        assert core.controller.shedding
+        assert response.status == STATUS_SERVED
+        ticket, rejection = core.admit("interactive", QUERY, PLAN,
+                                       now=1.022)
+        assert ticket is None and rejection.reason == REASON_SHED
+        stats = core.stats
+        assert stats["cache_hits"]["interactive"] == 1
+        assert stats["served"]["interactive"] == 1
+        assert stats["offered"]["interactive"] == 5
+        assert stats["rejected"]["interactive"][REASON_SHED] == 2
+
+    def test_hit_served_while_the_lane_is_full(self):
+        core = FrontDoorCore(two_lane_config())
+        for _ in range(4):
+            core.admit("interactive", QUERY, PLAN, now=0.0)
+        _, rejection = core.admit("interactive", QUERY, PLAN, now=0.0)
+        assert rejection.reason == REASON_QUEUE_FULL
+        response = core.serve_cached("interactive", PLAN, self.RESULT,
+                                     now=0.0)
+        assert response.status == STATUS_SERVED
+        assert core.depth("interactive") == 4
+        assert core.stats["cache_hits"]["interactive"] == 1
+        assert core.stats["offered"]["interactive"] == 6
+
+    def test_hit_counted_in_telemetry(self):
+        with obs.telemetry_session() as state:
+            core = FrontDoorCore(two_lane_config())
+            core.serve_cached("batch", PLAN, self.RESULT, now=0.0)
+            registry = state.registry
+            hits = registry.get("repro_serving_cache_hits_total")
+            served = registry.get("repro_serving_served_total")
+            assert hits.labels(lane="batch").value == 1
+            assert served.labels(lane="batch").value == 1
 
 
 class TestDegradedDispatch:

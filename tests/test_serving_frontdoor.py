@@ -14,7 +14,7 @@ import pytest
 from repro.core.gqr import GQR
 from repro.data import gaussian_mixture, sample_queries
 from repro.hashing import ITQ
-from repro.search import HashIndex
+from repro.search import HashIndex, QueryResultCache, RerankSpec
 from repro.serving import (
     REASON_EXECUTION_ERROR,
     REASON_INVALID_QUERY,
@@ -226,6 +226,192 @@ class TestFailureAndShutdown:
 
         run(scenario())
 
+    def test_restarted_door_serves_a_request(self, index, queries):
+        plan = index.plan(k=5, n_candidates=100)
+
+        async def restart_on_one_loop():
+            door = AsyncFrontDoor(index)
+            await door.start()
+            await door.close()
+            await door.start()
+            try:
+                return door, await door.submit(queries[0], plan)
+            finally:
+                await door.close()
+
+        async def serve(door):
+            async with door:
+                return await door.submit(queries[1], plan)
+
+        door, response = run(restart_on_one_loop())
+        assert response.status == STATUS_SERVED
+        # A door closed on one event loop also restarts on another.
+        again = run(serve(door))
+        assert again.status == STATUS_SERVED
+        want = index.search(queries[1], 5, n_candidates=100)
+        assert np.array_equal(again.result.ids, want.ids)
+
     def test_max_workers_validated(self, index):
         with pytest.raises(ValueError, match="max_workers"):
             AsyncFrontDoor(index, max_workers=0)
+
+
+class TestAdmissionLookup:
+    """Requests the result cache can answer are served at submission."""
+
+    @pytest.fixture
+    def cached(self, data):
+        return HashIndex(
+            ITQ(code_length=8, seed=0), data, prober=GQR(),
+            cache=QueryResultCache(),
+        )
+
+    def test_repeat_is_answered_at_admission(self, cached, queries):
+        plan = cached.plan(k=5, n_candidates=100)
+
+        async def scenario():
+            async with AsyncFrontDoor(cached) as door:
+                first = await door.submit(queries[0], plan)
+                again = await door.submit(queries[0], plan)
+                return first, again, door.core.stats
+
+        first, again, stats = run(scenario())
+        assert first.status == again.status == STATUS_SERVED
+        assert again.result is first.result
+        assert again.queue_seconds == 0.0 and again.degrade_level == 0
+        assert again.payload is None
+        assert stats["cache_hits"]["interactive"] == 1
+        assert stats["served"]["interactive"] == 2
+        assert stats["batches"] == 1
+
+    def test_wrong_dimension_query_never_joins_a_batch(self, index, queries):
+        # Regression: the 8-dim query used to be admitted and coalesced
+        # with its 16-dim batch-mates, failing all three with
+        # execution_error when the batch could not be stacked.
+        plan = index.plan(k=5, n_candidates=100)
+
+        async def scenario():
+            async with AsyncFrontDoor(index) as door:
+                return await asyncio.gather(
+                    door.submit(queries[0], plan),
+                    door.submit(np.zeros(8), plan),
+                    door.submit(queries[1], plan),
+                )
+
+        first, bad, second = run(scenario())
+        assert bad.reason == REASON_INVALID_QUERY
+        assert "dimension 16" in bad.detail
+        want = index.search_batch(queries[:2], 5, 100)
+        for response, expected in zip((first, second), want):
+            assert response.status == STATUS_SERVED
+            assert np.array_equal(response.result.ids, expected.ids)
+
+    def test_unavailable_rerank_mode_rejected_at_submission(
+        self, cached, queries
+    ):
+        # Keying a plan resolves its stages, so with a cache attached a
+        # rerank mode the index lacks fails the lookup, not a batch.
+        plan = cached.plan(k=5, n_candidates=100,
+                           rerank=RerankSpec(mode="adc"))
+
+        async def scenario():
+            async with AsyncFrontDoor(cached) as door:
+                return await door.submit(queries[0], plan), door.core.stats
+
+        response, stats = run(scenario())
+        assert response.reason == REASON_INVALID_QUERY
+        assert "no 'adc' reranker" in response.detail
+        assert stats["admitted"]["interactive"] == 0
+
+    def test_each_request_is_counted_once(self, cached, queries):
+        # Repeats arrive in the same batch, in later batches and after
+        # their answer is stored; bucket-budgeted plans run one ticket
+        # per batch through `search`.
+        coalesced = cached.plan(k=5, n_candidates=100)
+        bucketed = cached.plan(k=5, max_buckets=6)
+        picks = [0, 1, 0, 2, 1, 0, 3, 0]
+
+        async def scenario():
+            async with AsyncFrontDoor(cached) as door:
+                for plan in (coalesced, bucketed, coalesced):
+                    await asyncio.gather(*[
+                        door.submit(queries[i], plan) for i in picks
+                    ])
+                    await door.submit(queries[4], plan)
+                return door.core.stats
+
+        stats = run(scenario())
+        requests = 3 * (len(picks) + 1)
+        assert stats["served"]["interactive"] == requests
+        cache = cached.cache.stats
+        assert cache["hits"] + cache["misses"] == requests
+        assert cache["hits"] == stats["cache_hits"]["interactive"]
+        # Only misses are computed: at most one stored entry each.
+        assert cache["occupancy"] <= cache["misses"]
+
+    def test_time_budgeted_plan_is_never_looked_up(self, cached, queries):
+        plan = cached.plan(k=5, n_candidates=100, time_budget=10.0)
+
+        async def scenario():
+            async with AsyncFrontDoor(cached) as door:
+                for _ in range(2):
+                    await door.submit(queries[0], plan)
+                return door.core.stats
+
+        stats = run(scenario())
+        assert stats["batches"] == 2
+        assert stats["cache_hits"]["interactive"] == 0
+        cache = cached.cache.stats
+        assert cache["hits"] == cache["misses"] == cache["occupancy"] == 0
+
+    def test_target_without_lookup_keeps_the_queued_path(
+        self, cached, queries
+    ):
+        class Forwarder:
+            """Only `search` / `search_batch`, forwarded to the index."""
+
+            def search_batch(self, *args, **kwargs):
+                return cached.search_batch(*args, **kwargs)
+
+            def search(self, *args, **kwargs):
+                return cached.search(*args, **kwargs)
+
+        plan = cached.plan(k=5, n_candidates=100)
+
+        async def scenario():
+            async with AsyncFrontDoor(Forwarder()) as door:
+                first = await door.submit(queries[0], plan)
+                again = await door.submit(queries[0], plan)
+                return first, again, door.core.stats
+
+        first, again, stats = run(scenario())
+        assert again.result is first.result  # answered by search_batch
+        assert stats["batches"] == 2
+        assert stats["cache_hits"]["interactive"] == 0
+        cache = cached.cache.stats
+        assert (cache["hits"], cache["misses"]) == (1, 1)
+
+    def test_hit_served_while_the_lane_is_full(self, cached, queries):
+        config = FrontDoorConfig(lanes=(
+            LaneConfig(name="interactive", max_depth=1,
+                       deadline_seconds=1e6, coalesce_seconds=1e5),
+        ))
+        plan = cached.plan(k=5, n_candidates=100)
+        [stored] = cached.search_batch(queries[:1], 5, 100)
+
+        async def scenario():
+            async with AsyncFrontDoor(cached, config) as door:
+                queued = asyncio.ensure_future(
+                    door.submit(queries[1], plan)
+                )
+                await asyncio.sleep(0.01)  # let it take the only slot
+                full = await door.submit(queries[2], plan)
+                hit = await door.submit(queries[0], plan)
+                stats = door.core.stats
+            return queued, full, hit, stats
+
+        queued, full, hit, stats = run(scenario())
+        assert queued.result().reason == REASON_SHUTDOWN
+        assert full.reason == REASON_QUEUE_FULL
+        assert hit.status == STATUS_SERVED and hit.result is stored
+        assert stats["cache_hits"]["interactive"] == 1

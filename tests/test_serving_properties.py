@@ -19,7 +19,10 @@ checked on randomly drawn offered loads in deterministic virtual time:
 A fourth property pins the result cache under the degrade ladder: at
 every level, a cached index answers a coalesced batch bit-identically
 to its uncached twin, on the miss and on the repeat hit, and a hit
-stored under one level is never returned for another.
+stored under one level is never returned for another.  An admission
+hit (``HashIndex.cached_result`` then ``FrontDoorCore.serve_cached``)
+returns the requested plan's stored result at every level, served
+undegraded.
 """
 
 import numpy as np
@@ -31,7 +34,13 @@ from repro.data import gaussian_mixture, sample_queries
 from repro.data.workloads import TrafficTrace, zipfian_stream
 from repro.hashing import ITQ
 from repro.search import HashIndex, QueryResultCache, RerankSpec
-from repro.serving import ServingSimulator, default_config, execute_batch
+from repro.serving import (
+    STATUS_SERVED,
+    FrontDoorCore,
+    ServingSimulator,
+    default_config,
+    execute_batch,
+)
 from repro.serving.core import Batch, Ticket
 
 DURATION = 0.5
@@ -163,6 +172,23 @@ def batch_at(level: int, query_ids: list[int], plan) -> Batch:
     )
 
 
+def core_at(level: int) -> FrontDoorCore:
+    """A default-config core whose overload controller sits at ``level``.
+
+    Feeds the controller a queue delay half again above the level's
+    entry threshold, which is below the next level's, until it climbs
+    there.
+    """
+    core = FrontDoorCore(default_config())
+    overload = core.config.overload
+    now = 0.0
+    while core.controller.severity < level:
+        now += overload.dwell_seconds
+        core.controller.observe(1.5 * overload.entry_threshold(level), now)
+    assert core.controller.degrade_level == level
+    return core
+
+
 class TestDegradedCacheProperty:
     @given(
         query_ids=st.lists(
@@ -206,3 +232,49 @@ class TestDegradedCacheProperty:
         for level, ids in enumerate(served):
             for other in served[level + 1:]:
                 assert not ids & other
+
+    @given(
+        query_ids=st.lists(
+            st.integers(min_value=0, max_value=len(_QUERIES) - 1),
+            min_size=1,
+            max_size=12,
+        ),
+        budget=st.integers(min_value=64, max_value=256),
+        rerank=st.booleans(),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_admission_hit_is_the_requested_plans_result(
+        self, query_ids, budget, rerank
+    ):
+        cached = HashIndex(
+            ITQ(code_length=8, seed=0), _DATA, prober=GQR(),
+            cache=QueryResultCache(),
+        )
+        plan = cached.plan(
+            k=5,
+            n_candidates=budget,
+            rerank=RerankSpec(pool=20) if rerank else None,
+        )
+        want = execute_batch(_INDEX, batch_at(0, query_ids, plan))
+        stored = execute_batch(cached, batch_at(0, query_ids, plan))
+        for level in range(default_config().overload.max_level + 1):
+            # The degraded batch stores its own plan's results beside
+            # the requested plan's; the admission hit must not see them.
+            degraded = execute_batch(cached, batch_at(level, query_ids, plan))
+            core = core_at(level)
+            for qid, kept, expected, other in zip(
+                query_ids, stored, want, degraded, strict=True
+            ):
+                hit = cached.cached_result(_QUERIES[qid], plan)
+                assert hit is kept
+                assert level == 0 or hit is not other
+                assert np.array_equal(hit.ids, expected.ids)
+                assert np.array_equal(hit.distances, expected.distances)
+                response = core.serve_cached(
+                    "interactive", plan, hit, now=0.0
+                )
+                assert response.status == STATUS_SERVED
+                assert response.degrade_level == 0
+                assert response.queue_seconds == 0.0
+                assert response.result is kept
+            assert core.stats["cache_hits"]["interactive"] == len(query_ids)
