@@ -16,7 +16,7 @@ Commands
     Prometheus exposition text.
 ``eval``
     Score the stage pipeline's variants — candidate-only, exact
-    rerank, ADC rerank, fused — against exact ground truth and print
+    rerank, ADC rerank — against exact ground truth and print
     an MRR@k / Recall@k / NDCG@k table at a matched candidate budget.
 ``serve-sim``
     Drive the async serving front door's decision core through a
@@ -202,7 +202,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     from repro.data import gaussian_mixture, sample_queries
     from repro.eval.ir_report import format_ir_report, ir_report
     from repro.quantization.pq import ProductQuantizer
-    from repro.search.stages import FusionSpec, RerankSpec
+    from repro.search.stages import RerankSpec
 
     k = args.k
     data = gaussian_mixture(args.items, 32, n_clusters=40,
@@ -217,16 +217,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         evaluation="code",
         rerank_quantizer=ProductQuantizer(n_subspaces=8, seed=0),
     )
-    # Fusion partner: an independent view of the same corpus (different
-    # hash seed, exact evaluation).
-    partner = HashIndex(ITQ(code_length=12, seed=7), data, prober=GQR())
-    index.fuse_with(partner)
 
     pipelines: dict[str, list[np.ndarray]] = {
         "candidate-only": [],
         "rerank-exact": [],
         "rerank-adc": [],
-        "fused": [],
     }
     for query in queries:
         budget = args.budget
@@ -241,14 +236,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             index.search(query, k=k, n_candidates=budget,
                          rerank=RerankSpec(mode="adc")).ids
         )
-        pipelines["fused"].append(
-            index.search(query, k=k, n_candidates=budget,
-                         rerank=RerankSpec(mode="exact"),
-                         fusion=FusionSpec(weight=args.fusion_weight)).ids
-        )
     print(f"pipeline eval: {args.items} items, {len(queries)} queries, "
-          f"k={k}, budget={args.budget}, "
-          f"fusion weight={args.fusion_weight}")
+          f"k={k}, budget={args.budget}")
     print(format_ir_report(ir_report(pipelines, truth, k=k)))
     return 0
 
@@ -345,8 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     eval_cmd = commands.add_parser(
         "eval",
-        help="IR-metric table for candidate-only vs reranked vs fused "
-             "pipelines",
+        help="IR-metric table for candidate-only vs reranked pipelines",
     )
     eval_cmd.add_argument("--items", type=int, default=8000,
                           help="synthetic corpus size")
@@ -354,8 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     eval_cmd.add_argument("--k", type=int, default=10)
     eval_cmd.add_argument("--budget", type=int, default=400,
                           help="candidate budget per query")
-    eval_cmd.add_argument("--fusion-weight", type=float, default=0.5,
-                          help="primary engine's weight in [0, 1]")
     eval_cmd.add_argument("--seed", type=int, default=0)
 
     serve = commands.add_parser(

@@ -1,12 +1,11 @@
-"""IR-metric comparison of query pipelines (candidate-only vs rerank/fuse).
+"""IR-metric comparison of query pipelines (candidate-only vs rerank).
 
 The stage pipeline makes "same retrieval, different post-processing"
-a first-class experiment: the same candidate pool can be returned as-is,
-reranked by exact or ADC distances, or fused with a second engine's
-scores.  Plain recall cannot separate those variants when they return
-the same *set* of ids, so this report scores the ordered lists with the
-rank-aware metrics (MRR@k, Recall@k, NDCG@k from
-:mod:`repro.eval.metrics`) and renders them side by side.
+a first-class experiment: the same candidate pool can be returned as-is
+or reranked by exact or ADC distances.  Plain recall cannot separate
+those variants when they return the same *set* of ids, so this report
+scores the ordered lists with the rank-aware metrics (MRR@k, Recall@k,
+NDCG@k from :mod:`repro.eval.metrics`) and renders them side by side.
 
 Usage::
 

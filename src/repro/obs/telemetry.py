@@ -43,8 +43,8 @@ metric                                    kind       labels
 ``index`` is the engine's name ("hash", "mih", "imi", "compact",
 "dynamic", "stream").  ``stage`` is a first-class label over
 the engine's pipeline stages: ``retrieval`` / ``evaluation`` /
-``total`` always, plus ``rerank`` and ``fuse`` for queries whose plan
-ran those stages.  The cache series are fed by
+``total`` always, plus ``rerank`` for queries whose plan ran that
+stage.  The cache series are fed by
 :class:`~repro.search.cache.QueryResultCache`; ``cache`` is the cache's
 name ("hash", …).
 
@@ -143,7 +143,6 @@ class _IndexInstruments:
         "observe_buckets",
         "inc_early_stops",
         "observe_rerank",
-        "observe_fuse",
     )
 
     def __init__(
@@ -156,7 +155,6 @@ class _IndexInstruments:
         buckets: HistogramChild,
         early_stops: CounterChild,
         rerank: HistogramChild,
-        fuse: HistogramChild,
     ) -> None:
         self.inc_queries = queries.inc
         self.observe_retrieval = retrieval.observe
@@ -166,7 +164,6 @@ class _IndexInstruments:
         self.observe_buckets = buckets.observe
         self.inc_early_stops = early_stops.inc
         self.observe_rerank = rerank.observe
-        self.observe_fuse = fuse.observe
 
 
 class TelemetryState:
@@ -333,7 +330,6 @@ class TelemetryState:
                     rerank=self.stage_seconds.labels(
                         index=index, stage="rerank"
                     ),
-                    fuse=self.stage_seconds.labels(index=index, stage="fuse"),
                 )
                 self._per_index[index] = instruments
             return instruments
@@ -426,11 +422,8 @@ def observe_query(
     if ctx.early_stop_triggered:
         ins.inc_early_stops()
     stage_seconds = getattr(ctx, "stage_seconds", None)
-    if stage_seconds:
-        if "rerank" in stage_seconds:
-            ins.observe_rerank(stage_seconds["rerank"])
-        if "fuse" in stage_seconds:
-            ins.observe_fuse(stage_seconds["fuse"])
+    if stage_seconds and "rerank" in stage_seconds:
+        ins.observe_rerank(stage_seconds["rerank"])
     if sampled and state.sampler is not None:
         state.sampled_traces.inc()
         state.sampler.record(
@@ -456,11 +449,8 @@ def observe_batch(index: str, contexts: list) -> None:
         if ctx.early_stop_triggered:
             ins.inc_early_stops()
         stage_seconds = getattr(ctx, "stage_seconds", None)
-        if stage_seconds:
-            if "rerank" in stage_seconds:
-                ins.observe_rerank(stage_seconds["rerank"])
-            if "fuse" in stage_seconds:
-                ins.observe_fuse(stage_seconds["fuse"])
+        if stage_seconds and "rerank" in stage_seconds:
+            ins.observe_rerank(stage_seconds["rerank"])
 
 
 def observe_cache(

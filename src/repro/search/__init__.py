@@ -25,12 +25,7 @@ from repro.search.searcher import (
     MIHSearchIndex,
     evaluate_candidates,
 )
-from repro.search.stages import (
-    FusionSpec,
-    IndexFusionPartner,
-    RerankSpec,
-    linear_fusion,
-)
+from repro.search.stages import RerankSpec
 from repro.search.stream_index import StreamSearchIndex
 
 __all__ = [
@@ -40,10 +35,8 @@ __all__ = [
     "DynamicHashIndex",
     "ExactEvaluator",
     "ExecutionContext",
-    "FusionSpec",
     "HashIndex",
     "IMISearchIndex",
-    "IndexFusionPartner",
     "MIHSearchIndex",
     "QueryEngine",
     "QueryPlan",
@@ -53,7 +46,6 @@ __all__ = [
     "StreamSearchIndex",
     "cache_token",
     "evaluate_candidates",
-    "linear_fusion",
     "query_fingerprint",
     "top_k",
     "validate_query",

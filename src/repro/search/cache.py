@@ -13,8 +13,7 @@ keyed on
 * the plan's **full serialized stage list**
   (``QueryPlan.stage_list()``) — every stage the plan executes with
   every parameter that shapes its output, so two plans differing in
-  *any* stage (a rerank mode, a fusion weight) can never collide —
-  plus the fusion partner's identity tuple when one participates;
+  *any* stage (a rerank mode, a rerank pool) can never collide;
 * the **index identity and generation** — a process-unique token per
   engine plus a monotonically increasing generation number that mutable
   indexes bump on every ``add``/``remove``/append, so a stale hit is
@@ -64,14 +63,8 @@ __all__ = [
 ]
 
 #: Cache-key tuple: ``(engine token, generation, serialized stage
-#: list, fusion-partner identity, query fingerprint)``.
-CacheKey = tuple[
-    str,
-    int,
-    "tuple[tuple[object, ...], ...]",
-    "tuple[object, ...]",
-    bytes,
-]
+#: list, query fingerprint)``.
+CacheKey = tuple[str, int, "tuple[tuple[object, ...], ...]", bytes]
 
 _TOKENS = itertools.count()
 
@@ -195,18 +188,15 @@ class QueryResultCache:
         generation: int,
         plan: QueryPlan,
         query: np.ndarray,
-        partner_identity: tuple[object, ...] = (),
     ) -> CacheKey:
         """The full cache key for one ``(engine, generation, plan, query)``.
 
         The plan contributes its complete serialized stage list, so
-        every stage parameter — including rerank and fusion configs —
-        participates in the key.  ``partner_identity`` folds in the
-        fusion partner's engine token and generation for fusion plans;
-        a partner mutation then makes prior fused entries unreachable.
+        every stage parameter — including the rerank config —
+        participates in the key.
         """
         row = np.ascontiguousarray(query, dtype=np.float64)[np.newaxis]
-        [key] = self.keys_for(token, generation, plan, row, partner_identity)
+        [key] = self.keys_for(token, generation, plan, row)
         return key
 
     def keys_for(
@@ -215,18 +205,15 @@ class QueryResultCache:
         generation: int,
         plan: QueryPlan,
         queries: np.ndarray,
-        partner_identity: tuple[object, ...] = (),
     ) -> list[CacheKey]:
         """:meth:`key_for` of every row of ``queries``, in row order.
 
-        The stage list and partner identity are built once per batch
-        and the rows are fingerprinted together
-        (:func:`query_fingerprints`).
+        The stage list is built once per batch and the rows are
+        fingerprinted together (:func:`query_fingerprints`).
         """
         stages = plan.stage_list()
-        partner = tuple(partner_identity)
         return [
-            (token, generation, stages, partner, fingerprint)
+            (token, generation, stages, fingerprint)
             for fingerprint in query_fingerprints(queries, self.decimals)
         ]
 

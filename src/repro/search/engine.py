@@ -6,13 +6,13 @@ gathers candidate ids, evaluation re-ranks the candidates exactly.
 This module is that loop, extracted once so each index class is a thin
 adapter instead of a private re-implementation::
 
-    Retrieve → DedupBudget → Evaluate → [Rerank] → [Fuse] → Truncate
+    Retrieve → DedupBudget → Evaluate → [Rerank] → Truncate
 
 * :class:`QueryPlan` — what to do: ``k``, stopping criteria
   (candidate / bucket / time budgets), metric, multi-table strategy,
-  and the optional rerank/fusion stage specs.  ``stage_list()`` is the
-  plan's declarative serialisation — the stages it executes, in order,
-  with every stage's parameters — which is also what cache keys hash.
+  and the optional rerank spec.  ``stage_list()`` is the plan's
+  declarative serialisation — the stages it executes, in order, with
+  every stage's parameters — which is also what cache keys hash.
 * :class:`ExecutionContext` — what happened: buckets probed, candidates
   gathered, early-stop trigger, per-stage wall time
   (``stage_seconds``) and per-stage facts (``stage_stats``).  Attached
@@ -25,18 +25,17 @@ adapter instead of a private re-implementation::
   (:meth:`~QueryEngine.execute_batch_streams`,
   :meth:`~QueryEngine.execute_batch_ordered`).  All three gather a
   ragged candidate block — flat ids plus per-query counts — and hand it
-  to one private body that evaluates it, applies the rerank / fuse /
-  truncate stages (:mod:`repro.search.stages`), assembles the
-  ``SearchResult`` list and records telemetry; a single query is a
-  batch of one.  :meth:`~QueryEngine.execute_probed` picks between the
-  two batch paths: the ordered one when the prober can score the
-  table's buckets, the streams one otherwise.
+  to one private body that evaluates it, applies the optional rerank
+  and the cut to ``k``, assembles the ``SearchResult`` list and records
+  telemetry; a single query is a batch of one.
+  :meth:`~QueryEngine.execute_probed` picks between the two batch
+  paths: the ordered one when the prober can score the table's
+  buckets, the streams one otherwise.
   :meth:`~QueryEngine.run_cached` is the one result-cache path in front
   of them: ``execute``, ``HashIndex.search_batch`` and
   ``DynamicHashIndex.search`` run through it, so only cache misses are
-  executed.  Engines
-  resolve rerank modes from :attr:`QueryEngine.rerankers` and fusion
-  partners from :attr:`QueryEngine.fusion_partner`.
+  executed.  Engines resolve rerank modes from
+  :attr:`QueryEngine.rerankers`.
 
 Evaluators encapsulate scoring: exact distances over raw vectors
 (:class:`ExactEvaluator`), asymmetric distance over PQ codes
@@ -68,17 +67,7 @@ from repro.index.codes import (
 from repro.index.distance import METRICS, pairwise_distances
 from repro.search.cache import CacheKey, QueryResultCache, cache_token
 from repro.search.results import SearchResult
-from repro.search.stages import (
-    FuseStage,
-    FusionPartner,
-    FusionSpec,
-    PipelineState,
-    RerankSpec,
-    RerankStage,
-    Stage,
-    TruncateStage,
-    drain_stream,
-)
+from repro.search.stages import RerankSpec, drain_stream
 
 __all__ = [
     "ADCEvaluator",
@@ -169,13 +158,11 @@ class QueryPlan:
     stopping criteria can also be used"; retrieval stops at whichever
     bound is hit first.
 
-    ``rerank`` and ``fusion`` switch on the optional pipeline stages:
-    a :class:`~repro.search.stages.RerankSpec` re-scores the
-    evaluation stage's surviving pool with a second scorer the engine
-    resolves by mode, and a :class:`~repro.search.stages.FusionSpec`
-    linearly fuses the ranked list with the engine's attached fusion
-    partner.  A plan is pure data — the same plan runs against any
-    engine that can resolve its stages.
+    ``rerank`` switches on the optional rerank stage: a
+    :class:`~repro.search.stages.RerankSpec` re-scores the evaluation
+    stage's surviving pool with a second scorer the engine resolves by
+    mode.  A plan is pure data — the same plan runs against any engine
+    that can resolve its rerank mode.
     """
 
     k: int
@@ -185,7 +172,6 @@ class QueryPlan:
     metric: str = "euclidean"
     multi_table_strategy: str = "round_robin"
     rerank: RerankSpec | None = None
-    fusion: FusionSpec | None = None
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -224,25 +210,16 @@ class QueryPlan:
             raise TypeError(
                 f"rerank must be a RerankSpec, got {type(self.rerank).__name__}"
             )
-        if self.fusion is not None and not isinstance(
-            self.fusion, FusionSpec
-        ):
-            raise TypeError(
-                f"fusion must be a FusionSpec, got {type(self.fusion).__name__}"
-            )
 
     def evaluate_keep(self) -> int | None:
         """How many ranked survivors the evaluation stage keeps.
 
         ``k`` when evaluation is the last scoring stage (the classic
         path); the rerank pool when a rerank follows (``None`` = keep
-        the whole scored candidate set); the fusion pool when only a
-        fusion follows.
+        the whole scored candidate set).
         """
         if self.rerank is not None:
             return self.rerank.pool
-        if self.fusion is not None:
-            return self.fusion.pool if self.fusion.pool is not None else self.k
         return self.k
 
     def stage_list(self) -> tuple[tuple[object, ...], ...]:
@@ -266,8 +243,6 @@ class QueryPlan:
         ]
         if self.rerank is not None:
             stages.append(("rerank", self.rerank.mode, self.rerank.pool))
-        if self.fusion is not None:
-            stages.append(("fuse", self.fusion.weight, self.fusion.pool))
         stages.append(("truncate", self.k))
         return tuple(stages)
 
@@ -283,9 +258,9 @@ class QueryPlan:
         plans before it ever rejects; this method is the ladder.  Level
         ``0`` is the plan itself.  Each level halves the candidate and
         bucket budgets (never below ``max(floor, k)`` candidates or one
-        bucket), and from level ``2`` the optional rerank and fusion
-        stages are dropped entirely — the order mirrors the stages'
-        cost: budget first, extra scoring passes second.
+        bucket), and from level ``2`` the optional rerank stage is
+        dropped entirely — the order mirrors the stages' cost: budget
+        first, the extra scoring pass second.
 
         The result is an ordinary :class:`QueryPlan`: running it
         directly is bit-identical to being degraded to it, which is the
@@ -311,7 +286,6 @@ class QueryPlan:
             max_buckets=max_buckets,
             time_budget=time_budget,
             rerank=None if level >= 2 else self.rerank,
-            fusion=None if level >= 2 else self.fusion,
         )
 
     def budget_fraction(self, other: QueryPlan) -> float:
@@ -360,13 +334,12 @@ class ExecutionContext:
     stage_seconds:
         Wall time of each executed pipeline stage, keyed by stage name
         (``"retrieve"``, ``"dedup_budget"``, ``"evaluate"``,
-        ``"rerank"``, ``"fuse"``, ``"truncate"``).  A single query
-        records every stage; batch rows record only the per-row stages
-        (rerank, fuse and truncate, when the plan has a rerank or
-        fusion stage).
+        ``"rerank"``, ``"truncate"``).  A single query records every
+        stage; batch rows record only the per-row stages (rerank and
+        truncate, when the plan has a rerank stage).
     stage_stats:
-        Per-stage facts beyond timing (rerank mode and pool size,
-        fusion weight and list sizes), keyed by stage name.
+        Per-stage facts beyond timing (the rerank mode and pool size),
+        keyed by stage name.
     bucket_sizes:
         Per-probed-bucket candidate counts, recorded only when the
         trace sampler selected this query (``None`` otherwise); part of
@@ -922,16 +895,11 @@ class QueryEngine:
     scoring rule) while each call supplies the plan and the retrieval
     stream, so all indexes share a single instrumented control flow.
     Every entry point gathers a ragged candidate block and runs the
-    same private body over it (evaluate → rerank / fuse / truncate →
-    results → telemetry); optional stages resolve against engine-owned
-    registries:
-
-    * :attr:`rerankers` — rerank mode (``"exact"`` / ``"adc"``) →
-      :class:`Evaluator`; index front-ends populate it from what they
-      can score faithfully (raw vectors, fine PQ codes).
-    * :attr:`fusion_partner` — the
-      :class:`~repro.search.stages.FusionPartner` whose ranked lists
-      fusion plans combine with; attach via the index's ``fuse_with``.
+    same private body over it (evaluate → [rerank] → truncate →
+    results → telemetry).  A plan's rerank mode resolves against
+    :attr:`rerankers` — rerank mode (``"exact"`` / ``"adc"``) →
+    :class:`Evaluator` — which index front-ends populate from what they
+    can score faithfully (raw vectors, fine PQ codes).
 
     ``name`` labels this engine's series in the metrics registry
     (``repro_queries_total{index="hash"}``, …) when telemetry is on.
@@ -957,25 +925,13 @@ class QueryEngine:
         self.cache = cache
         self.generation = 0
         # Mutable indexes bump the generation from whatever thread runs
-        # the mutation — including front-door worker threads syncing a
-        # stream index mid-fusion — and `+=` is not atomic under the
-        # GIL.  Reads (cache keys) stay lock-free: a torn read just
-        # misses the cache.
+        # the mutation — including front-door worker threads, where a
+        # stream index syncs its pending appends inside a search — and
+        # `+=` is not atomic under the GIL.  Reads (cache keys) stay
+        # lock-free: a torn read just misses the cache.
         self._generation_lock = threading.Lock()
         self.rerankers: dict[str, Evaluator] = {}
-        self.fusion_partner: FusionPartner | None = None
         self._cache_token = cache_token(name)
-
-    def identity(self) -> tuple[object, ...]:
-        """This engine's cache-relevant identity: ``(token, generation)``.
-
-        The token is process-unique per engine instance and the
-        generation advances on every index mutation, so folding this
-        tuple into another engine's cache keys (fusion partners do)
-        makes those keys unreachable whenever this engine's answers
-        could have changed.
-        """
-        return (self._cache_token, self.generation)
 
     def reranker_for(self, spec: RerankSpec) -> Evaluator:
         """The evaluator registered for ``spec.mode``, or a clear error."""
@@ -987,27 +943,16 @@ class QueryEngine:
                 f"available modes: {sorted(self.rerankers)}"
             ) from None
 
-    def _resolve_stages(
-        self, plan: QueryPlan
-    ) -> tuple[Evaluator | None, FusionPartner | None]:
-        """Resolve the plan's optional stages against this engine.
+    def _resolve_reranker(self, plan: QueryPlan) -> Evaluator | None:
+        """The plan's reranker, ``None`` when the plan has no rerank.
 
         Called before any cache lookup so a plan naming an unavailable
-        rerank mode or fusing without a partner fails loudly up front
-        instead of deep inside execution (or worse, after a stale hit).
+        rerank mode fails loudly up front instead of deep inside
+        execution (or worse, after a stale hit).
         """
-        reranker = (
-            self.reranker_for(plan.rerank) if plan.rerank is not None else None
-        )
-        partner: FusionPartner | None = None
-        if plan.fusion is not None:
-            partner = self.fusion_partner
-            if partner is None:
-                raise ValueError(
-                    f"plan requests fusion but engine {self.name!r} has no "
-                    "fusion partner attached"
-                )
-        return reranker, partner
+        if plan.rerank is None:
+            return None
+        return self.reranker_for(plan.rerank)
 
     def bump_generation(self) -> None:
         """Invalidate every cached result produced by this engine.
@@ -1026,23 +971,18 @@ class QueryEngine:
         """Look ``queries`` up in the :attr:`cache` without computing.
 
         Each row's key is the engine token, generation, the plan's stage
-        list, the fusion partner's identity and the query fingerprint.
-        Returns the keys and the stored results (``None`` where a row
-        misses), in row order, or ``None`` when no cache is attached or
-        the plan is not cacheable.  :meth:`run_cached` keys through this
-        method, so an admission lookup and the batch that follows it
-        agree on every key.
+        list and the query fingerprint.  Returns the keys and the stored
+        results (``None`` where a row misses), in row order, or ``None``
+        when no cache is attached or the plan is not cacheable.
+        :meth:`run_cached` keys through this method, so an admission
+        lookup and the batch that follows it agree on every key.
         """
         cache = self.cache if QueryResultCache.cacheable(plan) else None
         if cache is None:
             return None
-        _, partner = self._resolve_stages(plan)
-        partner_identity = (
-            partner.fusion_identity() if partner is not None else ()
-        )
-        keys = cache.keys_for(
-            self._cache_token, self.generation, plan, queries, partner_identity
-        )
+        # An unavailable rerank mode raises here, before any hit is served.
+        self._resolve_reranker(plan)
+        keys = cache.keys_for(self._cache_token, self.generation, plan, queries)
         return keys, [cache.lookup(key) for key in keys]
 
     def run_cached(
@@ -1280,31 +1220,27 @@ class QueryEngine:
         and returns the ragged candidate block: flat ids plus per-query
         counts.  The body evaluates the block — the exact ragged kernel
         when it has more than one row, otherwise the evaluator once per
-        segment — then applies the plan's rerank / fuse / truncate
-        stages per row, assembles the results and records telemetry.
+        segment — then, per row, re-scores the whole surviving pool when
+        the plan has a rerank (``rerank`` span; ties break by id because
+        the reranker is an :class:`Evaluator`) and cuts the ranked list
+        to ``k`` (``truncate`` span), assembles the results and records
+        telemetry.
 
         ``single`` marks a batch of one run as a query of its own
         (:meth:`execute`, ``DynamicHashIndex.search``): it runs under
         its own ``query`` root span (retrieve, dedup_budget, evaluate,
-        [rerank], [fuse], truncate), may be trace-sampled, and its
-        total is the root span.  Batch rows share batch-level spans and
-        run no per-row stages for plain plans; their total is the sum
-        of their stage times.
+        [rerank], truncate), may be trace-sampled, and its total is the
+        root span.  Batch rows share batch-level spans and run no
+        per-row stages for plain plans; their total is the sum of their
+        stage times.
         """
-        reranker, partner = self._resolve_stages(plan)
+        reranker = self._resolve_reranker(plan)
+        rerank_mode = None if plan.rerank is None else plan.rerank.mode
         contexts = [ExecutionContext() for _ in range(len(queries))]
         sampled = single and obs.should_sample()
         if sampled:
             contexts[0].bucket_sizes = []
-        post: list[Stage] = []
-        if plan.rerank is not None:
-            assert reranker is not None
-            post.append(RerankStage(reranker, plan.rerank))
-        if plan.fusion is not None:
-            assert partner is not None
-            post.append(FuseStage(partner, plan.fusion, plan))
-        if post or single:
-            post.append(TruncateStage(plan.k))
+        truncate = reranker is not None or single
         keep = plan.evaluate_keep()
         scope: AbstractContextManager[obs.Span | None] = (
             obs.span("query") if single else nullcontext()
@@ -1338,11 +1274,19 @@ class QueryEngine:
             if single:
                 contexts[0].stage_seconds["evaluate"] = evaluate.duration
             for query, ctx, (ids, scores) in zip(queries, contexts, ranked):
-                if post:
-                    state = PipelineState(query, ids, scores)
-                    for stage in post:
-                        stage.execute(ctx, state)
-                    ids, scores = state.ids, state.scores
+                if reranker is not None:
+                    with obs.span("rerank") as rerank:
+                        ctx.stage_stats["rerank"] = {
+                            "mode": rerank_mode,
+                            "pool": int(len(ids)),
+                        }
+                        ids, scores = reranker.evaluate(query, ids, len(ids))
+                    ctx.stage_seconds["rerank"] = rerank.duration
+                if truncate:
+                    with obs.span("truncate") as cut_span:
+                        if len(ids) > plan.k:
+                            ids, scores = ids[: plan.k], scores[: plan.k]
+                    ctx.stage_seconds["truncate"] = cut_span.duration
                 results.append(
                     SearchResult(
                         ids,
@@ -1359,11 +1303,12 @@ class QueryEngine:
                 self.name, contexts[0], root=root, sampled=sampled
             )
             return results
+        # Batch rows record only their per-row stages (rerank, truncate).
         for ctx in contexts:
             ctx.total_seconds = (
                 ctx.retrieval_seconds
                 + ctx.evaluation_seconds
-                + sum(ctx.stage_seconds[stage.name] for stage in post)
+                + sum(seconds for seconds in ctx.stage_seconds.values())
             )
         obs.observe_batch(self.name, contexts)
         return results

@@ -58,12 +58,7 @@ from repro.search.engine import (
     validate_query_batch,
 )
 from repro.search.results import SearchResult
-from repro.search.stages import (
-    FusableIndex,
-    FusionSpec,
-    IndexFusionPartner,
-    RerankSpec,
-)
+from repro.search.stages import RerankSpec
 
 __all__ = [
     "HashIndex",
@@ -308,7 +303,6 @@ class HashIndex:
         max_buckets: int | None = None,
         time_budget: float | None = None,
         rerank: RerankSpec | None = None,
-        fusion: FusionSpec | None = None,
     ) -> QueryPlan:
         """Build the :class:`QueryPlan` a ``search`` call would execute."""
         return QueryPlan(
@@ -319,23 +313,6 @@ class HashIndex:
             metric=self._metric,
             multi_table_strategy=self._multi_table_strategy,
             rerank=rerank,
-            fusion=fusion,
-        )
-
-    def fuse_with(
-        self, partner: FusableIndex, n_candidates: int | None = None
-    ) -> None:
-        """Attach ``partner`` as this index's fusion counterpart.
-
-        After attaching, plans carrying a
-        :class:`~repro.search.stages.FusionSpec` linearly fuse this
-        index's ranked list with the partner's (another hasher, an IMI,
-        a compact index — anything engine-backed).  ``n_candidates``
-        fixes the partner's candidate budget; by default it inherits
-        each plan's own budget (matched-budget fusion).
-        """
-        self._engine.fusion_partner = IndexFusionPartner(
-            partner, n_candidates
         )
 
     # -- retrieval ----------------------------------------------------
@@ -417,7 +394,6 @@ class HashIndex:
         max_buckets: int | None = None,
         time_budget: float | None = None,
         rerank: RerankSpec | None = None,
-        fusion: FusionSpec | None = None,
     ) -> SearchResult:
         """Approximate kNN with the paper's pluggable stopping criteria.
 
@@ -430,12 +406,10 @@ class HashIndex:
 
         At least one criterion must be given.  Collected candidates are
         re-ranked by the evaluation stage and the top-``k`` returned;
-        ``rerank`` / ``fusion`` switch on the optional pipeline stages
-        (see :meth:`plan`).
+        ``rerank`` switches on the optional rerank stage (see
+        :meth:`plan`).
         """
-        plan = self.plan(
-            k, n_candidates, max_buckets, time_budget, rerank, fusion
-        )
+        plan = self.plan(k, n_candidates, max_buckets, time_budget, rerank)
         query = validate_query(query, self._dim)
         return self._engine.execute(query, plan, self.candidate_stream(query))
 
@@ -445,7 +419,6 @@ class HashIndex:
         k: int,
         n_candidates: int,
         rerank: RerankSpec | None = None,
-        fusion: FusionSpec | None = None,
     ) -> list[SearchResult]:
         """``search`` over a query batch, genuinely batched.
 
@@ -466,7 +439,7 @@ class HashIndex:
         queries = validate_query_batch(queries, self._dim)
         if not len(queries):
             return []
-        plan = self.plan(k, n_candidates, rerank=rerank, fusion=fusion)
+        plan = self.plan(k, n_candidates, rerank=rerank)
         return self._engine.run_cached(
             queries, plan, lambda block: self._execute_batch(block, plan)
         )
@@ -487,7 +460,7 @@ class HashIndex:
         query = validate_query(query, self._dim)
         plan = self.plan(
             plan.k, plan.n_candidates, plan.max_buckets, plan.time_budget,
-            plan.rerank, plan.fusion,
+            plan.rerank
         )
         found = self._engine.lookup(query[np.newaxis], plan)
         return None if found is None else found[1][0]

@@ -71,9 +71,10 @@ class StreamSearchIndex:
         )
         self._engine.rerankers["exact"] = self._engine.evaluator
         self._known_items = stream_index.num_items
-        # Fusion plans run this index's search on pool worker threads;
-        # the check-and-bump in _sync_generation must be atomic or two
-        # threads can tear _known_items and double-bump the generation.
+        # A front door with several workers runs this index's search on
+        # more than one thread; the check-and-bump in _sync_generation
+        # must be atomic or two threads can tear _known_items and
+        # double-bump the generation.
         self._sync_lock = threading.Lock()
 
     @property

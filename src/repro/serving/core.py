@@ -503,8 +503,10 @@ class FrontDoorCore:
 
         Takes the queue head's plan and pulls every queued ticket with
         an *equal* plan (frozen-dataclass equality — the same identity
-        cache keys hash), up to ``max_batch``.  Non-matching tickets
-        keep their queue order for a later batch.  The controller's
+        cache keys hash) and a query of the head's shape, up to
+        ``max_batch``.  Non-matching tickets keep their queue order for
+        a later batch, so a query of the wrong dimension fails only its
+        own batch, never its stacked batch-mates'.  The controller's
         current degrade level is applied batch-wide at dispatch time;
         tickets that cannot meet their deadline even if dispatched now
         are dropped as ``deadline_infeasible`` rather than executed and
@@ -516,7 +518,11 @@ class FrontDoorCore:
         limit = self.config.max_batch
         one_shot = not coalescible(head.plan)
         for ticket in state.queue:
-            if len(taken) < limit and ticket.plan == head.plan:
+            if (
+                len(taken) < limit
+                and ticket.plan == head.plan
+                and ticket.query.shape == head.query.shape
+            ):
                 taken.append(ticket)
                 if one_shot:
                     limit = 1

@@ -53,28 +53,32 @@ def execute_batch(index: Any, batch: Batch) -> list[SearchResult]:
 
     Coalescible plans (candidate budget only) go through the index's
     genuinely batched ``search_batch``; plans carrying bucket or time
-    budgets fall back to per-ticket ``search`` calls with the effective
-    plan's exact parameters.  Either way the results are bit-identical
-    to running the effective plan directly — degradation changes *which*
-    plan runs, never how it runs.
+    budgets, and indexes without ``search_batch``, fall back to
+    per-ticket ``search`` calls with the effective plan's exact
+    parameters.  The fallback passes only the keywords the plan sets, so
+    an index whose ``search`` takes just a candidate budget and a rerank
+    (``DynamicHashIndex``) serves candidate-budget plans.  Either way
+    the results are bit-identical to running the effective plan
+    directly — degradation changes *which* plan runs, never how it runs.
     """
     plan = batch.effective_plan
     if coalescible(plan) and hasattr(index, "search_batch"):
         assert plan.n_candidates is not None
         return list(index.search_batch(
-            batch.queries, plan.k, plan.n_candidates,
-            rerank=plan.rerank, fusion=plan.fusion,
+            batch.queries, plan.k, plan.n_candidates, rerank=plan.rerank
         ))
-    return [
-        index.search(
-            ticket.query,
-            plan.k,
-            n_candidates=plan.n_candidates,
-            max_buckets=plan.max_buckets,
-            time_budget=plan.time_budget,
-            rerank=plan.rerank,
-            fusion=plan.fusion,
+    keywords = {
+        name: value
+        for name, value in (
+            ("n_candidates", plan.n_candidates),
+            ("max_buckets", plan.max_buckets),
+            ("time_budget", plan.time_budget),
+            ("rerank", plan.rerank),
         )
+        if value is not None
+    }
+    return [
+        index.search(ticket.query, plan.k, **keywords)
         for ticket in batch.tickets
     ]
 

@@ -373,15 +373,12 @@ def measure_serial_cost(
             "cache; the timed repeats would be cache hits"
         )
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    index.search_batch(
-        queries, plan.k, plan.n_candidates,
-        rerank=plan.rerank, fusion=plan.fusion,
-    )  # warm caches and lazy layouts before timing
+    # Warm caches and lazy layouts before timing.
+    index.search_batch(queries, plan.k, plan.n_candidates, rerank=plan.rerank)
     start = obs.now()
     for _ in range(repeats):
         index.search_batch(
-            queries, plan.k, plan.n_candidates,
-            rerank=plan.rerank, fusion=plan.fusion,
+            queries, plan.k, plan.n_candidates, rerank=plan.rerank
         )
     elapsed = obs.now() - start
     return elapsed / (repeats * len(queries))

@@ -20,7 +20,6 @@ from repro.data import gaussian_mixture, sample_queries
 from repro.hashing import ITQ
 from repro.search import (
     DynamicHashIndex,
-    FusionSpec,
     HashIndex,
     QueryPlan,
     QueryResultCache,
@@ -367,23 +366,3 @@ class TestBatchCache:
         assert all(a is b for a, b in zip(first, second))
         assert streamed == []
         assert cached.cache.stats["hits"] == len(queries)
-
-    def test_fusion_plan_misses_after_partner_mutates(self, data, queries):
-        partner = DynamicHashIndex(
-            ITQ(code_length=8, seed=5).fit(data), dim=data.shape[1]
-        )
-        partner.add(data)
-        cached = make_index(data, cache=QueryResultCache())
-        plain = make_index(data)
-        cached.fuse_with(partner)
-        plain.fuse_with(partner)
-        kwargs = dict(k=5, n_candidates=100, fusion=FusionSpec(pool=10))
-        first = cached.search_batch(queries, **kwargs)
-        again = cached.search_batch(queries, **kwargs)
-        assert all(a is b for a, b in zip(first, again))
-        partner.remove(np.unique(np.concatenate([r.ids for r in first])))
-        misses = cached.cache.stats["misses"]
-        fresh = cached.search_batch(queries, **kwargs)
-        assert cached.cache.stats["misses"] == misses + len(queries)
-        assert all(a is not b for a, b in zip(first, fresh))
-        self.same_answers(fresh, plain.search_batch(queries, **kwargs))

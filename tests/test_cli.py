@@ -132,9 +132,7 @@ class TestEvalCommand:
         ])
         assert code == 0
         out = capsys.readouterr().out
-        for pipeline in (
-            "candidate-only", "rerank-exact", "rerank-adc", "fused"
-        ):
+        for pipeline in ("candidate-only", "rerank-exact", "rerank-adc"):
             assert pipeline in out
         for metric in ("mrr@5", "recall@5", "ndcg@5"):
             assert metric in out
@@ -142,7 +140,6 @@ class TestEvalCommand:
     def test_eval_defaults(self):
         args = build_parser().parse_args(["eval"])
         assert args.k == 10
-        assert args.fusion_weight == 0.5
 
 
 class TestServeSimCommand:

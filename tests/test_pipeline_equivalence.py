@@ -2,7 +2,7 @@
 
 The tentpole refactor decomposed ``QueryEngine.execute`` into typed
 stages (Retrieve → DedupBudget → Evaluate → Truncate for plain plans).
-Its contract: for any plan without rerank/fusion, every index type
+Its contract: for any plan without rerank, every index type
 returns *bit-identical* results to the classic inline loop.  The
 reference here re-implements that loop — drain the candidate stream
 with interleaved dedup/budget accounting, score once with the engine's
@@ -84,6 +84,16 @@ def get_index(name: str):
     return _INDEXES[name]
 
 
+def _reranking_hash_index():
+    """A hash index with both rerank modes (exact and ADC) registered."""
+    if "hash+pq" not in _INDEXES:
+        _INDEXES["hash+pq"] = HashIndex(
+            ITQ(code_length=8, seed=0), DATA,
+            rerank_quantizer=ProductQuantizer(n_subspaces=4, seed=0),
+        )
+    return _INDEXES["hash+pq"]
+
+
 def reference_search(index, query, k, budget):
     """The classic inline loop, stage-machinery-free.
 
@@ -161,11 +171,13 @@ class TestBatchMatchesSerial:
                 batched.distances, single.distances
             )
 
-    def test_reranked_batch_matches_singles(self):
-        from repro.search import RerankSpec
-
-        index = get_index("hash")
-        spec = RerankSpec(mode="exact", pool=40)
+    @pytest.mark.parametrize(
+        "mode,pool",
+        [("exact", None), ("exact", 40), ("adc", None), ("adc", 40)],
+    )
+    def test_reranked_batch_matches_singles(self, mode, pool):
+        index = _reranking_hash_index()
+        spec = RerankSpec(mode=mode, pool=pool)
         results = index.search_batch(
             QUERIES, k=10, n_candidates=120, rerank=spec
         )

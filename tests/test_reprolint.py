@@ -339,11 +339,8 @@ class TestStagePipelineEncapsulationRL011:
 
     def test_spec_vocabulary_is_allowed(self):
         src = (
-            "from repro.search import (\n"
-            "    FusionSpec, IndexFusionPartner, RerankSpec, linear_fusion\n"
-            ")\n"
+            "from repro.search import RerankSpec\n"
             "spec = RerankSpec(mode='exact', pool=50)\n"
-            "fuse = FusionSpec(weight=0.3)\n"
         )
         found = check_source(src, self.OUTSIDE, [get_rule("RL011")])
         assert found == []

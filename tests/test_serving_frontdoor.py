@@ -14,12 +14,19 @@ import pytest
 from repro.core.gqr import GQR
 from repro.data import gaussian_mixture, sample_queries
 from repro.hashing import ITQ
-from repro.search import HashIndex, QueryResultCache, RerankSpec
+from repro.search import (
+    DynamicHashIndex,
+    HashIndex,
+    QueryPlan,
+    QueryResultCache,
+    RerankSpec,
+)
 from repro.serving import (
     REASON_EXECUTION_ERROR,
     REASON_INVALID_QUERY,
     REASON_QUEUE_FULL,
     REASON_SHUTDOWN,
+    STATUS_REJECTED,
     STATUS_SERVED,
     AsyncFrontDoor,
     FrontDoorConfig,
@@ -128,6 +135,63 @@ class TestSubmit:
         # The 20ms batch-lane coalesce window gathers concurrent
         # arrivals into fewer dispatches than requests.
         assert stats["batches"] < len(queries)
+
+    def test_door_over_dynamic_index_serves(self, data, queries):
+        # Regression: DynamicHashIndex has no search_batch, and the
+        # per-ticket fallback passed keywords its search does not take
+        # (max_buckets, time_budget), so every request was rejected
+        # as execution_error.
+        dynamic = DynamicHashIndex(
+            ITQ(code_length=8, seed=0).fit(data), dim=data.shape[1]
+        )
+        dynamic.add(data)
+        plan = QueryPlan(k=5, n_candidates=100)
+
+        async def scenario():
+            async with AsyncFrontDoor(dynamic) as door:
+                return await asyncio.gather(*[
+                    door.submit(query, plan) for query in queries[:3]
+                ])
+
+        responses = run(scenario())
+        for response, query in zip(responses, queries):
+            assert response.status == STATUS_SERVED
+            want = dynamic.search(query, 5, 100)
+            assert np.array_equal(response.result.ids, want.ids)
+            assert np.array_equal(response.result.distances, want.distances)
+
+    def test_wrong_dimension_query_fails_only_itself(self, index, queries):
+        # Regression: without an admission lookup the 8-dim query was
+        # coalesced with its 16-dim batch-mates, and the batch that
+        # could not be stacked failed all three.
+        class Forwarder:
+            """Only `search` / `search_batch`, forwarded to the index."""
+
+            def search_batch(self, *args, **kwargs):
+                return index.search_batch(*args, **kwargs)
+
+            def search(self, *args, **kwargs):
+                return index.search(*args, **kwargs)
+
+        plan = index.plan(k=5, n_candidates=100)
+
+        async def scenario():
+            async with AsyncFrontDoor(Forwarder()) as door:
+                return await asyncio.gather(
+                    door.submit(queries[0], plan),
+                    door.submit(np.zeros(8), plan),
+                    door.submit(queries[1], plan),
+                )
+
+        first, bad, second = run(scenario())
+        assert bad.status == STATUS_REJECTED
+        want = index.search_batch(queries[:2], 5, 100)
+        for response, expected in zip((first, second), want):
+            assert response.status == STATUS_SERVED
+            assert np.array_equal(response.result.ids, expected.ids)
+            assert np.array_equal(
+                response.result.distances, expected.distances
+            )
 
     def test_invalid_query_rejected_not_raised(self, index):
         async def scenario():

@@ -143,7 +143,6 @@ class TestServingProperties:
                     effective.k,
                     n_candidates=effective.n_candidates,
                     rerank=effective.rerank,
-                    fusion=effective.fusion,
                 )
                 assert np.array_equal(response.result.ids, direct.ids)
                 assert np.array_equal(

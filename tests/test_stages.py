@@ -1,10 +1,10 @@
-"""Stage-pipeline behaviour: specs, rerank, fusion arithmetic, caching.
+"""Stage-pipeline behaviour: specs, rerank, caching.
 
 The equivalence suite (`test_pipeline_equivalence.py`) proves the
 staged engine is bit-identical to the classic path for plain plans;
-this file covers what the new stages *add* — rerank correctness and
-tie-handling, ADC-vs-exact agreement, linear fusion math, cache-key
-sensitivity to stage parameters — plus the IR report built on top.
+this file covers what the rerank stage *adds* — rerank correctness and
+tie-handling, ADC-vs-exact agreement, cache-key sensitivity to stage
+parameters — plus the IR report built on top.
 """
 
 from __future__ import annotations
@@ -18,14 +18,11 @@ from repro.quantization.pq import ProductQuantizer
 from repro.search import (
     ADCEvaluator,
     ExactEvaluator,
-    FusionSpec,
     HashIndex,
-    IndexFusionPartner,
     QueryEngine,
     QueryPlan,
     QueryResultCache,
     RerankSpec,
-    linear_fusion,
 )
 
 
@@ -55,32 +52,18 @@ class TestSpecs:
         with pytest.raises(ValueError, match="pool"):
             RerankSpec(pool=0)
 
-    def test_fusion_spec_validates_weight(self):
-        with pytest.raises(ValueError, match="weight"):
-            FusionSpec(weight=1.5)
-
-    def test_fusion_spec_validates_pool(self):
-        with pytest.raises(ValueError, match="pool"):
-            FusionSpec(pool=-1)
-
     def test_plan_rejects_wrong_spec_types(self):
         with pytest.raises(TypeError):
             QueryPlan(k=5, n_candidates=10, rerank="exact")
-        with pytest.raises(TypeError):
-            QueryPlan(k=5, n_candidates=10, fusion=0.5)
 
     def test_plan_stage_names(self):
         plain = QueryPlan(k=5, n_candidates=10)
         assert plain.stage_names() == (
             "retrieve", "dedup_budget", "evaluate", "truncate"
         )
-        full = QueryPlan(
-            k=5, n_candidates=10,
-            rerank=RerankSpec(), fusion=FusionSpec(),
-        )
+        full = QueryPlan(k=5, n_candidates=10, rerank=RerankSpec())
         assert full.stage_names() == (
-            "retrieve", "dedup_budget", "evaluate", "rerank", "fuse",
-            "truncate",
+            "retrieve", "dedup_budget", "evaluate", "rerank", "truncate",
         )
 
     def test_evaluate_keep(self):
@@ -91,12 +74,6 @@ class TestSpecs:
         assert QueryPlan(
             k=5, n_candidates=10, rerank=RerankSpec()
         ).evaluate_keep() is None
-        assert QueryPlan(
-            k=5, n_candidates=10, fusion=FusionSpec(pool=20)
-        ).evaluate_keep() == 20
-        assert QueryPlan(
-            k=5, n_candidates=10, fusion=FusionSpec()
-        ).evaluate_keep() == 5
 
 
 class TestRerank:
@@ -205,81 +182,12 @@ class TestRerank:
         assert "rerank" in result.stats.stage_seconds
 
 
-class TestLinearFusion:
-    def test_hand_computed_fusion(self):
-        ids_a = np.array([1, 2, 3], dtype=np.int64)
-        scores_a = np.array([0.0, 1.0, 2.0])
-        ids_b = np.array([2, 3, 4], dtype=np.int64)
-        scores_b = np.array([4.0, 0.0, 2.0])
-        ids, fused = linear_fusion(ids_a, scores_a, ids_b, scores_b, 0.5)
-        # norm_a: 1→0, 2→0.5, 3→1, 4→1 (missing); norm_b: 2→1, 3→0,
-        # 4→0.5, 1→1 (missing).  fused = 0.5·a + 0.5·b.
-        want = {1: 0.5, 2: 0.75, 3: 0.5, 4: 0.75}
-        got = dict(zip(ids.tolist(), fused.tolist()))
-        assert got == pytest.approx(want)
-        # Ascending by fused score, ties by id: 1, 3 (0.5) then 2, 4.
-        assert ids.tolist() == [1, 3, 2, 4]
-
-    def test_weight_extremes_recover_single_lists(self):
-        ids_a = np.array([5, 6], dtype=np.int64)
-        scores_a = np.array([1.0, 3.0])
-        ids_b = np.array([6, 7], dtype=np.int64)
-        scores_b = np.array([9.0, 2.0])
-        ids_w1, fused_w1 = linear_fusion(
-            ids_a, scores_a, ids_b, scores_b, 1.0
-        )
-        # weight=1: partner contributes nothing; a's members keep their
-        # normalised order and b-only members sink to 1.0.
-        assert ids_w1.tolist() == [5, 6, 7]
-        assert fused_w1.tolist() == pytest.approx([0.0, 1.0, 1.0])
-
-    def test_constant_scores_normalise_to_zero(self):
-        ids = np.array([1, 2], dtype=np.int64)
-        flat = np.array([7.0, 7.0])
-        got_ids, got = linear_fusion(
-            ids, flat, np.empty(0, dtype=np.int64), np.empty(0), 0.5
-        )
-        # constant list → all-zero norms; absent partner list → 1.0.
-        assert got_ids.tolist() == [1, 2]
-        assert got.tolist() == pytest.approx([0.5, 0.5])
-
-    def test_empty_lists(self):
-        empty_i = np.empty(0, dtype=np.int64)
-        empty_s = np.empty(0)
-        ids, fused = linear_fusion(empty_i, empty_s, empty_i, empty_s, 0.5)
-        assert len(ids) == 0 and len(fused) == 0
-
-    def test_fused_search_end_to_end(self, data, queries):
-        primary = HashIndex(ITQ(code_length=4, seed=0), data)
-        partner = HashIndex(ITQ(code_length=4, seed=9), data)
-        primary.fuse_with(partner)
-        result = primary.search(
-            queries[0], k=10, n_candidates=100,
-            fusion=FusionSpec(weight=0.5),
-        )
-        assert len(result.ids) == 10
-        assert "fuse" in result.stats.stage_seconds
-        facts = result.stats.stage_stats["fuse"]
-        assert facts["weight"] == 0.5
-        # Fused scores are normalised ranks, ascending in [0, 1].
-        assert (np.diff(result.distances) >= 0).all()
-        assert result.distances.min() >= 0.0
-        assert result.distances.max() <= 1.0
-
-    def test_fusion_without_partner_fails_fast(self, data, queries):
-        index = HashIndex(ITQ(code_length=4, seed=0), data)
-        with pytest.raises(ValueError, match="partner"):
-            index.search(
-                queries[0], k=5, n_candidates=50, fusion=FusionSpec()
-            )
-
-
 class TestCacheStageFingerprint:
     """Satellite 2: cache keys must hash the full serialized stage list.
 
     The pre-fix key was ``(token, generation, k, n_candidates,
     max_buckets, time_budget, metric, strategy, fingerprint)`` — blind
-    to rerank/fusion config, so the two plans below collided and a
+    to rerank config, so the two plans below collided and a
     reranked query could be served a candidate-only cached result.
     """
 
@@ -305,39 +213,17 @@ class TestCacheStageFingerprint:
         cache = QueryResultCache(capacity=8)
         query = np.arange(4, dtype=np.float64)
         base = QueryPlan(
-            k=5, n_candidates=50,
-            rerank=RerankSpec(mode="exact", pool=30),
-            fusion=FusionSpec(weight=0.5, pool=20),
+            k=5, n_candidates=50, rerank=RerankSpec(mode="exact", pool=30)
         )
         variants = [
             QueryPlan(k=5, n_candidates=50,
-                      rerank=RerankSpec(mode="adc", pool=30),
-                      fusion=FusionSpec(weight=0.5, pool=20)),
+                      rerank=RerankSpec(mode="adc", pool=30)),
             QueryPlan(k=5, n_candidates=50,
-                      rerank=RerankSpec(mode="exact", pool=31),
-                      fusion=FusionSpec(weight=0.5, pool=20)),
-            QueryPlan(k=5, n_candidates=50,
-                      rerank=RerankSpec(mode="exact", pool=30),
-                      fusion=FusionSpec(weight=0.25, pool=20)),
-            QueryPlan(k=5, n_candidates=50,
-                      rerank=RerankSpec(mode="exact", pool=30),
-                      fusion=FusionSpec(weight=0.5, pool=21)),
+                      rerank=RerankSpec(mode="exact", pool=31)),
         ]
         base_key = cache.key_for("tok", 0, base, query)
         for variant in variants:
             assert cache.key_for("tok", 0, variant, query) != base_key
-
-    def test_partner_identity_perturbs_the_key(self):
-        cache = QueryResultCache(capacity=8)
-        query = np.arange(4, dtype=np.float64)
-        plan = QueryPlan(k=5, n_candidates=50, fusion=FusionSpec())
-        key_a = cache.key_for(
-            "tok", 0, plan, query, partner_identity=("index", "p1", 0, None)
-        )
-        key_b = cache.key_for(
-            "tok", 0, plan, query, partner_identity=("index", "p2", 0, None)
-        )
-        assert key_a != key_b
 
     def test_cached_reranked_searches_round_trip(self, data, queries):
         index = HashIndex(
@@ -361,44 +247,3 @@ class TestCacheStageFingerprint:
         np.testing.assert_array_equal(
             reranked.distances, reranked_again.distances
         )
-
-    def test_partner_mutation_invalidates_fused_entries(self, data, queries):
-        """A fused result must not be served stale after the partner
-        index's answers change."""
-        primary = HashIndex(
-            ITQ(code_length=4, seed=0), data,
-            cache=QueryResultCache(capacity=32),
-        )
-        partner = HashIndex(ITQ(code_length=4, seed=9), data)
-        primary.fuse_with(partner)
-        query = queries[0]
-        plan_kwargs = dict(k=5, n_candidates=50, fusion=FusionSpec())
-        first = primary.search(query, **plan_kwargs)
-        partner.engine.bump_generation()
-        second = primary.search(query, **plan_kwargs)
-        np.testing.assert_array_equal(first.ids, second.ids)
-
-
-class TestIndexFusionPartner:
-    def test_identity_tracks_engine_generation(self, data):
-        partner_index = HashIndex(ITQ(code_length=4, seed=0), data)
-        adapter = IndexFusionPartner(partner_index)
-        before = adapter.fusion_identity()
-        partner_index.engine.bump_generation()
-        after = adapter.fusion_identity()
-        assert before != after
-
-    def test_rejects_nonpositive_budget(self, data):
-        partner_index = HashIndex(ITQ(code_length=4, seed=0), data)
-        with pytest.raises(ValueError, match="n_candidates"):
-            IndexFusionPartner(partner_index, n_candidates=0)
-
-    def test_pool_depth_follows_fusion_spec(self, data, queries):
-        partner_index = HashIndex(ITQ(code_length=4, seed=0), data)
-        adapter = IndexFusionPartner(partner_index)
-        plan = QueryPlan(
-            k=5, n_candidates=50, fusion=FusionSpec(pool=17)
-        )
-        ids, scores = adapter.fusion_pool(queries[0], plan)
-        assert len(ids) == 17
-        assert len(scores) == 17

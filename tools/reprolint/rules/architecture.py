@@ -132,30 +132,26 @@ class BucketEncapsulationRule(Rule):
 class StagePipelineEncapsulationRule(Rule):
     """RL011: pipeline stage internals stay inside ``repro/search``.
 
-    The stage classes (``RerankStage``, ``FuseStage``,
-    ``TruncateStage`` and their ``Stage`` base), the ``PipelineState``
-    they thread, and the ``drain_stream`` dedup/budget loop are the
-    engine's implementation vocabulary.  Code outside ``repro/search``
-    configures pipelines declaratively — ``RerankSpec`` /
-    ``FusionSpec`` on a ``QueryPlan``,
-    ``IndexFusionPartner`` / ``linear_fusion`` for fusion wiring — and
-    lets the engine assemble and run the stages.  Direct stage
-    construction elsewhere would execute retrieval or scoring outside
-    the instrumented pipeline, invisible to ``ExecutionContext`` stats,
-    cache fingerprints and the per-stage telemetry label.
+    The ``drain_stream`` dedup/budget loop is the engine's
+    implementation vocabulary, and so is any ``*Stage`` class a future
+    change might add.  Code outside ``repro/search`` configures
+    pipelines declaratively — a ``RerankSpec`` on a ``QueryPlan`` — and
+    lets the engine run the stages.  Running a stage elsewhere would
+    execute retrieval or scoring outside the instrumented pipeline,
+    invisible to ``ExecutionContext`` stats, cache fingerprints and the
+    per-stage telemetry label.
     """
 
     rule_id = "RL011"
     name = "stage-pipeline-encapsulation"
     description = (
-        "pipeline stage internals (``*Stage`` classes, PipelineState, "
-        "drain_stream) may only be used inside "
-        "repro/search; configure plans with RerankSpec/FusionSpec "
-        "instead"
+        "pipeline stage internals (``*Stage`` classes, drain_stream) "
+        "may only be used inside repro/search; configure plans with "
+        "RerankSpec instead"
     )
 
     _STAGES_MODULE = "repro.search.stages"
-    _INTERNAL_NAMES = frozenset({"Stage", "PipelineState", "drain_stream"})
+    _INTERNAL_NAMES = frozenset({"drain_stream"})
 
     def applies(self, module: ModuleContext) -> bool:
         return module.within("src/repro") and not module.within(
@@ -176,9 +172,8 @@ class StagePipelineEncapsulationRule(Rule):
                             module,
                             node,
                             "importing repro.search.stages wholesale "
-                            "exposes stage internals; import the spec "
-                            "types (RerankSpec, FusionSpec, ...) from "
-                            "repro.search instead",
+                            "exposes stage internals; import "
+                            "RerankSpec from repro.search instead",
                         )
             elif isinstance(node, ast.ImportFrom):
                 for alias in node.names:
@@ -188,8 +183,8 @@ class StagePipelineEncapsulationRule(Rule):
                             node,
                             f"importing stage internal {alias.name!r} "
                             "outside repro/search; configure the plan "
-                            "with RerankSpec/FusionSpec and let the "
-                            "engine assemble the pipeline",
+                            "with RerankSpec and let the engine run the "
+                            "pipeline",
                         )
             elif isinstance(node, ast.Call):
                 name = _terminal_name(node.func)
