@@ -53,9 +53,11 @@ class BucketProber(ABC):
         Probers whose probe order is "sort occupied buckets by a score,
         ties by signature" can vectorise that score across a query batch
         — one ``(B, nb)`` matrix instead of B generator walks.  The
-        query-execution engine uses this as the batched retrieval fast
-        path; returning ``None`` (the default) keeps the per-query
-        stream path.  ``bucket_bits`` is ``(nb, m)``; callers may pass it
+        query-execution engine takes this fast path for every prober
+        that overrides the method, deciding before it hashes or scores,
+        so an override always returns the matrix; this base version
+        returns ``None`` and keeps the per-query stream path.
+        ``bucket_bits`` is ``(nb, m)``; callers may pass it
         as float64 with its complement ``1 − bucket_bits`` in
         ``bucket_complement`` so a QD kernel converts nothing.
         """

@@ -164,12 +164,11 @@ class DynamicHashIndex:
 
     def candidate_stream(self, query: np.ndarray) -> Iterator[np.ndarray]:
         """Non-empty buckets in the prober's order, fetched one by one."""
-        query = validate_query(query, self._dim)
-        return self._bucket_stream(*self._hasher.probe_info(query))
+        return self._bucket_stream(validate_query(query, self._dim))
 
-    def _bucket_stream(
-        self, signature: int, costs: np.ndarray
-    ) -> Iterator[np.ndarray]:
+    def _bucket_stream(self, query: np.ndarray) -> Iterator[np.ndarray]:
+        # A generator: the query is hashed when the stream is first read.
+        signature, costs = self._hasher.probe_info(query)
         for bucket in self._prober.probe(self._table, signature, costs):
             ids = self._table.get(bucket)
             if len(ids):
@@ -202,15 +201,18 @@ class DynamicHashIndex:
     def _execute(
         self, queries: np.ndarray, plan: QueryPlan
     ) -> list[SearchResult]:
-        """:meth:`search`'s uncached body over its one validated row."""
-        info = self._hasher.probe_info(queries[0])
+        """:meth:`search`'s uncached body over its one validated row.
+
+        Hashing and bucket scoring run inside the query's root span, so
+        its ``total_seconds`` covers them.
+        """
         return self._engine.execute_probed(
             queries,
             plan,
             self._prober,
             self._table.layout(),
-            [info],
-            lambda: [self._bucket_stream(*info)],
+            lambda: [self._hasher.probe_info(queries[0])],
+            lambda: [self._bucket_stream(queries[0])],
             single=True,
         )
 

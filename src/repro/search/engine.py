@@ -25,9 +25,12 @@ adapter instead of a private re-implementation::
   (:meth:`~QueryEngine.execute_batch_streams`,
   :meth:`~QueryEngine.execute_batch_ordered`).  All three gather a
   ragged candidate block — flat ids plus per-query counts — and hand it
-  to one private body that evaluates it, applies the optional rerank
-  and the cut to ``k``, assembles the ``SearchResult`` list and records
-  telemetry; a single query is a batch of one.
+  to one body, :meth:`~QueryEngine.run`, that evaluates it, applies the
+  optional rerank and the cut to ``k``, assembles the ``SearchResult``
+  list and records telemetry; a single query is a batch of one.  The
+  Theorem 2 modes (``HashIndex.search_early_stop`` / ``search_range``)
+  run through the same body: their scan is a gather that returns its
+  candidates already scored, and the body only ranks them.
   :meth:`~QueryEngine.execute_probed` picks between the two batch
   paths: the ordered one when the prober can score the table's
   buckets, the streams one otherwise.
@@ -76,6 +79,7 @@ __all__ = [
     "Evaluator",
     "ExactEvaluator",
     "ExecutionContext",
+    "Gathered",
     "ProbeInfoHasher",
     "QueryEngine",
     "QueryPlan",
@@ -320,17 +324,20 @@ class ExecutionContext:
     retrieval_seconds / evaluation_seconds / total_seconds:
         Wall time of the coarse stages as measured by the engine's
         spans (:mod:`repro.obs.spans`).  For a single query
-        (:meth:`QueryEngine.execute`, ``DynamicHashIndex.search``)
-        ``retrieval_seconds`` covers the retrieve + dedup_budget stages
-        together and ``total_seconds`` is the query's root span; on
-        the ordered kernel, hashing and bucket scoring run before that
-        span and are not in it.  On the streams batch path
-        ``retrieval_seconds`` is the query's own drain span; on the
-        ordered batch path it is the batch's retrieval span divided by
-        the batch size — an average, not a per-query measurement.  On
-        both batch paths ``evaluation_seconds`` is likewise the batch's
-        evaluation span divided by the batch size, and
-        ``total_seconds`` the sum of the query's stage times.
+        (:meth:`QueryEngine.execute`, ``DynamicHashIndex.search``, the
+        Theorem 2 modes) ``retrieval_seconds`` covers the retrieve +
+        dedup_budget stages together and ``total_seconds`` is the
+        query's root span, which holds the query's hashing and bucket
+        scoring too.  The Theorem 2 scan computes its chunks' exact
+        distances inside dedup_budget, where its stopping rule needs
+        them; its evaluate stage only ranks them.  On the streams batch
+        path ``retrieval_seconds`` is the query's own drain span; on the
+        ordered batch path it is the batch's retrieval span (bucket
+        scoring included) divided by the batch size — an average, not
+        a per-query measurement.  On both batch paths
+        ``evaluation_seconds`` is likewise the batch's evaluation span
+        divided by the batch size, and ``total_seconds`` the sum of the
+        query's stage times.
     stage_seconds:
         Wall time of each executed pipeline stage, keyed by stage name
         (``"retrieve"``, ``"dedup_budget"``, ``"evaluate"``,
@@ -483,12 +490,14 @@ class ExactEvaluator:
     ) -> np.ndarray:
         """Exact distances to ``candidates``, aligned — no selection.
 
-        The sanctioned interface for search paths that need raw
-        per-candidate distances (the Theorem 2 scan behind early stop
-        and range search) rather than a top-``k``: exact scoring stays
-        inside the engine's evaluator instead of leaking into each
-        index class.  Uses the same arithmetic as :meth:`evaluate`, so
-        both return bit-identical distances for the same candidates.
+        The sanctioned interface for a gather that must score its
+        candidates to know when to stop (the Theorem 2 scan behind
+        early stop and range search, one call per chunk): it hands the
+        distances to :meth:`QueryEngine.run`, which only ranks them, so
+        exact scoring stays inside the engine's evaluator instead of
+        leaking into each index class.  Uses the same arithmetic as
+        :meth:`evaluate`, so both return bit-identical distances for
+        the same candidates.
         """
         if not len(candidates):
             return _EMPTY_DISTS
@@ -671,16 +680,18 @@ def _probe_prefix(
     sizes: np.ndarray,
     budget: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Probe orders and stop columns: each row's last bucket to gather.
+    """Probe orders and their cumulative bucket sizes, per row.
 
     Returns only the shortest column prefix that satisfies every
     query's candidate budget: sorting and cumulating all ``nb`` bucket
     columns is wasted work when the budget is met after a few dozen
-    buckets, so this orders a prefix of ``W`` columns (growing ``W``
-    until every row reaches the budget or runs out of buckets).
+    buckets, so this orders a prefix of ``W`` columns, starting at four
+    times the budget's worth of mean-sized buckets and growing ``W`` ×4
+    until every row reaches the budget or runs out of buckets.
     """
     n_queries, n_buckets = scores.shape
-    mean_size = max(float(sizes.mean()), 1.0) if len(sizes) else 1.0
+    # The integer sum is exact and several times faster than mean().
+    mean_size = max(int(sizes.sum()) / len(sizes), 1.0) if len(sizes) else 1.0
     width = int(min(n_buckets, max(16, 4 * budget / mean_size + 1)))
     while True:
         if width >= n_buckets:
@@ -689,11 +700,59 @@ def _probe_prefix(
             order = _probe_order_prefix(scores, signatures, width)
         cumulative = np.cumsum(sizes[order], axis=1)
         if width >= n_buckets or cumulative[:, -1].min() >= budget:
-            stops = np.minimum(
-                (cumulative < budget).sum(axis=1), order.shape[1] - 1
-            )
-            return order, stops
+            return order, cumulative
         width = min(n_buckets, width * 4)
+
+
+def _bucket_scores(
+    prober: BucketProber,
+    table: RankedTable,
+    probe_infos: Sequence[tuple[int, np.ndarray]],
+) -> np.ndarray:
+    """``prober``'s ``(B, nb)`` scores of ``table``'s bucket slots.
+
+    Row ``i`` scores every slot of ``table.dense_layout()`` for the
+    ``i``-th ``(signature, flip_costs)`` of ``probe_infos``.  Only for
+    a prober that implements ``batch_scores``: the base returns ``None``.
+    """
+    signatures, bits, complement = table.bucket_bits()
+    query_signatures = np.fromiter(
+        (signature for signature, _ in probe_infos),
+        dtype=np.int64,
+        count=len(probe_infos),
+    )
+    return cast(np.ndarray, prober.batch_scores(
+        signatures,
+        bits,
+        query_signatures,
+        unpack_bits(query_signatures, table.code_length),
+        np.stack([costs for _, costs in probe_infos]),
+        complement,
+    ))
+
+
+#: What a gather hands :meth:`QueryEngine.run`: flat candidate ids,
+#: per-query counts, and the candidates' distances when already scored.
+Gathered = tuple[np.ndarray, np.ndarray, np.ndarray | None]
+
+
+def _record_retrieval(
+    contexts: list[ExecutionContext],
+    retrieve: obs.Span,
+    cut: obs.Span,
+    single: bool,
+) -> None:
+    """Charge a gather's retrieve and dedup_budget spans to its queries.
+
+    Split evenly over a batch; a single query also records them as its
+    ``retrieve`` and ``dedup_budget`` stage times.
+    """
+    spent = retrieve.duration + cut.duration
+    for ctx in contexts:
+        ctx.retrieval_seconds = spent / len(contexts)
+    if single:
+        contexts[0].stage_seconds["retrieve"] = retrieve.duration
+        contexts[0].stage_seconds["dedup_budget"] = cut.duration
 
 
 def _probe_order_prefix(
@@ -1054,43 +1113,37 @@ class QueryEngine:
         plan: QueryPlan,
         prober: BucketProber,
         table: RankedTable,
-        probe_infos: Sequence[tuple[int, np.ndarray]],
+        probe_infos: Callable[[], Sequence[tuple[int, np.ndarray]]],
         streams: Callable[[], list[Iterable[np.ndarray]]],
         *,
         single: bool = False,
     ) -> list[SearchResult]:
         """Rank ``table``'s buckets by score if ``prober`` can, else stream.
 
-        ``probe_infos`` holds each row's ``(signature, flip_costs)``.
-        When the table has buckets and ``prober.batch_scores`` scores
-        them, the rows run through :meth:`execute_batch_ordered`;
-        otherwise ``streams()`` builds one candidate stream per row for
-        :meth:`execute_batch_streams`.  Uncached: callers go through
-        :meth:`run_cached` first.  ``single`` marks one row with
-        per-query telemetry (see :meth:`_run`).
+        ``probe_infos()`` returns each row's ``(signature,
+        flip_costs)``.  When the table has buckets and ``prober``
+        implements ``batch_scores``, the rows run through
+        :meth:`execute_batch_ordered`, which hashes and scores inside
+        its retrieve span; otherwise ``streams()`` builds one candidate
+        stream per row for :meth:`execute_batch_streams`.  Either way a
+        single query's hashing and scoring count in its root span.
+        Uncached: callers go through :meth:`run_cached` first.
+        ``single`` marks one row with per-query telemetry (see
+        :meth:`run`).
         """
-        signatures, bits, complement = table.bucket_bits()
-        scores = None
-        if len(signatures):
-            query_signatures = np.fromiter(
-                (signature for signature, _ in probe_infos),
-                dtype=np.int64,
-                count=len(probe_infos),
-            )
-            scores = prober.batch_scores(
-                signatures,
-                bits,
-                query_signatures,
-                unpack_bits(query_signatures, table.code_length),
-                np.stack([costs for _, costs in probe_infos]),
-                complement,
-            )
-        if scores is None:
+        if (
+            not len(table.dense_layout()[0])
+            or type(prober).batch_scores is BucketProber.batch_scores
+        ):
             return self.execute_batch_streams(
                 queries, plan, streams(), single=single
             )
         return self.execute_batch_ordered(
-            queries, plan, table, scores, single=single
+            queries,
+            plan,
+            table,
+            lambda: _bucket_scores(prober, table, probe_infos()),
+            single=single,
         )
 
     def execute_batch_streams(
@@ -1115,43 +1168,39 @@ class QueryEngine:
                 f"queries for {len(streams)} streams"
             )
 
-        def drain(
-            contexts: list[ExecutionContext],
-        ) -> tuple[np.ndarray, np.ndarray]:
+        def drain(contexts: list[ExecutionContext]) -> Gathered:
             per_query: list[np.ndarray] = []
             for stream, ctx in zip(streams, contexts):
                 with obs.span("retrieve") as retrieve:
                     source = iter(stream)
                 with obs.span("dedup_budget") as dedup:
                     per_query.append(drain_stream(source, plan, ctx))
-                ctx.retrieval_seconds = retrieve.duration + dedup.duration
-                if single:
-                    ctx.stage_seconds["retrieve"] = retrieve.duration
-                    ctx.stage_seconds["dedup_budget"] = dedup.duration
+                _record_retrieval([ctx], retrieve, dedup, single)
             counts = np.fromiter(
                 (len(ids) for ids in per_query),
                 dtype=np.int64,
                 count=len(per_query),
             )
             flat = np.concatenate(per_query) if per_query else _EMPTY_IDS
-            return flat, counts
+            return flat, counts, None
 
-        return self._run(queries, plan, drain, single=single)
+        return self.run(queries, plan, drain, single=single)
 
     def execute_batch_ordered(
         self,
         queries: np.ndarray,
         plan: QueryPlan,
         table: RankedTable,
-        scores: np.ndarray,
+        scores: Callable[[], np.ndarray],
         *,
         single: bool = False,
     ) -> list[SearchResult]:
-        """Batched execution from a precomputed ``(B, nb)`` score matrix.
+        """Batched execution from a ``(B, nb)`` bucket score matrix.
 
         The fast path behind ``search_batch`` and
-        ``DynamicHashIndex.search``: column ``j`` of ``scores`` scores
-        the ``j``-th bucket slot of ``table.dense_layout()`` (signatures
+        ``DynamicHashIndex.search``: ``scores()``, called inside the
+        retrieve span, returns the matrix whose column ``j`` scores the
+        ``j``-th bucket slot of ``table.dense_layout()`` (signatures
         ascending), and every query's probe order is ascending
         ``(score, bucket signature)`` — the order the sorting probers
         (and, over occupied buckets, GQR) produce — so the whole
@@ -1165,13 +1214,14 @@ class QueryEngine:
         if budget is None:
             raise ValueError("batched execution needs a candidate budget")
 
-        def gather(
-            contexts: list[ExecutionContext],
-        ) -> tuple[np.ndarray, np.ndarray]:
+        def gather(contexts: list[ExecutionContext]) -> Gathered:
             with obs.span("retrieve") as retrieve:
                 signatures, sizes = table.dense_layout()[:2]
-                order, stops = _probe_prefix(
-                    scores, signatures, sizes, budget
+                order, cumulative = _probe_prefix(
+                    scores(), signatures, sizes, budget
+                )
+                stops = np.minimum(
+                    (cumulative < budget).sum(axis=1), order.shape[1] - 1
                 )
             with obs.span("dedup_budget") as cut:
                 # Ragged gather of every query's probed buckets in one shot.
@@ -1195,44 +1245,41 @@ class QueryEngine:
                         ctx.bucket_sizes.extend(
                             segment[segment > 0].tolist()
                         )
-            spent = retrieve.duration + cut.duration
-            for ctx in contexts:
-                ctx.retrieval_seconds = spent / len(contexts)
-            if single:
-                contexts[0].stage_seconds["retrieve"] = retrieve.duration
-                contexts[0].stage_seconds["dedup_budget"] = cut.duration
-            return candidates, counts
+            _record_retrieval(contexts, retrieve, cut, single)
+            return candidates, counts, None
 
-        return self._run(queries, plan, gather, single=single)
+        return self.run(queries, plan, gather, single=single)
 
-    def _run(
+    def run(
         self,
         queries: np.ndarray,
         plan: QueryPlan,
-        gather: Callable[
-            [list[ExecutionContext]], tuple[np.ndarray, np.ndarray]
-        ],
+        gather: Callable[[list[ExecutionContext]], Gathered],
         single: bool = False,
     ) -> list[SearchResult]:
         """The one body every entry point runs.
 
         ``gather`` records each query's retrieval facts into its context
-        and returns the ragged candidate block: flat ids plus per-query
-        counts.  The body evaluates the block — the exact ragged kernel
-        when it has more than one row, otherwise the evaluator once per
-        segment — then, per row, re-scores the whole surviving pool when
-        the plan has a rerank (``rerank`` span; ties break by id because
-        the reranker is an :class:`Evaluator`) and cuts the ranked list
-        to ``k`` (``truncate`` span), assembles the results and records
-        telemetry.
+        and returns the ragged candidate block: flat ids, per-query
+        counts and, when it scored the candidates itself (the Theorem 2
+        scan), their distances, else ``None``.  The body ranks the
+        block — a pre-scored block with :func:`top_k`; otherwise the
+        exact ragged kernel when it has more than one row, else the
+        evaluator once per segment — then, per row, re-scores the whole
+        surviving pool when the plan has a rerank (``rerank`` span;
+        ties break by id because the reranker is an
+        :class:`Evaluator`) and cuts the ranked list to ``k``
+        (``truncate`` span), assembles the results and records
+        telemetry.  Index adapters call it with their own ``gather``;
+        every other entry point of this class builds one.
 
         ``single`` marks a batch of one run as a query of its own
-        (:meth:`execute`, ``DynamicHashIndex.search``): it runs under
-        its own ``query`` root span (retrieve, dedup_budget, evaluate,
-        [rerank], truncate), may be trace-sampled, and its total is the
-        root span.  Batch rows share batch-level spans and run no
-        per-row stages for plain plans; their total is the sum of their
-        stage times.
+        (:meth:`execute`, ``DynamicHashIndex.search``, the Theorem 2
+        modes): it runs under its own ``query`` root span (retrieve,
+        dedup_budget, evaluate, [rerank], truncate), may be
+        trace-sampled, and its total is the root span.  Batch rows share
+        batch-level spans and run no per-row stages for plain plans;
+        their total is the sum of their stage times.
         """
         reranker = self._resolve_reranker(plan)
         rerank_mode = None if plan.rerank is None else plan.rerank.mode
@@ -1247,11 +1294,12 @@ class QueryEngine:
         )
         results: list[SearchResult] = []
         with scope as root:
-            candidates, counts = gather(contexts)
+            candidates, counts, scored = gather(contexts)
             cut = len(candidates) if keep is None else keep
             with obs.span("evaluate") as evaluate:
                 if (
-                    len(counts) > 1
+                    scored is None
+                    and len(counts) > 1
                     and isinstance(self.evaluator, ExactEvaluator)
                     and self.evaluator.metric in _RAGGED_METRICS
                 ):
@@ -1267,6 +1315,8 @@ class QueryEngine:
                     ends = list(accumulate(counts.tolist()))
                     ranked = [
                         self.evaluator.evaluate(query, candidates[lo:hi], cut)
+                        if scored is None
+                        else top_k(candidates[lo:hi], scored[lo:hi], cut)
                         for query, lo, hi in zip(queries, [0, *ends], ends)
                     ]
             for ctx in contexts:

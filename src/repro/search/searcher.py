@@ -32,7 +32,7 @@ from repro import obs
 from repro.core.gqr import GQR
 from repro.core.quantization_distance import theorem2_mu
 from repro.hashing.base import BinaryHasher, ProjectionHasher
-from repro.index.codes import pack_bits, unpack_bits
+from repro.index.codes import pack_bits
 from repro.index.distance import METRICS
 from repro.index.hash_table import HashTable
 from repro.index.mih import MultiIndexHashing
@@ -47,10 +47,12 @@ from repro.search.engine import (
     Evaluator,
     ExactEvaluator,
     ExecutionContext,
+    Gathered,
     QueryEngine,
     QueryPlan,
-    _probe_order,
-    _probe_order_prefix,
+    _bucket_scores,
+    _probe_prefix,
+    _record_retrieval,
     qd_merged_scored_stream,
     round_robin_stream,
     top_k,
@@ -469,11 +471,11 @@ class HashIndex:
         self, queries: np.ndarray, plan: QueryPlan
     ) -> list[SearchResult]:
         """:meth:`search_batch`'s uncached body over validated rows."""
-        infos_per_table = [
-            hasher.probe_info_batch(queries) for hasher in self._hashers
-        ]
 
         def streams() -> list[Iterable[np.ndarray]]:
+            infos_per_table = [
+                hasher.probe_info_batch(queries) for hasher in self._hashers
+            ]
             return [
                 self.candidate_stream(
                     query,
@@ -488,7 +490,7 @@ class HashIndex:
                 plan,
                 self._prober,
                 self._tables[0],
-                infos_per_table[0],
+                lambda: self._hashers[0].probe_info_batch(queries),
                 streams,
             )
         return self._engine.execute_batch_streams(queries, plan, streams())
@@ -517,11 +519,7 @@ class HashIndex:
             raise ValueError(
                 f"max_candidates must be >= 1, got {max_candidates}"
             )
-        ids, dists, ctx = self._theorem2_scan(query, k, np.inf, max_candidates)
-        return SearchResult(
-            ids, dists, ctx.n_candidates, ctx.n_buckets_probed,
-            extras={"stats": ctx},
-        )
+        return self._theorem2_scan(query, k, np.inf, max_candidates)
 
     def search_range(self, query: np.ndarray, radius: float) -> SearchResult:
         """All items within ``radius`` of the query — *exactly*.
@@ -534,11 +532,7 @@ class HashIndex:
         """
         if not radius >= 0:
             raise ValueError(f"radius must be non-negative, got {radius}")
-        ids, dists, ctx = self._theorem2_scan(query, None, radius, np.inf)
-        return SearchResult(
-            ids, dists, ctx.n_candidates, ctx.n_buckets_probed,
-            extras={"stats": ctx},
-        )
+        return self._theorem2_scan(query, None, radius, np.inf)
 
     def _theorem2_scan(
         self,
@@ -546,7 +540,7 @@ class HashIndex:
         k: int | None,
         radius: float,
         max_candidates: float,
-    ) -> tuple[np.ndarray, np.ndarray, ExecutionContext]:
+    ) -> SearchResult:
         """Probe in ascending QD until Theorem 2 proves the rest useless.
 
         The search stops before the first bucket ``j`` whose bound
@@ -554,127 +548,115 @@ class HashIndex:
         (``k is None``); for kNN, the k-th smallest distance over the
         buckets before ``j``, and ``radius`` (infinite) until ``k``
         candidates are seen.  It also stops after the bucket that
-        brings the candidate count to ``max_candidates``.  Returns the
-        kept ``(ids, distances)``, ascending by ``(distance, id)``: the
-        ``k`` nearest, or every probed item within ``radius``.
+        brings the candidate count to ``max_candidates``.  The result
+        holds the ``k`` nearest, or every probed item within
+        ``radius``, ascending by ``(distance, id)``.
 
-        Only occupied buckets are visited.  One ``batch_scores`` row
-        scores them all; a partitioned prefix of that row, widened ×4
-        whenever a chunk runs past it, gives the probe order — GQR's
-        order over occupied buckets — with the bounds sorted, so the
-        first bucket past the limit is a ``searchsorted``.  Buckets are
-        taken in chunks of growing candidate count, gathered in one
-        pass and scored with one distance call.  Every bucket in a
-        chunk passed the bound against the limit known before the
-        chunk; with ``k`` given the limit can only fall inside it, and
-        :func:`_first_stop` finds where.  The probed buckets, counters
-        and distances are those of visiting one bucket at a time.
+        The scan is the ``gather`` of the engine's one body
+        (:meth:`QueryEngine.run`), which ranks the distances it returns
+        and times, samples and records the query like any other.  Only
+        occupied buckets are visited.  One ``batch_scores`` row scores
+        them all and the engine's probe-order prefix for the candidate
+        cap ranks them — GQR's order over occupied buckets — with the
+        bounds sorted, so the first bucket past the limit is a
+        ``searchsorted``.  Buckets are taken in chunks of growing
+        candidate count, gathered in one pass and scored with one
+        distance call.  Every bucket in a chunk passed the bound
+        against the limit known before the chunk; with ``k`` given the
+        limit can only fall inside it, and :func:`_first_stop` finds
+        where.  The probed buckets, counters and distances are those of
+        visiting one bucket at a time.
         """
         prober, hasher, mu = self._early_stop_setup()
         query = validate_query(query, self._dim)
-        signature, costs = hasher.probe_info(query)
         table = self._tables[0]
-        n_buckets = table.num_buckets
+        # A count reaches a fractional cap at its ceiling.
+        cap = int(np.ceil(min(max_candidates, self.num_items)))
+        # Range search keeps every item it finds: k = n ranks them all.
+        plan = QueryPlan(
+            k=self.num_items if k is None else k, n_candidates=cap
+        )
 
-        ctx = ExecutionContext()
-        kept_ids = np.empty(0, dtype=np.int64)
-        kept_dists = np.empty(0, dtype=np.float64)
-        limit = radius
-        target = _FIRST_CHUNK
-        with obs.span("query") as root:
-            if n_buckets:
-                signatures, bits, complement = table.bucket_bits()
-                query_signature = np.array([signature], dtype=np.int64)
-                row = prober.batch_scores(
-                    signatures,
-                    bits,
-                    query_signature,
-                    unpack_bits(query_signature, table.code_length),
-                    costs[np.newaxis, :],
-                    complement,
+        def gather(contexts: list[ExecutionContext]) -> Gathered:
+            ctx = contexts[0]
+            with obs.span("retrieve") as retrieve:
+                scores = _bucket_scores(
+                    prober, table, [hasher.probe_info(query)]
                 )
-                sizes = table.dense_layout()[1]
-                # The prefix _probe_prefix would start from for this
-                # budget; it widens ×4 until a chunk ends inside it.
-                budget = min(max_candidates, self.num_items)
-                width = int(min(
-                    n_buckets,
-                    max(16, 4 * budget * n_buckets / self.num_items + 1),
-                ))
-            order = np.empty(0, dtype=np.int64)
-            bounds = np.empty(0, dtype=np.float64)
-            cumulative = np.empty(0, dtype=np.int64)
-            done = not n_buckets
-            while not done:
-                pos = ctx.n_buckets_probed
-                while True:
-                    # First bucket past the limit, and first one that
-                    # brings the count to the cap or the chunk target.
+                signatures, sizes = table.dense_layout()[:2]
+                order, cumulative = _probe_prefix(
+                    scores, signatures, sizes, cap
+                )
+                order, cumulative = order[0], cumulative[0]
+                bounds = mu * scores[0, order]
+            with obs.span("dedup_budget") as cut:
+                kept_ids = np.empty(0, dtype=np.int64)
+                kept_dists = np.empty(0, dtype=np.float64)
+                # The prefix ends at the bucket that reaches the cap.
+                capped = int(np.searchsorted(cumulative, cap))
+                limit, target, done = radius, _FIRST_CHUNK, False
+                while not done:
+                    pos = ctx.n_buckets_probed
+                    # First bucket past the limit, and last one to take:
+                    # the one reaching the cap or the chunk target.
                     stop = pos + int(
                         np.searchsorted(bounds[pos:], limit, side="right")
                     )
-                    capped = int(np.searchsorted(cumulative, max_candidates))
-                    filled = int(
+                    last = min(capped, int(
                         np.searchsorted(cumulative, ctx.n_candidates + target)
-                    )
-                    last = min(capped, filled)
-                    if min(stop, last) < len(order) or len(order) == n_buckets:
+                    ))
+                    target *= 2
+                    ctx.early_stop_triggered = stop <= last
+                    done = ctx.early_stop_triggered or last == capped
+                    end = min(stop, last + 1)
+                    if end == pos:
                         break
-                    if width == n_buckets:
-                        order = _probe_order(row, signatures)[0]
-                    else:
-                        order = _probe_order_prefix(row, signatures, width)[0]
-                    bounds = mu * row[0, order]
-                    cumulative = np.cumsum(sizes[order])
-                    width = min(n_buckets, 4 * width)
-                end = min(stop, last + 1)
-                target *= 2
-                if stop <= last:
-                    ctx.early_stop_triggered = stop < n_buckets
-                    done = True
-                else:
-                    done = capped <= filled or end == n_buckets
-                if end == pos:
-                    continue
-                chunk_ids, _ = table.gather(order[pos:end])
-                with obs.span("evaluate"):
+                    chunk_ids, lengths = table.gather(order[pos:end])
                     chunk_dists = self._exact.distances(query, chunk_ids)
-                n_probed, pulled = end - pos, len(chunk_ids)
-                if k is None:
-                    within = chunk_dists <= radius
-                    kept_ids = np.concatenate((kept_ids, chunk_ids[within]))
-                    kept_dists = np.concatenate(
-                        (kept_dists, chunk_dists[within])
-                    )
-                else:
-                    starts = np.concatenate(
-                        ([0], cumulative[pos:end] - ctx.n_candidates)
-                    )
-                    n_probed = _first_stop(
-                        bounds[pos:end], starts, kept_dists, chunk_dists, k
-                    )
-                    if n_probed < end - pos:
-                        ctx.early_stop_triggered = done = True
-                        pulled = int(starts[n_probed])
-                    kept_ids, kept_dists = top_k(
-                        np.concatenate((kept_ids, chunk_ids[:pulled])),
-                        np.concatenate((kept_dists, chunk_dists[:pulled])),
-                        k,
-                    )
-                    if len(kept_dists) == k:
-                        limit = float(kept_dists[-1])
-                ctx.n_buckets_probed += n_probed
-                ctx.n_candidates += pulled
-        # Evaluation is the chunks' distance calls; retrieval is the
-        # rest (scoring, ordering, gathers, the stop search, selection).
-        ctx.total_seconds = root.duration
-        ctx.evaluation_seconds = root.child_duration("evaluate")
-        ctx.retrieval_seconds = ctx.total_seconds - ctx.evaluation_seconds
-        obs.observe_query("hash", ctx, root=root)
-        if k is None:
-            order = np.lexsort((kept_ids, kept_dists))
-            kept_ids, kept_dists = kept_ids[order], kept_dists[order]
-        return kept_ids, kept_dists, ctx
+                    n_probed, pulled = end - pos, len(chunk_ids)
+                    if k is None:
+                        within = chunk_dists <= radius
+                        kept_ids = np.concatenate(
+                            (kept_ids, chunk_ids[within])
+                        )
+                        kept_dists = np.concatenate(
+                            (kept_dists, chunk_dists[within])
+                        )
+                    else:
+                        starts = np.concatenate(
+                            ([0], cumulative[pos:end] - ctx.n_candidates)
+                        )
+                        n_probed = _first_stop(
+                            bounds[pos:end], starts, kept_dists,
+                            chunk_dists, k,
+                        )
+                        if n_probed < end - pos:
+                            ctx.early_stop_triggered = done = True
+                            pulled = int(starts[n_probed])
+                        kept_ids, kept_dists = top_k(
+                            np.concatenate((kept_ids, chunk_ids[:pulled])),
+                            np.concatenate(
+                                (kept_dists, chunk_dists[:pulled])
+                            ),
+                            k,
+                        )
+                        if len(kept_dists) == k:
+                            limit = float(kept_dists[-1])
+                    if ctx.bucket_sizes is not None:
+                        ctx.bucket_sizes.extend(lengths[:n_probed].tolist())
+                    ctx.n_buckets_probed += n_probed
+                    ctx.n_candidates += pulled
+            _record_retrieval(contexts, retrieve, cut, True)
+            return (
+                kept_ids,
+                np.array([len(kept_ids)], dtype=np.int64),
+                kept_dists,
+            )
+
+        [result] = self._engine.run(
+            query[np.newaxis], plan, gather, single=True
+        )
+        return result
 
     def _early_stop_setup(self) -> tuple[GQR, ProjectionHasher, float]:
         """Shared preconditions of the Theorem 2 search modes, and µ."""

@@ -29,13 +29,14 @@ joins a batch.
 from __future__ import annotations
 
 import asyncio
+import inspect
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Any
 
 import numpy as np
 
-from repro.search.engine import validate_query
+from repro.search.engine import QueryPlan, validate_query
 from repro.search.results import SearchResult
 from repro.serving.config import FrontDoorConfig, default_config
 from repro.serving.core import (
@@ -67,7 +68,16 @@ def execute_batch(index: Any, batch: Batch) -> list[SearchResult]:
         return list(index.search_batch(
             batch.queries, plan.k, plan.n_candidates, rerank=plan.rerank
         ))
-    keywords = {
+    keywords = _search_keywords(plan)
+    return [
+        index.search(ticket.query, plan.k, **keywords)
+        for ticket in batch.tickets
+    ]
+
+
+def _search_keywords(plan: QueryPlan) -> dict[str, Any]:
+    """The budget and rerank keywords ``plan`` sets, for ``search``."""
+    return {
         name: value
         for name, value in (
             ("n_candidates", plan.n_candidates),
@@ -77,10 +87,6 @@ def execute_batch(index: Any, batch: Batch) -> list[SearchResult]:
         )
         if value is not None
     }
-    return [
-        index.search(ticket.query, plan.k, **keywords)
-        for ticket in batch.tickets
-    ]
 
 
 class AsyncFrontDoor:
@@ -116,6 +122,7 @@ class AsyncFrontDoor:
         self.core = FrontDoorCore(self.config)
         self._max_workers = max_workers
         self._lookup = getattr(index, "cached_result", None)
+        self._search = inspect.signature(index.search)
         self._executor: ThreadPoolExecutor | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._drainer: asyncio.Task[None] | None = None
@@ -173,12 +180,22 @@ class AsyncFrontDoor:
 
         Overload and malformed queries resolve as ``rejected``
         responses, never exceptions — the caller always gets a
-        :class:`~repro.serving.core.ServedResponse` to inspect.  With
+        :class:`~repro.serving.core.ServedResponse` to inspect.  A plan
+        with a bucket or time budget runs through the index's
+        ``search``; one whose budgets that ``search`` does not take
+        (``DynamicHashIndex`` takes only a candidate budget) is
+        rejected as ``invalid_query`` here, before it queues.  With
         a lookup-capable index, a request the result cache can answer
         resolves ``served`` without queueing.
         """
         if self._loop is None or self._drainer is None or self._closing:
             raise RuntimeError("front door is not running; call start()")
+        if not coalescible(plan):
+            # It will run through `search`: check that it can.
+            try:
+                self._search.bind(query, plan.k, **_search_keywords(plan))
+            except TypeError as error:
+                return self.core.reject_invalid(lane, str(error))
         try:
             query = validate_query(query)
             hit = self._lookup(query, plan) if self._lookup else None

@@ -7,6 +7,8 @@ are the single source both ``ExecutionContext`` stats and the registry
 histograms read from.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -225,3 +227,41 @@ class TestStageTimingSingleSource:
         np.testing.assert_allclose(
             stages["total"], stages["retrieval"] + stages["evaluation"]
         )
+
+
+class TestSingleQueryStagesAddUp:
+    def test_theorem2_modes_are_sampled_like_any_query(self, data, queries):
+        index = HashIndex(ITQ(code_length=8, seed=0), data, prober=GQR())
+        sampler = obs.TraceSampler(every_n=1)
+        with obs.telemetry_session(sampler=sampler):
+            results = [
+                index.search_early_stop(queries[0], k=5),
+                index.search_range(queries[1], 2.0),
+            ]
+        traces = sampler.traces()
+        assert len(traces) == len(results)
+        for trace, result in zip(traces, results):
+            assert trace.spans["name"] == "query"
+            assert result.n_candidates > 0
+            assert sum(trace.bucket_sizes) == result.n_candidates
+            assert trace.stats["n_candidates"] == result.n_candidates
+            stats = result.stats
+            assert (
+                stats.retrieval_seconds + stats.evaluation_seconds
+                <= stats.total_seconds
+            )
+
+    def test_dynamic_search_total_covers_bucket_scoring(self, data, queries):
+        class SlowGQR(GQR):
+            def batch_scores(self, *args, **kwargs):
+                time.sleep(0.005)
+                return super().batch_scores(*args, **kwargs)
+
+        dynamic = DynamicHashIndex(
+            ITQ(code_length=8, seed=0).fit(data),
+            dim=data.shape[1],
+            prober=SlowGQR(),
+        )
+        dynamic.add(data[:500])
+        result = dynamic.search(queries[0], k=5, n_candidates=100)
+        assert result.stats.total_seconds >= 0.005

@@ -160,6 +160,45 @@ class TestSubmit:
             assert np.array_equal(response.result.ids, want.ids)
             assert np.array_equal(response.result.distances, want.distances)
 
+    def test_plan_the_target_cannot_run_is_rejected_at_submit(
+        self, data, queries
+    ):
+        # Regression: DynamicHashIndex.search takes no max_buckets or
+        # time_budget, and such a plan was admitted, queued and failed
+        # in the worker as an execution_error TypeError.
+        dynamic = DynamicHashIndex(
+            ITQ(code_length=8, seed=0).fit(data), dim=data.shape[1]
+        )
+        dynamic.add(data)
+        plans = [
+            QueryPlan(k=5, max_buckets=4),
+            QueryPlan(k=5, n_candidates=100, time_budget=1.0),
+        ]
+
+        async def scenario():
+            async with AsyncFrontDoor(dynamic) as door:
+                responses = [await door.submit(queries[0], p) for p in plans]
+                return responses, door.core.stats
+
+        responses, stats = run(scenario())
+        for response in responses:
+            assert response.status == STATUS_REJECTED
+            assert response.reason == REASON_INVALID_QUERY
+        assert stats["batches"] == 0
+
+    def test_bucket_budget_plan_served_over_hash_index(self, index, queries):
+        plan = index.plan(k=5, max_buckets=4)
+
+        async def scenario():
+            async with AsyncFrontDoor(index) as door:
+                return await door.submit(queries[0], plan)
+
+        response = run(scenario())
+        assert response.status == STATUS_SERVED
+        want = index.search(queries[0], 5, max_buckets=4)
+        assert np.array_equal(response.result.ids, want.ids)
+        assert np.array_equal(response.result.distances, want.distances)
+
     def test_wrong_dimension_query_fails_only_itself(self, index, queries):
         # Regression: without an admission lookup the 8-dim query was
         # coalesced with its 16-dim batch-mates, and the batch that

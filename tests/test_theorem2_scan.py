@@ -22,7 +22,7 @@ from repro.core.quantization_distance import theorem2_mu
 from repro.data import gaussian_mixture
 from repro.hashing import ITQ
 from repro.index.linear_scan import knn_linear_scan
-from repro.search import searcher
+from repro.search import engine, searcher
 from repro.search.engine import ExactEvaluator
 from repro.search.searcher import HashIndex
 
@@ -230,13 +230,13 @@ class TestChunkEdges:
         hasher = ITQ(code_length=10, seed=0)
         index = HashIndex(hasher, data, prober=GQR())
         widths: list[int] = []
-        order_prefix = searcher._probe_order_prefix
+        order_prefix = engine._probe_order_prefix
 
         def spy(row, signatures, width):
             widths.append(width)
             return order_prefix(row, signatures, width)
 
-        monkeypatch.setattr(searcher, "_probe_order_prefix", spy)
+        monkeypatch.setattr(engine, "_probe_order_prefix", spy)
         widened = 0
         for row in range(2, 40):
             for cap in (50, 100):

@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from reprolint.core import ProjectRule, Violation, path_within, register
-from reprolint.project import FunctionInfo, ProjectIndex
+from reprolint.project import ProjectIndex
 
 __all__ = ["ConcurrencyDiscipline"]
 
