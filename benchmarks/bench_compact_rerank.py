@@ -12,47 +12,21 @@ across rerank-code lengths, together with each index's memory.  The
 expected shape: recall grows with code length, asymmetric ≥ symmetric
 (margins break Hamming ties), and memory stays ~an order of magnitude
 below the raw vectors.
-
-The second bench covers the staged pipeline's rerank path: a
-code-evaluated index answers candidate-only, rerank-exact and
-rerank-ADC plans over the same budget, and the IR metrics (MRR@k,
-Recall@k, NDCG@k) for each pipeline go to
-``benchmarks/results/BENCH_rerank.json``.  ``REPRO_BENCH_SMOKE=1``
-shrinks the workload for CI; the invariant asserted either way is the
-PR's acceptance bar — reranking strictly improves Recall@k over the
-candidate-only ranking at a matched candidate budget.
 """
-
-import json
-import os
 
 import numpy as np
 
-from repro.data import (
-    correlated_gaussian,
-    gaussian_mixture,
-    ground_truth_knn,
-    sample_queries,
-)
-from repro.eval.ir_report import format_ir_report, ir_report
+from repro.data import correlated_gaussian, ground_truth_knn
 from repro.eval.reporting import format_table
 from repro.hashing import ITQ
-from repro.quantization.pq import ProductQuantizer
 from repro.search.compact_index import CompactHashIndex
 from repro.search.searcher import HashIndex
-from repro.search.stages import RerankSpec
-from repro_bench import RESULTS_DIR, save_report
-
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
+from repro_bench import save_report
 
 N_ITEMS = 6000
 DIMS = 48
 K = 10
 BUDGET = 600
-
-PIPE_ITEMS = 2_000 if SMOKE else 8_000
-PIPE_QUERIES = 16 if SMOKE else 64
-PIPE_BUDGET = 200 if SMOKE else 500
 
 
 def test_compact_rerank(benchmark):
@@ -116,63 +90,3 @@ def test_compact_rerank(benchmark):
         probe, ITQ(code_length=48, seed=1).fit(data), data
     ).memory_bytes() < data.nbytes / 4
 
-
-def test_pipeline_rerank_ir_metrics(benchmark):
-    data = gaussian_mixture(
-        PIPE_ITEMS, 32, n_clusters=40, cluster_spread=1.0, seed=7
-    )
-    queries = sample_queries(data, PIPE_QUERIES, seed=8)
-    truth = ground_truth_knn(queries, data, K)
-
-    # Code evaluation keeps the candidate-only ranking coarse, so the
-    # rerank stages have measurable headroom at the same budget.
-    index = HashIndex(
-        ITQ(code_length=12, seed=0), data,
-        evaluation="code",
-        rerank_quantizer=ProductQuantizer(n_subspaces=8, seed=0),
-    )
-
-    plans = {
-        "candidate-only": {},
-        "rerank-exact": {"rerank": RerankSpec(mode="exact")},
-        "rerank-adc": {"rerank": RerankSpec(mode="adc")},
-    }
-    returned = {name: [] for name in plans}
-
-    def run_all():
-        for query in queries:
-            for name, extra in plans.items():
-                returned[name].append(
-                    index.search(
-                        query, k=K, n_candidates=PIPE_BUDGET, **extra
-                    ).ids
-                )
-
-    benchmark.pedantic(run_all, rounds=1, iterations=1)
-
-    report = ir_report(returned, truth, k=K)
-    payload = {
-        "smoke": SMOKE,
-        "n_items": PIPE_ITEMS,
-        "n_queries": PIPE_QUERIES,
-        "k": K,
-        "budget": PIPE_BUDGET,
-        "pipelines": report,
-    }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_rerank.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )
-    save_report(
-        "pipeline_rerank",
-        f"staged pipelines, {PIPE_ITEMS}x32, k={K}, "
-        f"budget={PIPE_BUDGET}:\n" + format_ir_report(report),
-    )
-
-    # The PR's acceptance bar: at a matched candidate budget, exact
-    # reranking strictly beats the candidate-only (code-distance)
-    # ranking on Recall@k.
-    recall_key = f"recall@{K}"
-    assert report["rerank-exact"][recall_key] > (
-        report["candidate-only"][recall_key]
-    )

@@ -12,9 +12,10 @@ Three claims, measured on one synthetic GQR workload:
 Rounds interleave the two modes so drift (thermal, cache, GC) hits
 both equally, and the reported number is the median across rounds of
 the per-round mean latency.  Writes
-``benchmarks/results/BENCH_obs_overhead.json`` plus the enabled run's
-registry snapshot (``OBS_metrics_snapshot.json`` / ``.prom``) as CI
-artifacts.  ``REPRO_BENCH_SMOKE=1`` shrinks the workload for CI and
+``benchmarks/results/BENCH_obs_overhead.json`` as a CI artifact; the
+registry's series themselves are printed by
+``python -m repro obs --format json|prometheus``.
+``REPRO_BENCH_SMOKE=1`` shrinks the workload for CI and
 relaxes the assertion bar (short runs are noise-dominated); the
 committed JSON comes from a full local run.
 """
@@ -88,14 +89,11 @@ def test_obs_overhead(benchmark):
         _mean_latency(index, queries[:8])
 
     measurements = {"disabled": [], "enabled": []}
-    registry_snapshot = {}
 
     def measure_enabled():
         sampler = obs.TraceSampler(every_n=SAMPLE_EVERY, seed=0)
-        with obs.telemetry_session(sampler=sampler) as telemetry:
-            latency = _mean_latency(index, queries)
-            registry_snapshot["state"] = telemetry
-        return latency
+        with obs.telemetry_session(sampler=sampler):
+            return _mean_latency(index, queries)
 
     def run_all():
         # Alternate which mode runs first each round so within-round
@@ -150,13 +148,6 @@ def test_obs_overhead(benchmark):
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_obs_overhead.json").write_text(
         json.dumps(report, indent=2) + "\n"
-    )
-    state = registry_snapshot["state"]
-    (RESULTS_DIR / "OBS_metrics_snapshot.json").write_text(
-        obs.snapshot_json(state.registry) + "\n"
-    )
-    (RESULTS_DIR / "OBS_metrics_snapshot.prom").write_text(
-        obs.to_prometheus_text(state.registry)
     )
 
     rows = [

@@ -153,7 +153,7 @@ class QueryResultCache:
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        if ttl_seconds is not None and ttl_seconds <= 0:
+        if ttl_seconds is not None and not ttl_seconds > 0:
             raise ValueError(
                 f"ttl_seconds must be positive, got {ttl_seconds}"
             )

@@ -439,9 +439,9 @@ class HashIndex:
         the rows.
         """
         queries = validate_query_batch(queries, self._dim)
+        plan = self.plan(k, n_candidates, rerank=rerank)
         if not len(queries):
             return []
-        plan = self.plan(k, n_candidates, rerank=rerank)
         return self._engine.run_cached(
             queries, plan, lambda block: self._execute_batch(block, plan)
         )

@@ -93,12 +93,12 @@ class LaneConfig:
             raise ValueError(
                 f"lane max_depth must be >= 1, got {self.max_depth}"
             )
-        if self.deadline_seconds <= 0:
+        if not self.deadline_seconds > 0:
             raise ValueError(
                 f"deadline_seconds must be positive, got "
                 f"{self.deadline_seconds}"
             )
-        if self.coalesce_seconds < 0:
+        if not self.coalesce_seconds >= 0:
             raise ValueError(
                 f"coalesce_seconds must be >= 0, got {self.coalesce_seconds}"
             )
@@ -126,9 +126,9 @@ class OverloadConfig:
     dwell_seconds: float = 0.020
 
     def __post_init__(self) -> None:
-        if self.degrade_delay_seconds <= 0:
+        if not self.degrade_delay_seconds > 0:
             raise ValueError("degrade_delay_seconds must be positive")
-        if self.shed_delay_seconds <= self.degrade_delay_seconds:
+        if not self.shed_delay_seconds > self.degrade_delay_seconds:
             raise ValueError(
                 "shed_delay_seconds must exceed degrade_delay_seconds"
             )
@@ -142,7 +142,7 @@ class OverloadConfig:
             )
         if self.max_level < 1:
             raise ValueError(f"max_level must be >= 1, got {self.max_level}")
-        if self.dwell_seconds < 0:
+        if not self.dwell_seconds >= 0:
             raise ValueError(
                 f"dwell_seconds must be >= 0, got {self.dwell_seconds}"
             )

@@ -184,12 +184,18 @@ class AsyncFrontDoor:
         with a bucket or time budget runs through the index's
         ``search``; one whose budgets that ``search`` does not take
         (``DynamicHashIndex`` takes only a candidate budget) is
-        rejected as ``invalid_query`` here, before it queues.  With
+        rejected as ``invalid_query`` here, before it queues, as is a
+        ``deadline_seconds`` that is not positive (NaN included).  With
         a lookup-capable index, a request the result cache can answer
         resolves ``served`` without queueing.
         """
         if self._loop is None or self._drainer is None or self._closing:
             raise RuntimeError("front door is not running; call start()")
+        if deadline_seconds is not None and not deadline_seconds > 0:
+            return self.core.reject_invalid(
+                lane, f"deadline_seconds must be positive, got "
+                f"{deadline_seconds}"
+            )
         if not coalescible(plan):
             # It will run through `search`: check that it can.
             try:

@@ -5,10 +5,11 @@ equivalent record set) into one JSON-friendly report —
 ``repro.serving_slo/v1`` — that states, per lane, the *declared*
 p50/p99/p999 targets next to the *achieved* quantiles of served
 requests, plus goodput against the measured serial capacity and every
-shed/degrade/reject count the front door tallied.  The CI smoke job
-(``serving-slo``) validates the report's completeness with
-:func:`validate_slo_report` and uploads it as
-``BENCH_serving_slo.json``.
+shed/degrade/reject count the front door tallied.
+:func:`validate_slo_report` checks a report's completeness;
+``python -m repro serve-sim`` prints one and ``tests/test_serving_sim.py``
+validates it.  Achieved figures follow from the simulator's modelled
+service cost, not a measurement of the engine.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 A negative or zero candidate budget, a bucket budget below one, a NaN
 or negative time budget, a NaN radius and a Theorem 2 candidate cap
-below one each raise ``ValueError`` before any bucket is probed.
+below one each raise ``ValueError`` before any bucket is probed, even
+for an empty query batch.
 """
 
 import math
@@ -60,3 +61,10 @@ def test_search_range_rejects_nan_radius(index):
 def test_search_early_stop_rejects_cap_below_one(index, max_candidates):
     with pytest.raises(ValueError, match="max_candidates"):
         index.search_early_stop(QUERY, 10, max_candidates=max_candidates)
+
+
+def test_search_batch_validates_budget_on_an_empty_batch(index):
+    # Regression: an empty batch returned [] before the plan was built,
+    # so a meaningless budget passed silently.
+    with pytest.raises(ValueError):
+        index.search_batch(np.empty((0, 16)), k=0, n_candidates=-5)

@@ -11,6 +11,8 @@ The serving-layer guarantees under test:
   through :mod:`repro.obs`.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,8 @@ class TestCacheCore:
             QueryResultCache(capacity=0)
         with pytest.raises(ValueError, match="ttl_seconds"):
             QueryResultCache(ttl_seconds=0.0)
+        with pytest.raises(ValueError, match="ttl_seconds"):
+            QueryResultCache(ttl_seconds=math.nan)
 
     def test_time_budget_plans_not_cacheable(self):
         assert not QueryResultCache.cacheable(QueryPlan(k=1, time_budget=0.1))

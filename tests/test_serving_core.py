@@ -6,6 +6,8 @@ deliberately sans-io: the same decisions the asyncio front door and the
 traffic simulator execute are pinned deterministically.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,8 @@ class TestConfigValidation:
         {"name": "x", "max_depth": 0},
         {"name": "x", "deadline_seconds": 0.0},
         {"name": "x", "coalesce_seconds": -1.0},
+        {"name": "x", "deadline_seconds": math.nan},
+        {"name": "x", "coalesce_seconds": math.nan},
     ])
     def test_lane_config_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -95,6 +99,12 @@ class TestConfigValidation:
             OverloadConfig(ewma_alpha=0.0)
         with pytest.raises(ValueError, match="max_level"):
             OverloadConfig(max_level=0)
+        with pytest.raises(ValueError, match="degrade_delay"):
+            OverloadConfig(degrade_delay_seconds=math.nan)
+        with pytest.raises(ValueError, match="shed_delay"):
+            OverloadConfig(shed_delay_seconds=math.nan)
+        with pytest.raises(ValueError, match="dwell"):
+            OverloadConfig(dwell_seconds=math.nan)
 
     def test_entry_threshold_ladder(self):
         config = OverloadConfig(degrade_delay_seconds=0.01,

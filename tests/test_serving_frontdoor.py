@@ -199,6 +199,25 @@ class TestSubmit:
         assert np.array_equal(response.result.ids, want.ids)
         assert np.array_equal(response.result.distances, want.distances)
 
+    @pytest.mark.parametrize("deadline", [float("nan"), 0.0, -1.0])
+    def test_meaningless_deadline_is_rejected_at_submit(
+        self, index, queries, deadline
+    ):
+        # Regression: a NaN deadline was served and then recorded as
+        # missed; zero or below queued and then expired.
+        async def scenario():
+            async with AsyncFrontDoor(index) as door:
+                response = await door.submit(
+                    queries[0], index.plan(k=5, n_candidates=100),
+                    deadline_seconds=deadline,
+                )
+                return response, door.core.stats
+
+        response, stats = run(scenario())
+        assert response.status == STATUS_REJECTED
+        assert response.reason == REASON_INVALID_QUERY
+        assert stats["batches"] == 0
+
     def test_wrong_dimension_query_fails_only_itself(self, index, queries):
         # Regression: without an admission lookup the 8-dim query was
         # coalesced with its 16-dim batch-mates, and the batch that
