@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.core.gqr import GQR
 from repro.eval.reporting import format_table
-from repro.probing import GenerateHammingRanking, PrefixRanking
+from repro.probing import GenerateHammingRanking
 from repro.search.searcher import HashIndex
 from repro_bench import fitted_hasher, save_report, workload
 
@@ -54,7 +54,6 @@ def test_io_cost_buckets_at_recall(benchmark):
     probers = {
         "GQR": GQR(),
         "GHR": GenerateHammingRanking(),
-        "prefix (SK-LSH-style)": PrefixRanking(),
     }
     results = {}
 
@@ -79,7 +78,3 @@ def test_io_cost_buckets_at_recall(benchmark):
     # QD needs the fewest bucket fetches at every target.
     for i in range(len(TARGETS)):
         assert results["GQR"][i] <= results["GHR"][i] * 1.05, TARGETS[i]
-        assert (
-            results["GQR"][i]
-            <= results["prefix (SK-LSH-style)"][i] * 1.05
-        ), TARGETS[i]

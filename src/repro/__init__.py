@@ -40,12 +40,8 @@ from repro.hashing import (
     SpectralHashing,
 )
 from repro.index import (
-    C2LSH,
-    E2LSH,
-    QALSH,
     HashTable,
     LinearScan,
-    LSBForest,
     MultiIndexHashing,
 )
 from repro.io import load_index, save_index
@@ -54,7 +50,6 @@ from repro.probing import (
     GenerateHammingRanking,
     HammingRanking,
     MultiProbeLSH,
-    PrefixRanking,
 )
 from repro.quantization import (
     InvertedMultiIndex,
@@ -69,9 +64,7 @@ from repro.search import (
     IMISearchIndex,
     MIHSearchIndex,
     SearchResult,
-    StreamSearchIndex,
 )
-from repro.trees import KDTree, KMeansTree, RandomizedKDForest
 
 __version__ = "1.0.0"
 
@@ -81,9 +74,7 @@ __all__ = [
     "AnchorGraphHashing",
     "BinaryHasher",
     "BucketProber",
-    "C2LSH",
     "CompactHashIndex",
-    "E2LSH",
     "DynamicHashIndex",
     "FlippingVectorGenerator",
     "GenerateHammingRanking",
@@ -92,22 +83,16 @@ __all__ = [
     "HashTable",
     "IMISearchIndex",
     "InvertedMultiIndex",
-    "KDTree",
     "KMeans",
     "KMeansHashing",
-    "KMeansTree",
-    "LSBForest",
     "LinearScan",
     "MIHSearchIndex",
     "MultiIndexHashing",
     "MultiProbeLSH",
-    "PrefixRanking",
     "OptimizedProductQuantizer",
     "PCAHashing",
     "ProductQuantizer",
-    "QALSH",
     "QDRanking",
-    "RandomizedKDForest",
     "RandomProjectionLSH",
     "SemiSupervisedHashing",
     "SearchResult",
@@ -115,7 +100,6 @@ __all__ = [
     "obs",
     "save_index",
     "SharedGenerationTree",
-    "StreamSearchIndex",
     "SpectralHashing",
     "quantization_distance",
     "quantization_distances",

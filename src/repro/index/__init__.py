@@ -1,6 +1,5 @@
 """Index substrates: binary codes, hash tables, exact-search baselines."""
 
-from repro.index.c2lsh import C2LSH
 from repro.index.codes import (
     MAX_CODE_LENGTH,
     hamming_distance,
@@ -17,20 +16,13 @@ from repro.index.distance import (
     pairwise_distances,
 )
 from repro.index.dynamic import DynamicHashTable
-from repro.index.e2lsh import E2LSH
 from repro.index.hash_table import HashTable
 from repro.index.linear_scan import LinearScan, euclidean_distances, knn_linear_scan
-from repro.index.lsb import LSBForest, interleave_bits
 from repro.index.mih import MultiIndexHashing
-from repro.index.qalsh import QALSH
 
 __all__ = [
     "MAX_CODE_LENGTH",
     "METRICS",
-    "C2LSH",
-    "E2LSH",
-    "LSBForest",
-    "QALSH",
     "DynamicHashTable",
     "HashTable",
     "LinearScan",
@@ -41,7 +33,6 @@ __all__ = [
     "hamming_distance",
     "hamming_weight",
     "knn_exact",
-    "interleave_bits",
     "knn_linear_scan",
     "pack_bits",
     "pairwise_distances",

@@ -41,7 +41,7 @@ metric                                    kind       labels
 ========================================  =========  =====================
 
 ``index`` is the engine's name ("hash", "mih", "imi", "compact",
-"dynamic", "stream").  ``stage`` is a first-class label over
+"dynamic").  ``stage`` is a first-class label over
 the engine's pipeline stages: ``retrieval`` / ``evaluation`` /
 ``total`` always, plus ``rerank`` for queries whose plan ran that
 stage.  The cache series are fed by

@@ -8,15 +8,12 @@ from repro.probing.base import BucketProber, collect_candidates
 from repro.probing.ghr import GenerateHammingRanking, hamming_ring_signatures
 from repro.probing.hamming_ranking import HammingRanking
 from repro.probing.multiprobe_lsh import MultiProbeLSH
-from repro.probing.sklsh import PrefixRanking, common_prefix_length
 
 __all__ = [
     "BucketProber",
     "GenerateHammingRanking",
     "HammingRanking",
     "MultiProbeLSH",
-    "PrefixRanking",
-    "common_prefix_length",
     "collect_candidates",
     "hamming_ring_signatures",
 ]

@@ -26,7 +26,6 @@ from repro.search.searcher import (
     evaluate_candidates,
 )
 from repro.search.stages import RerankSpec
-from repro.search.stream_index import StreamSearchIndex
 
 __all__ = [
     "ADCEvaluator",
@@ -43,7 +42,6 @@ __all__ = [
     "QueryResultCache",
     "RerankSpec",
     "SearchResult",
-    "StreamSearchIndex",
     "cache_token",
     "evaluate_candidates",
     "query_fingerprint",

@@ -178,8 +178,8 @@ class QueryPlan:
     rerank: RerankSpec | None = None
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be positive, got {self.k}")
+        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
         if (
             self.n_candidates is None
             and self.max_buckets is None
@@ -969,7 +969,7 @@ class QueryEngine:
     :meth:`run_cached` before running a cacheable plan and stores the
     results after.  Keys include this engine's identity token and
     :attr:`generation`, which mutating indexes bump via
-    :meth:`bump_generation` on every add/remove/append — entries from an
+    :meth:`bump_generation` on every add/remove — entries from an
     older generation can never be returned again.
     """
 
@@ -983,11 +983,10 @@ class QueryEngine:
         self.name = name
         self.cache = cache
         self.generation = 0
-        # Mutable indexes bump the generation from whatever thread runs
-        # the mutation — including front-door worker threads, where a
-        # stream index syncs its pending appends inside a search — and
-        # `+=` is not atomic under the GIL.  Reads (cache keys) stay
-        # lock-free: a torn read just misses the cache.
+        # A mutable index (`DynamicHashIndex`) bumps the generation from
+        # whatever writer thread runs its add/remove, while other threads
+        # search, and `+=` is not atomic under the GIL.  Reads (cache
+        # keys) stay lock-free: a torn read just misses the cache.
         self._generation_lock = threading.Lock()
         self.rerankers: dict[str, Evaluator] = {}
         self._cache_token = cache_token(name)

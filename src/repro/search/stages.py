@@ -70,8 +70,12 @@ class RerankSpec:
             raise ValueError(
                 f"rerank mode must be 'exact' or 'adc', got {self.mode!r}"
             )
-        if self.pool is not None and self.pool < 1:
-            raise ValueError(f"rerank pool must be positive, got {self.pool}")
+        if self.pool is not None and (
+            not isinstance(self.pool, (int, np.integer)) or self.pool < 1
+        ):
+            raise ValueError(
+                f"rerank pool must be an integer >= 1, got {self.pool!r}"
+            )
 
 
 # -- the dedup/budget loop ---------------------------------------------

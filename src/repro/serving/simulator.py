@@ -171,11 +171,12 @@ class ServingSimulator:
         per_query_cost: float = 1e-3,
         batch_overhead: float = 0.0,
     ) -> None:
-        if per_query_cost <= 0:
+        # Negated comparisons so NaN fails them too.
+        if not per_query_cost > 0:
             raise ValueError(
                 f"per_query_cost must be positive, got {per_query_cost}"
             )
-        if batch_overhead < 0:
+        if not batch_overhead >= 0:
             raise ValueError(
                 f"batch_overhead must be >= 0, got {batch_overhead}"
             )

@@ -1,9 +1,10 @@
 """Budgets and bounds that make no sense are rejected, not run.
 
 A negative or zero candidate budget, a bucket budget below one, a NaN
-or negative time budget, a NaN radius and a Theorem 2 candidate cap
-below one each raise ``ValueError`` before any bucket is probed, even
-for an empty query batch.
+or negative time budget, a NaN radius, a Theorem 2 candidate cap below
+one, and a ``k`` or rerank pool that is not an integer >= 1 each raise
+``ValueError`` before any bucket is probed, even for an empty query
+batch.
 """
 
 import math
@@ -15,6 +16,7 @@ from repro.core.gqr import GQR
 from repro.data import gaussian_mixture
 from repro.hashing import ITQ
 from repro.search.engine import QueryPlan
+from repro.search.stages import RerankSpec
 from repro.search.searcher import HashIndex
 
 QUERY = np.zeros(16)
@@ -68,3 +70,35 @@ def test_search_batch_validates_budget_on_an_empty_batch(index):
     # so a meaningless budget passed silently.
     with pytest.raises(ValueError):
         index.search_batch(np.empty((0, 16)), k=0, n_candidates=-5)
+
+
+NON_INTEGERS = [math.nan, 2.5, 3.0]
+
+
+@pytest.mark.parametrize("k", NON_INTEGERS, ids=repr)
+def test_k_must_be_an_integer(index, k):
+    # Regression: NaN and fractional k constructed a plan, then failed
+    # with a TypeError ("slice indices must be integers") in the engine.
+    with pytest.raises(ValueError, match="k must be"):
+        QueryPlan(k=k, n_candidates=100)
+    with pytest.raises(ValueError, match="k must be"):
+        index.search(QUERY, k, n_candidates=100)
+    with pytest.raises(ValueError, match="k must be"):
+        index.search_batch(QUERY[None, :], k, n_candidates=100)
+    with pytest.raises(ValueError, match="k must be"):
+        index.search_early_stop(QUERY, k, max_candidates=100)
+
+
+@pytest.mark.parametrize("pool", NON_INTEGERS, ids=repr)
+def test_rerank_pool_must_be_an_integer(pool):
+    with pytest.raises(ValueError, match="pool must be"):
+        RerankSpec(mode="exact", pool=pool)
+
+
+def test_numpy_integers_and_fractional_budgets_stay_legal(index):
+    rerank = RerankSpec(mode="exact", pool=np.int32(40))
+    result = index.search(QUERY, np.int64(5), n_candidates=100, rerank=rerank)
+    assert len(result.ids) == 5
+    # The Theorem 2 scan takes a fractional cap's ceiling on purpose.
+    early = index.search_early_stop(QUERY, 5, max_candidates=99.5)
+    assert len(early.ids) == 5

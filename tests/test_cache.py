@@ -4,7 +4,7 @@ The serving-layer guarantees under test:
 
 * a hit returns the *same* ``SearchResult`` object the uncached
   execution produced — bit-identical ids and distances by construction;
-* mutation (dynamic add/remove, stream append) can never serve a stale
+* mutation (dynamic add/remove) can never serve a stale
   entry — generation numbers participate in every key;
 * time-budgeted plans are never cached;
 * hit/miss/eviction counters and the occupancy gauge are visible
@@ -25,7 +25,6 @@ from repro.search import (
     HashIndex,
     QueryPlan,
     QueryResultCache,
-    StreamSearchIndex,
     cache_token,
     query_fingerprint,
 )
@@ -213,28 +212,6 @@ class TestMutationInvalidation:
         index = self.build(data, cache)
         first = index.search(data[0], k=3, n_candidates=100)
         assert index.search(data[0], k=3, n_candidates=100) is first
-
-    def test_stream_append_invalidates(self, data):
-        class GrowingSource:
-            def __init__(self, n):
-                self.n = n
-
-            @property
-            def num_items(self):
-                return self.n
-
-            def candidate_stream(self, query):
-                yield np.arange(self.n, dtype=np.int64)
-
-        source = GrowingSource(len(data) - 1)
-        index = StreamSearchIndex(source, data, cache=QueryResultCache())
-        query = data[-1]
-        stale = index.search(query, k=1, n_candidates=len(data))
-        source.n = len(data)  # append: the query point itself is now indexed
-        fresh = index.search(query, k=1, n_candidates=len(data))
-        assert fresh is not stale
-        assert fresh.ids[0] == len(data) - 1
-        assert fresh.distances[0] == 0.0
 
 
 class TestTelemetry:

@@ -16,6 +16,7 @@ seeded 10x flash-crowd trace:
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -255,6 +256,12 @@ class TestClosedLoop:
             ServingSimulator(index, per_query_cost=0.0)
         with pytest.raises(ValueError, match="batch_overhead"):
             ServingSimulator(index, batch_overhead=-1.0)
+        # Regression: NaN passed both checks, and 7 of 27 requests of a
+        # seeded open-loop trace never resolved.
+        with pytest.raises(ValueError, match="per_query_cost"):
+            ServingSimulator(index, per_query_cost=math.nan)
+        with pytest.raises(ValueError, match="batch_overhead"):
+            ServingSimulator(index, batch_overhead=math.nan)
 
 
 class TestSerialCalibration:
