@@ -18,11 +18,9 @@ Commands
     Score the stage pipeline's variants — candidate-only, exact
     rerank, ADC rerank — against exact ground truth and print
     an MRR@k / Recall@k / NDCG@k table at a matched candidate budget.
-``serve-sim``
-    Drive the async serving front door's decision core through a
-    seeded flash-crowd traffic trace in virtual time and print the SLO
-    report: declared vs achieved latency quantiles per lane, goodput
-    against serial capacity, and every shed/degrade/reject count.
+``reproduce``
+    Regenerate a paper table or figure by experiment id (``--list``
+    names them).
 """
 
 from __future__ import annotations
@@ -242,58 +240,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_sim(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.data import gaussian_mixture, sample_queries
-    from repro.data.workloads import FlashCrowd, traffic_trace
-    from repro.serving import (
-        ServingSimulator,
-        format_slo_report,
-        measure_serial_cost,
-        slo_report,
-    )
-
-    data = gaussian_mixture(args.items, 32, n_clusters=40,
-                            cluster_spread=1.0, seed=args.seed)
-    queries = sample_queries(data, args.distinct, seed=args.seed + 1)
-    index = HashIndex(ITQ(code_length=10, seed=0), data, prober=GQR())
-    plan = index.plan(k=args.k, n_candidates=args.budget)
-
-    per_query_cost = (
-        1.0 / args.capacity_qps
-        if args.capacity_qps > 0
-        else measure_serial_cost(index, plan, queries[:32])
-    )
-    capacity = 1.0 / per_query_cost
-
-    crowd = FlashCrowd(
-        start=args.flash_start,
-        duration=args.flash_duration,
-        multiplier=args.flash_multiplier,
-    )
-    trace = traffic_trace(
-        duration=args.duration, base_rate=args.base_rate,
-        n_distinct=len(queries), seed=args.seed, flash_crowds=(crowd,),
-    )
-    print(f"serve-sim: {args.items} items, {len(queries)} distinct "
-          f"queries, base rate {args.base_rate:g}/s with "
-          f"{args.flash_multiplier:g}x crowd @{args.flash_start:g}s "
-          f"for {args.flash_duration:g}s, serial capacity "
-          f"{capacity:.0f} q/s, seed={args.seed}")
-    simulator = ServingSimulator(index, per_query_cost=per_query_cost)
-    sim = simulator.run_open(trace, queries, plan)
-    report = slo_report(
-        sim, serial_capacity_qps=capacity, flash_crowds=(crowd,)
-    )
-    print(format_slo_report(report))
-    if args.json is not None:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-        print(f"wrote SLO report to {args.json}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the ``python -m repro`` argument parser."""
     parser = argparse.ArgumentParser(
@@ -344,34 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="candidate budget per query")
     eval_cmd.add_argument("--seed", type=int, default=0)
 
-    serve = commands.add_parser(
-        "serve-sim",
-        help="flash-crowd serving simulation; print the SLO report",
-    )
-    serve.add_argument("--duration", type=float, default=6.0,
-                       help="simulated trace length in seconds")
-    serve.add_argument("--base-rate", type=float, default=300.0,
-                       help="calm-period arrival rate (queries/s)")
-    serve.add_argument("--flash-multiplier", type=float, default=10.0,
-                       help="rate multiplier inside the flash crowd")
-    serve.add_argument("--flash-start", type=float, default=2.0,
-                       help="flash-crowd onset (seconds into the trace)")
-    serve.add_argument("--flash-duration", type=float, default=2.0,
-                       help="flash-crowd length in seconds")
-    serve.add_argument("--items", type=int, default=4000,
-                       help="synthetic corpus size")
-    serve.add_argument("--distinct", type=int, default=64,
-                       help="distinct queries behind the zipfian stream")
-    serve.add_argument("--k", type=int, default=10)
-    serve.add_argument("--budget", type=int, default=200,
-                       help="candidate budget of the full-fidelity plan")
-    serve.add_argument("--capacity-qps", type=float, default=800.0,
-                       help="virtual serial capacity (queries/s); 0 "
-                            "calibrates from a timed serial run")
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--json", default=None, metavar="PATH",
-                       help="also write the SLO report as JSON")
-
     reproduce = commands.add_parser(
         "reproduce", help="regenerate a paper table/figure"
     )
@@ -398,7 +316,6 @@ def main(argv: list[str] | None = None) -> int:
         "demo": _cmd_demo,
         "obs": _cmd_obs,
         "eval": _cmd_eval,
-        "serve-sim": _cmd_serve_sim,
         "reproduce": _cmd_reproduce,
     }
     try:

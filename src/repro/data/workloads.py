@@ -11,9 +11,9 @@ generators let the harness (and
 Beyond query *content*, serving behaviour depends on traffic *shape*:
 which queries repeat (:func:`zipfian_stream` — the skew the result
 cache exploits) and when they arrive (:func:`traffic_trace` — a
-non-homogeneous Poisson arrival process with diurnal modulation and
-flash-crowd bursts, the open-loop input of the serving front door's
-simulator, :mod:`repro.serving.simulator`).  Every generator is seeded
+non-homogeneous Poisson arrival process with flash-crowd bursts, the
+open-loop input of the serving front door's test harness,
+:mod:`repro.serving.simulator`).  Every generator is seeded
 and deterministic per seed.
 """
 
@@ -144,11 +144,17 @@ class FlashCrowd:
     multiplier: float
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
-        if self.multiplier < 0:
+        # Negated comparisons so NaN fails them too.
+        if not -np.inf < self.start < np.inf:
+            raise ValueError(f"start must be finite, got {self.start}")
+        if not 0 < self.duration < np.inf:
             raise ValueError(
-                f"multiplier must be non-negative, got {self.multiplier}"
+                f"duration must be positive and finite, got {self.duration}"
+            )
+        if not 0 <= self.multiplier < np.inf:
+            raise ValueError(
+                f"multiplier must be finite and non-negative, got "
+                f"{self.multiplier}"
             )
 
 
@@ -190,25 +196,18 @@ class TrafficTrace:
 def rate_at(
     t: np.ndarray | float,
     base_rate: float,
-    diurnal_amplitude: float = 0.0,
-    diurnal_period: float = 86_400.0,
     flash_crowds: tuple[FlashCrowd, ...] = (),
 ) -> np.ndarray:
     """The instantaneous offered rate λ(t) of :func:`traffic_trace`.
 
-    A sinusoidal diurnal ramp around ``base_rate`` (amplitude as a
-    fraction in ``[0, 1]``), scaled by every flash crowd whose window
-    covers ``t``.  Exposed so tests and the SLO report can state the
-    *declared* offered load alongside the realised one.
+    ``base_rate`` scaled by every flash crowd whose window covers ``t``.
+    Exposed so tests can state the *declared* offered load alongside
+    the realised one.
     """
     times = np.atleast_1d(np.asarray(t, dtype=np.float64))
     rate = np.full(
         times.shape, float(base_rate), dtype=np.float64
     )
-    if diurnal_amplitude:
-        rate *= 1.0 + diurnal_amplitude * np.sin(
-            2.0 * np.pi * times / diurnal_period
-        )
     for crowd in flash_crowds:
         inside = (times >= crowd.start) & (
             times < crowd.start + crowd.duration
@@ -217,16 +216,17 @@ def rate_at(
     return rate
 
 
+#: Lane names and shares of :func:`traffic_trace`'s arrivals.
+_LANES = ("interactive", "batch")
+_LANE_SHARES = (0.8, 0.2)
+
+
 def traffic_trace(
     duration: float,
     base_rate: float,
     n_distinct: int,
     seed: int,
-    zipf_exponent: float = 1.1,
-    diurnal_amplitude: float = 0.0,
-    diurnal_period: float = 86_400.0,
     flash_crowds: tuple[FlashCrowd, ...] = (),
-    lane_weights: dict[str, float] | None = None,
 ) -> TrafficTrace:
     """Seeded open-loop traffic: non-homogeneous Poisson arrivals.
 
@@ -234,41 +234,27 @@ def traffic_trace(
     the trace's peak rate (Lewis–Shedler): candidate arrivals at
     ``rate_max`` are kept with probability ``λ(t) / rate_max``, which
     realises the exact time-varying intensity
-    (:func:`rate_at`) — the diurnal ramp and each flash crowd appear in
-    the realised arrival counts.  Query identities follow
-    :func:`zipfian_stream`; lanes are drawn from ``lane_weights``
-    (default: 80% ``interactive``, 20% ``batch``).
+    (:func:`rate_at`) — each flash crowd appears in the realised
+    arrival counts.  Query identities follow :func:`zipfian_stream`;
+    80% of requests go to the ``interactive`` lane, 20% to ``batch``.
     """
     if duration <= 0 or base_rate < 0:
         raise ValueError("duration must be positive, base_rate >= 0")
-    if not 0.0 <= diurnal_amplitude <= 1.0:
-        raise ValueError(
-            f"diurnal_amplitude must be in [0, 1], got {diurnal_amplitude}"
-        )
     rng = np.random.default_rng(seed)
-    peak = float(base_rate) * (1.0 + diurnal_amplitude)
+    peak = float(base_rate)
     for crowd in flash_crowds:
-        peak = max(peak, base_rate * (1.0 + diurnal_amplitude)
-                   * crowd.multiplier)
+        peak = max(peak, base_rate * crowd.multiplier)
     if peak <= 0:
         empty = np.empty(0, dtype=np.float64)
         return TrafficTrace(empty, np.empty(0, dtype=np.int64), ())
     # Homogeneous candidates at the peak rate, then thin to λ(t).
     n_candidates = rng.poisson(peak * duration)
     times = np.sort(rng.uniform(0.0, duration, size=n_candidates))
-    keep_probability = rate_at(
-        times, base_rate, diurnal_amplitude, diurnal_period, flash_crowds
-    ) / peak
+    keep_probability = rate_at(times, base_rate, flash_crowds) / peak
     times = times[rng.uniform(size=len(times)) < keep_probability]
     query_ids = zipfian_stream(
-        n_distinct, len(times), exponent=zipf_exponent,
-        seed=int(rng.integers(2**31)),
+        n_distinct, len(times), seed=int(rng.integers(2**31))
     )
-    weights = lane_weights or {"interactive": 0.8, "batch": 0.2}
-    names = tuple(weights)
-    shares = np.array([weights[name] for name in names], dtype=np.float64)
-    if (shares < 0).any() or shares.sum() <= 0:
-        raise ValueError("lane weights must be non-negative and sum > 0")
-    picks = rng.choice(len(names), size=len(times), p=shares / shares.sum())
-    lanes = tuple(names[int(i)] for i in picks)
+    picks = rng.choice(len(_LANES), size=len(times), p=_LANE_SHARES)
+    lanes = tuple(_LANES[int(i)] for i in picks)
     return TrafficTrace(times, query_ids, lanes)

@@ -23,7 +23,6 @@ from repro.search.searcher import (
     HashIndex,
     IMISearchIndex,
     MIHSearchIndex,
-    evaluate_candidates,
 )
 from repro.search.stages import RerankSpec
 
@@ -43,7 +42,6 @@ __all__ = [
     "RerankSpec",
     "SearchResult",
     "cache_token",
-    "evaluate_candidates",
     "query_fingerprint",
     "top_k",
     "validate_query",

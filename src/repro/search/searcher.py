@@ -66,27 +66,7 @@ __all__ = [
     "HashIndex",
     "MIHSearchIndex",
     "IMISearchIndex",
-    "evaluate_candidates",
 ]
-
-
-def evaluate_candidates(
-    query: np.ndarray,
-    data: np.ndarray,
-    candidate_ids: np.ndarray,
-    k: int,
-    metric: str = "euclidean",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact re-rank of candidates; returns top-``k`` ``(ids, distances)``.
-
-    The evaluation step shared by every querying method: compute true
-    distances to the retrieved items under ``metric`` and keep the k
-    best (ties broken by id).  Kept as a function for callers outside
-    the engine; internally it is the engine's exact evaluation rule.
-    """
-    return ExactEvaluator(np.asarray(data, dtype=np.float64), metric).evaluate(
-        np.asarray(query, dtype=np.float64), candidate_ids, k
-    )
 
 
 # Candidates scored by the Theorem 2 scan's first distance call; each
@@ -511,8 +491,6 @@ class HashIndex:
         holds for plain QD only), a hasher with a linear hashing matrix
         (the bound needs ``M = σ_max(H)``), and the Euclidean metric.
         """
-        if k < 1:
-            raise ValueError(f"k must be positive, got {k}")
         if max_candidates is None:
             max_candidates = self.num_items
         elif not max_candidates >= 1:

@@ -24,16 +24,15 @@ exceeds capacity.  Four cooperating mechanisms, declared in
 Two drivers share that core: :class:`AsyncFrontDoor` serves a real
 index on an asyncio event loop, and :class:`ServingSimulator` replays
 seeded traffic (:func:`repro.data.workloads.traffic_trace`) in virtual
-time for deterministic capacity studies — graded by
-:func:`slo_report` against the declared SLOs.  ``python -m repro
-serve-sim`` runs the whole loop from the command line.
+time — the deterministic test harness of the policy.  Goodput and
+latency figures come from measuring :class:`AsyncFrontDoor`, not from
+the simulator's cost model.
 """
 
 from repro.serving.config import (
     FrontDoorConfig,
     LaneConfig,
     OverloadConfig,
-    SLOTarget,
     default_config,
 )
 from repro.serving.core import (
@@ -61,13 +60,6 @@ from repro.serving.simulator import (
     ServingSimulator,
     SimRecord,
     SimulationResult,
-    measure_serial_cost,
-)
-from repro.serving.slo import (
-    SLO_REPORT_SCHEMA,
-    format_slo_report,
-    slo_report,
-    validate_slo_report,
 )
 
 __all__ = [
@@ -86,8 +78,6 @@ __all__ = [
     "REASON_SHED",
     "REASON_SHUTDOWN",
     "REJECT_REASONS",
-    "SLOTarget",
-    "SLO_REPORT_SCHEMA",
     "STATUSES",
     "STATUS_REJECTED",
     "STATUS_SERVED",
@@ -100,8 +90,4 @@ __all__ = [
     "coalescible",
     "default_config",
     "execute_batch",
-    "format_slo_report",
-    "measure_serial_cost",
-    "slo_report",
-    "validate_slo_report",
 ]

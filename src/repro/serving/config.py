@@ -1,10 +1,9 @@
-"""Declared serving policy: lanes, SLO targets, overload thresholds.
+"""Declared serving policy: lanes, deadlines, overload thresholds.
 
 Everything the front door *promises* lives here as frozen dataclasses,
 separated from the mechanism (:mod:`repro.serving.core`) so a config is
-pure data: the SLO report compares these declared targets against
-achieved behaviour, and the traffic simulator runs the same config the
-asyncio front door serves with.
+pure data: the asyncio front door serves with it, and the virtual-time
+simulator replays traffic through the same config in the tests.
 """
 
 from __future__ import annotations
@@ -12,41 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 __all__ = [
-    "SLOTarget",
     "LaneConfig",
     "OverloadConfig",
     "FrontDoorConfig",
     "default_config",
 ]
-
-
-@dataclass(frozen=True)
-class SLOTarget:
-    """Declared latency objectives for one lane, in seconds.
-
-    The targets are *declarations*, not enforcement: the front door
-    enforces deadlines per request, and the SLO report grades achieved
-    p50/p99/p999 of served requests against these numbers.
-    """
-
-    p50_seconds: float
-    p99_seconds: float
-    p999_seconds: float
-
-    def __post_init__(self) -> None:
-        if not 0 < self.p50_seconds <= self.p99_seconds <= self.p999_seconds:
-            raise ValueError(
-                "SLO targets must satisfy 0 < p50 <= p99 <= p999; got "
-                f"{self.p50_seconds}/{self.p99_seconds}/{self.p999_seconds}"
-            )
-
-    def as_dict(self) -> dict[str, float]:
-        """The targets in milliseconds, keyed for the SLO report."""
-        return {
-            "p50_ms": self.p50_seconds * 1e3,
-            "p99_ms": self.p99_seconds * 1e3,
-            "p999_ms": self.p999_seconds * 1e3,
-        }
 
 
 @dataclass(frozen=True)
@@ -71,8 +40,6 @@ class LaneConfig:
         Batching latency budget: how long a queued head may wait for
         compatible queries to coalesce behind it before the lane
         becomes dispatchable.
-    slo:
-        Declared latency targets the SLO report grades against.
     """
 
     name: str
@@ -80,9 +47,6 @@ class LaneConfig:
     max_depth: int = 256
     deadline_seconds: float = 0.05
     coalesce_seconds: float = 0.002
-    slo: SLOTarget = field(
-        default_factory=lambda: SLOTarget(0.02, 0.05, 0.08)
-    )
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -206,11 +170,6 @@ def default_config(
                 max_depth=256,
                 deadline_seconds=interactive_deadline,
                 coalesce_seconds=0.002,
-                slo=SLOTarget(
-                    interactive_deadline * 0.4,
-                    interactive_deadline,
-                    interactive_deadline * 1.6,
-                ),
             ),
             LaneConfig(
                 name="batch",
@@ -218,9 +177,6 @@ def default_config(
                 max_depth=1024,
                 deadline_seconds=batch_deadline,
                 coalesce_seconds=0.02,
-                slo=SLOTarget(
-                    batch_deadline * 0.25, batch_deadline, batch_deadline * 1.5
-                ),
             ),
         ),
         max_batch=32,

@@ -268,8 +268,8 @@ class FrontDoorCore:
     A caller that finds an arriving request's answer in the result
     cache resolves it with :meth:`serve_cached` instead of admitting it.
     Every path that resolves a request emits the matching
-    ``repro_serving_*`` telemetry and tallies :attr:`stats`, which the
-    SLO report reads without requiring telemetry to be enabled.
+    ``repro_serving_*`` telemetry and tallies :attr:`stats`, which are
+    readable without telemetry enabled.
     """
 
     def __init__(self, config: FrontDoorConfig) -> None:

@@ -1,12 +1,15 @@
-"""Virtual-time traffic simulator for the serving front door.
+"""Virtual-time traffic simulator: the serving policy's test harness.
 
 Runs the *same* :class:`~repro.serving.core.FrontDoorCore` the asyncio
 front door serves with, but drives it as a discrete-event simulation in
 virtual time: search results are real (every dispatched batch executes
-against the real index), while *service times* come from a calibrated
-cost model, so a ten-second flash crowd simulates in however long the
+against the real index), while *service times* come from a fixed cost
+model, so a ten-second flash crowd simulates in however long the
 actual searches take and the outcome is deterministic per seed —
-timestamps never depend on machine speed.
+timestamps never depend on machine speed.  That makes it the harness
+the serving tests pin the policy's invariants with; goodput and latency
+figures of the real front door come from measuring
+:class:`~repro.serving.frontdoor.AsyncFrontDoor`, never from this model.
 
 The cost model is deliberately simple and monotone in what degradation
 changes::
@@ -17,8 +20,7 @@ where ``fraction`` is the effective (possibly downgraded) plan's
 candidate budget as a fraction of the base plan's
 (:meth:`QueryPlan.budget_fraction`) — degrading genuinely buys
 capacity, which is the feedback loop the overload controller's
-acceptance tests exercise.  Calibrate ``per_query_cost`` on real
-hardware with :func:`measure_serial_cost`, or pin it in tests.
+acceptance tests exercise.
 
 The simulator dispatches only when its single virtual server is idle
 and drops tickets whose deadline cannot be met even if dispatched
@@ -32,8 +34,7 @@ hits (:meth:`FrontDoorCore.serve_cached`): it offers every arrival to
 :meth:`FrontDoorCore.admit` and never calls the index's
 ``cached_result``.  An index with a result cache still answers repeats
 from it inside ``search_batch``, but the cost model charges them full
-service time, and :func:`measure_serial_cost` refuses such an index.
-Simulated latencies are therefore those of a door without a cache.
+service time.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro import obs
 from repro.data.workloads import TrafficTrace, zipfian_stream
 from repro.search.engine import QueryPlan
 from repro.serving.config import FrontDoorConfig, default_config
@@ -60,7 +60,6 @@ __all__ = [
     "SimRecord",
     "SimulationResult",
     "ServingSimulator",
-    "measure_serial_cost",
 ]
 
 
@@ -75,13 +74,9 @@ class SimRecord:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Everything a simulation run produced, ready for the SLO report."""
+    """Every request a simulation run resolved, and the core's tallies."""
 
     records: tuple[SimRecord, ...]
-    duration: float
-    per_query_cost: float
-    batch_overhead: float
-    config: FrontDoorConfig
     core_stats: dict[str, Any] = field(repr=False)
 
     def __len__(self) -> int:
@@ -104,33 +99,28 @@ class SimulationResult:
                 counts[reason] = counts.get(reason, 0) + 1
         return counts
 
-    def served_latencies(self, lane: str | None = None) -> np.ndarray:
-        """Latencies (seconds) of served requests, optionally one lane's."""
+    def served_latencies(self, lane: str) -> np.ndarray:
+        """Latencies (seconds) of one lane's served requests."""
         values = [
             record.response.latency_seconds
             for record in self.records
-            if record.response.served
-            and (lane is None or record.response.lane == lane)
+            if record.response.served and record.response.lane == lane
         ]
         return np.asarray(values, dtype=np.float64)
 
-    def goodput(
-        self, start: float | None = None, end: float | None = None
-    ) -> float:
+    def goodput(self, start: float, end: float) -> float:
         """Served requests per second of virtual time in ``[start, end)``.
 
         Degraded responses count — they carried a real (reduced-
-        coverage) answer; rejections do not.  Defaults to the whole run.
+        coverage) answer; rejections do not.
         """
-        lo = 0.0 if start is None else start
-        hi = self.duration if end is None else end
-        if hi <= lo:
+        if end <= start:
             raise ValueError("end must exceed start")
         served = sum(
             1 for record in self.records
-            if record.response.served and lo <= record.resolved < hi
+            if record.response.served and start <= record.resolved < end
         )
-        return served / (hi - lo)
+        return served / (end - start)
 
     def accepted_fraction(self) -> float:
         """Fraction of offered requests that were served (even degraded)."""
@@ -216,7 +206,6 @@ class ServingSimulator:
         n_requests: int,
         think_seconds: float = 0.0,
         lane: str = "interactive",
-        zipf_exponent: float = 1.1,
         seed: int = 0,
     ) -> SimulationResult:
         """Closed-loop run: each client re-submits after its response.
@@ -229,9 +218,12 @@ class ServingSimulator:
         """
         if n_clients < 1 or n_requests < 1:
             raise ValueError("n_clients and n_requests must be positive")
-        query_ids = zipfian_stream(
-            len(queries), n_requests, exponent=zipf_exponent, seed=seed
-        )
+        # A negated comparison so NaN fails it too.
+        if not 0 <= think_seconds < np.inf:
+            raise ValueError(
+                f"think_seconds must be finite and >= 0, got {think_seconds}"
+            )
+        query_ids = zipfian_stream(len(queries), n_requests, seed=seed)
         issued = min(n_clients, n_requests)
         arrivals: list[_Arrival] = [
             (0.0, seq, lane, int(query_ids[seq]), seq)
@@ -341,45 +333,6 @@ class ServingSimulator:
 
         records.sort(key=lambda record: (record.arrival, record.resolved))
         return SimulationResult(
-            records=tuple(records),
-            duration=now,
-            per_query_cost=self.per_query_cost,
-            batch_overhead=self.batch_overhead,
-            config=self.config,
-            core_stats=core.stats,
+            records=tuple(records), core_stats=core.stats
         )
 
-
-def measure_serial_cost(
-    index: Any,
-    plan: QueryPlan,
-    queries: np.ndarray,
-    repeats: int = 1,
-) -> float:
-    """Measured real seconds per query of serial batch execution.
-
-    Calibrates :class:`ServingSimulator`'s ``per_query_cost`` (and the
-    SLO report's serial-capacity baseline) by timing the index's real
-    ``search_batch`` over ``queries`` with ``plan``'s budget.  The
-    index must have no result cache: ``search_batch`` would answer the
-    timed repeats from it.
-    """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    if plan.n_candidates is None:
-        raise ValueError("serial-cost calibration needs a candidate budget")
-    if getattr(index, "cache", None) is not None:
-        raise ValueError(
-            "serial-cost calibration needs an index without a result "
-            "cache; the timed repeats would be cache hits"
-        )
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    # Warm caches and lazy layouts before timing.
-    index.search_batch(queries, plan.k, plan.n_candidates, rerank=plan.rerank)
-    start = obs.now()
-    for _ in range(repeats):
-        index.search_batch(
-            queries, plan.k, plan.n_candidates, rerank=plan.rerank
-        )
-    elapsed = obs.now() - start
-    return elapsed / (repeats * len(queries))

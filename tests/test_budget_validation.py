@@ -75,10 +75,12 @@ def test_search_batch_validates_budget_on_an_empty_batch(index):
 NON_INTEGERS = [math.nan, 2.5, 3.0]
 
 
-@pytest.mark.parametrize("k", NON_INTEGERS, ids=repr)
+@pytest.mark.parametrize("k", [*NON_INTEGERS, "3"], ids=repr)
 def test_k_must_be_an_integer(index, k):
     # Regression: NaN and fractional k constructed a plan, then failed
-    # with a TypeError ("slice indices must be integers") in the engine.
+    # with a TypeError ("slice indices must be integers") in the engine;
+    # a string k failed search_early_stop's own ``k < 1`` with a
+    # TypeError before its plan was built.
     with pytest.raises(ValueError, match="k must be"):
         QueryPlan(k=k, n_candidates=100)
     with pytest.raises(ValueError, match="k must be"):

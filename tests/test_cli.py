@@ -142,50 +142,6 @@ class TestEvalCommand:
         assert args.k == 10
 
 
-class TestServeSimCommand:
-    def test_defaults(self):
-        args = build_parser().parse_args(["serve-sim"])
-        assert args.duration == 6.0
-        assert args.base_rate == 300.0
-        assert args.flash_multiplier == 10.0
-        assert args.capacity_qps == 800.0
-        assert args.json is None
-
-    def test_prints_slo_report(self, capsys):
-        code = main([
-            "serve-sim", "--duration", "2.0", "--base-rate", "150",
-            "--items", "1500", "--distinct", "32", "--budget", "100",
-            "--flash-start", "0.5", "--flash-duration", "1.0",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "goodput" in out
-        assert "interactive" in out and "batch" in out
-        assert "flash crowd @0.5s x10" in out
-
-    def test_writes_valid_json_report(self, tmp_path, capsys):
-        import json
-
-        from repro.serving import validate_slo_report
-
-        path = tmp_path / "slo.json"
-        code = main([
-            "serve-sim", "--duration", "2.0", "--base-rate", "150",
-            "--items", "1500", "--distinct", "32", "--budget", "100",
-            "--json", str(path),
-        ])
-        assert code == 0
-        assert str(path) in capsys.readouterr().out
-        report = json.loads(path.read_text())
-        validate_slo_report(report)
-        assert report["offered"] > 0
-
-    def test_bad_parameters_exit_one(self, capsys):
-        code = main(["serve-sim", "--duration", "0"])
-        assert code == 1
-        assert "repro: error:" in capsys.readouterr().err
-
-
 class TestReproduceCommand:
     def test_list(self, capsys):
         assert main(["reproduce", "--list"]) == 0

@@ -31,7 +31,6 @@ from repro.serving import (
     OverloadConfig,
     OverloadController,
     ServedResponse,
-    SLOTarget,
     coalescible,
     default_config,
 )
@@ -65,17 +64,6 @@ def fake_results(batch):
 
 
 class TestConfigValidation:
-    def test_slo_target_ordering_enforced(self):
-        with pytest.raises(ValueError, match="p50"):
-            SLOTarget(0.05, 0.02, 0.08)
-        with pytest.raises(ValueError, match="p50"):
-            SLOTarget(0.0, 0.02, 0.08)
-
-    def test_slo_target_as_dict_milliseconds(self):
-        assert SLOTarget(0.02, 0.05, 0.08).as_dict() == {
-            "p50_ms": 20.0, "p99_ms": 50.0, "p999_ms": 80.0,
-        }
-
     @pytest.mark.parametrize("kwargs", [
         {"name": ""},
         {"name": "x", "weight": 0},
