@@ -29,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hashing.base import BinaryHasher
+from repro.hashing.itq import procrustes_rotation
 from repro.quantization.kmeans import KMeans
 
 __all__ = ["AnchorGraphHashing"]
@@ -130,16 +131,9 @@ class AnchorGraphHashing(BinaryHasher):
         ) / np.sqrt(sigma)[np.newaxis, :]
 
         if self._spectral_rotation:
-            embedding = z @ self._projection
-            rng = np.random.default_rng(self._seed)
-            rotation, _ = np.linalg.qr(
-                rng.standard_normal((self._m, self._m))
+            rotation, _ = procrustes_rotation(
+                z @ self._projection, self._rotation_iterations, self._seed
             )
-            for _ in range(self._rotation_iterations):
-                rotated = embedding @ rotation
-                binary = np.where(rotated >= 0, 1.0, -1.0)
-                u, _, vt = np.linalg.svd(embedding.T @ binary)
-                rotation = u @ vt
             self._projection = self._projection @ rotation
 
         self._fitted = True

@@ -67,7 +67,7 @@ from repro.index.codes import (
     qd_cost_tables,
     unpack_bits,
 )
-from repro.index.distance import METRICS, pairwise_distances
+from repro.index.distance import METRICS
 from repro.search.cache import CacheKey, QueryResultCache, cache_token
 from repro.search.results import SearchResult
 from repro.search.stages import RerankSpec, drain_stream
@@ -178,7 +178,12 @@ class QueryPlan:
     rerank: RerankSpec | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
+        # ``bool`` is an ``int``: a flag in ``k``'s place would run as 1.
+        if (
+            not isinstance(self.k, (int, np.integer))
+            or isinstance(self.k, bool)
+            or self.k < 1
+        ):
             raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
         if (
             self.n_candidates is None
@@ -190,14 +195,14 @@ class QueryPlan:
                 "max_buckets or time_budget"
             )
         # Negated comparisons so NaN fails them too.
-        if self.n_candidates is not None and not self.n_candidates >= 1:
-            raise ValueError(
-                f"n_candidates must be >= 1, got {self.n_candidates}"
-            )
-        if self.max_buckets is not None and not self.max_buckets >= 1:
-            raise ValueError(
-                f"max_buckets must be >= 1, got {self.max_buckets}"
-            )
+        for name, budget in (
+            ("n_candidates", self.n_candidates),
+            ("max_buckets", self.max_buckets),
+        ):
+            if budget is not None and (
+                isinstance(budget, (bool, np.bool_)) or not budget >= 1
+            ):
+                raise ValueError(f"{name} must be >= 1, got {budget!r}")
         if self.time_budget is not None and not self.time_budget >= 0:
             raise ValueError(
                 f"time_budget must be >= 0 seconds, got {self.time_budget}"
@@ -513,20 +518,16 @@ class ExactEvaluator:
     def _distances(
         self, query: np.ndarray, candidates: np.ndarray
     ) -> np.ndarray:
-        if self.metric in _RAGGED_METRICS:
-            # Same arithmetic as the batched block path, so per-query
-            # and batched searches return bit-identical distances; it is
-            # row-wise, so scoring candidates in chunks changes no bit.
-            return _ragged_distances(
-                query[np.newaxis, :],
-                self._vectors(),
-                candidates,
-                np.array([len(candidates)], dtype=np.int64),
-                self.metric,
-            )
-        return pairwise_distances(
-            query[np.newaxis, :], self._vectors()[candidates], self.metric
-        )[0]
+        # Same arithmetic as the batched block path, so per-query and
+        # batched searches return bit-identical distances; it is
+        # row-wise, so scoring candidates in chunks changes no bit.
+        return _ragged_distances(
+            query[np.newaxis, :],
+            self._vectors(),
+            candidates,
+            np.array([len(candidates)], dtype=np.int64),
+            self.metric,
+        )
 
 
 class ADCEvaluator:
@@ -645,7 +646,9 @@ def _ragged_distances(
         while hi < n_segments and bounds[hi + 1] - bounds[lo] <= row_block:
             hi += 1
         seg = slice(int(bounds[lo]), int(bounds[hi]))
-        vectors = data[stacked_ids[seg]]
+        # ``take`` gathers rows measurably faster than fancy indexing
+        # and copies the same values.
+        vectors = data.take(stacked_ids[seg], axis=0)
         if euclidean:
             # Broadcast-subtract each query over its own rows instead of
             # materialising a repeated-queries block: per row the
@@ -1300,7 +1303,6 @@ class QueryEngine:
                     scored is None
                     and len(counts) > 1
                     and isinstance(self.evaluator, ExactEvaluator)
-                    and self.evaluator.metric in _RAGGED_METRICS
                 ):
                     dists = _ragged_distances(
                         queries,

@@ -71,7 +71,9 @@ class RerankSpec:
                 f"rerank mode must be 'exact' or 'adc', got {self.mode!r}"
             )
         if self.pool is not None and (
-            not isinstance(self.pool, (int, np.integer)) or self.pool < 1
+            not isinstance(self.pool, (int, np.integer))
+            or isinstance(self.pool, bool)
+            or self.pool < 1
         ):
             raise ValueError(
                 f"rerank pool must be an integer >= 1, got {self.pool!r}"

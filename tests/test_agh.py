@@ -5,6 +5,7 @@ import pytest
 
 from repro.data import gaussian_mixture
 from repro.hashing.agh import AnchorGraphHashing
+from repro.hashing.base import sign_quantize
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +87,32 @@ class TestSpectralRotation:
             return float(np.square(b - y).sum())
 
         assert loss(rotated) <= loss(plain) + 1e-9
+
+    def test_spectral_rotation_matches_the_inline_loop(self, data):
+        """Differential: the shared Procrustes helper rotates AGH's
+        embedding bit-identically to a plain allocating copy of the loop."""
+        plain = AnchorGraphHashing(code_length=8, n_anchors=48, seed=0).fit(
+            data
+        )
+        rotated = AnchorGraphHashing(
+            code_length=8, n_anchors=48, spectral_rotation=True, seed=0
+        ).fit(data)
+
+        z = plain._anchor_weights(data)
+        embedding = z @ plain._projection
+        rng = np.random.default_rng(0)
+        rotation, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        for _ in range(30):
+            rotated_embedding = embedding @ rotation
+            binary = np.where(rotated_embedding >= 0, 1.0, -1.0)
+            u, _, vt = np.linalg.svd(embedding.T @ binary)
+            rotation = u @ vt
+        projection = plain._projection @ rotation
+
+        assert np.array_equal(rotated._projection, projection)
+        assert np.array_equal(
+            rotated.encode(data), sign_quantize(z @ projection)
+        )
 
     def test_works_with_gqr(self, data):
         from repro.core.gqr import GQR

@@ -2,7 +2,8 @@
 
 A negative or zero candidate budget, a bucket budget below one, a NaN
 or negative time budget, a NaN radius, a Theorem 2 candidate cap below
-one, and a ``k`` or rerank pool that is not an integer >= 1 each raise
+one, a ``k`` or rerank pool that is not an integer >= 1, and a flag
+(``bool`` or ``np.bool_``) in any count's place each raise
 ``ValueError`` before any bucket is probed, even for an empty query
 batch.
 """
@@ -38,8 +39,14 @@ def index():
         {"max_buckets": math.nan},
         {"time_budget": math.nan},
         {"time_budget": -0.5},
+        # A flag is not a count: ``bool`` subclasses ``int`` and
+        # ``np.True_ >= 1``, so these used to run as a budget of one.
+        {"n_candidates": True},
+        {"n_candidates": np.True_},
+        {"max_buckets": True},
+        {"max_buckets": np.True_},
     ],
-    ids=lambda budget: "-".join(f"{k}={v}" for k, v in budget.items()),
+    ids=lambda budget: "-".join(f"{k}={v!r}" for k, v in budget.items()),
 )
 def test_query_plan_rejects_meaningless_budget(index, budget):
     with pytest.raises(ValueError):
@@ -75,12 +82,13 @@ def test_search_batch_validates_budget_on_an_empty_batch(index):
 NON_INTEGERS = [math.nan, 2.5, 3.0]
 
 
-@pytest.mark.parametrize("k", [*NON_INTEGERS, "3"], ids=repr)
+@pytest.mark.parametrize("k", [*NON_INTEGERS, "3", True], ids=repr)
 def test_k_must_be_an_integer(index, k):
     # Regression: NaN and fractional k constructed a plan, then failed
     # with a TypeError ("slice indices must be integers") in the engine;
     # a string k failed search_early_stop's own ``k < 1`` with a
-    # TypeError before its plan was built.
+    # TypeError before its plan was built; ``k=True`` returned one
+    # neighbour and shared ``k=1``'s cache key.
     with pytest.raises(ValueError, match="k must be"):
         QueryPlan(k=k, n_candidates=100)
     with pytest.raises(ValueError, match="k must be"):
@@ -91,7 +99,7 @@ def test_k_must_be_an_integer(index, k):
         index.search_early_stop(QUERY, k, max_candidates=100)
 
 
-@pytest.mark.parametrize("pool", NON_INTEGERS, ids=repr)
+@pytest.mark.parametrize("pool", [*NON_INTEGERS, True], ids=repr)
 def test_rerank_pool_must_be_an_integer(pool):
     with pytest.raises(ValueError, match="pool must be"):
         RerankSpec(mode="exact", pool=pool)

@@ -10,6 +10,7 @@ from repro.index.distance import (
     knn_exact,
     pairwise_distances,
 )
+from repro.search.engine import ExactEvaluator
 
 
 class TestCosine:
@@ -100,3 +101,27 @@ class TestKnnExact:
     def test_k_validated(self):
         with pytest.raises(ValueError):
             knn_exact(np.zeros((1, 2)), np.zeros((3, 2)), 4)
+
+
+@pytest.mark.parametrize("metric", sorted(METRICS))
+def test_exact_evaluator_over_a_strided_view_matches_its_copy(metric):
+    # The evaluator gathers candidate rows with ``take``; a view whose
+    # rows are not contiguous must score bit-identically to its copy.
+    rng = np.random.default_rng(8)
+    big = rng.standard_normal((500, 24))
+    view = big[:, ::2]
+    assert not view.flags.c_contiguous
+    dense = np.ascontiguousarray(view)
+    candidates = rng.choice(len(big), size=300, replace=False)
+    query = dense[7] + 0.25
+    strided = ExactEvaluator(view, metric)
+    contiguous = ExactEvaluator(dense, metric)
+    assert np.array_equal(
+        strided.distances(query, candidates),
+        contiguous.distances(query, candidates),
+    )
+    for got, want in zip(
+        strided.evaluate(query, candidates, 10),
+        contiguous.evaluate(query, candidates, 10),
+    ):
+        assert np.array_equal(got, want)
