@@ -58,7 +58,6 @@ from repro.quantization import (
     ProductQuantizer,
 )
 from repro.search import (
-    CompactHashIndex,
     DynamicHashIndex,
     HashIndex,
     IMISearchIndex,
@@ -74,7 +73,6 @@ __all__ = [
     "AnchorGraphHashing",
     "BinaryHasher",
     "BucketProber",
-    "CompactHashIndex",
     "DynamicHashIndex",
     "FlippingVectorGenerator",
     "GenerateHammingRanking",

@@ -14,10 +14,6 @@ Commands
     Run a demo workload under the telemetry subsystem and print the
     metrics it recorded — as a summary table, a JSON snapshot, or
     Prometheus exposition text.
-``eval``
-    Score the stage pipeline's variants — candidate-only, exact
-    rerank, ADC rerank — against exact ground truth and print
-    an MRR@k / Recall@k / NDCG@k table at a matched candidate budget.
 ``reproduce``
     Regenerate a paper table or figure by experiment id (``--list``
     names them).
@@ -196,50 +192,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
-    from repro.data import gaussian_mixture, sample_queries
-    from repro.eval.ir_report import format_ir_report, ir_report
-    from repro.quantization.pq import ProductQuantizer
-    from repro.search.stages import RerankSpec
-
-    k = args.k
-    data = gaussian_mixture(args.items, 32, n_clusters=40,
-                            cluster_spread=1.0, seed=args.seed)
-    queries = sample_queries(data, args.queries, seed=args.seed + 1)
-    truth = ground_truth_knn(queries, data, k)
-
-    # The primary index scores candidates by asymmetric code distance,
-    # so candidate-only rankings are coarse and reranking has headroom.
-    index = HashIndex(
-        ITQ(code_length=12, seed=0), data, prober=GQR(),
-        evaluation="code",
-        rerank_quantizer=ProductQuantizer(n_subspaces=8, seed=0),
-    )
-
-    pipelines: dict[str, list[np.ndarray]] = {
-        "candidate-only": [],
-        "rerank-exact": [],
-        "rerank-adc": [],
-    }
-    for query in queries:
-        budget = args.budget
-        pipelines["candidate-only"].append(
-            index.search(query, k=k, n_candidates=budget).ids
-        )
-        pipelines["rerank-exact"].append(
-            index.search(query, k=k, n_candidates=budget,
-                         rerank=RerankSpec(mode="exact")).ids
-        )
-        pipelines["rerank-adc"].append(
-            index.search(query, k=k, n_candidates=budget,
-                         rerank=RerankSpec(mode="adc")).ids
-        )
-    print(f"pipeline eval: {args.items} items, {len(queries)} queries, "
-          f"k={k}, budget={args.budget}")
-    print(format_ir_report(ir_report(pipelines, truth, k=k)))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the ``python -m repro`` argument parser."""
     parser = argparse.ArgumentParser(
@@ -278,18 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="table", help="output format",
     )
 
-    eval_cmd = commands.add_parser(
-        "eval",
-        help="IR-metric table for candidate-only vs reranked pipelines",
-    )
-    eval_cmd.add_argument("--items", type=int, default=8000,
-                          help="synthetic corpus size")
-    eval_cmd.add_argument("--queries", type=int, default=50)
-    eval_cmd.add_argument("--k", type=int, default=10)
-    eval_cmd.add_argument("--budget", type=int, default=400,
-                          help="candidate budget per query")
-    eval_cmd.add_argument("--seed", type=int, default=0)
-
     reproduce = commands.add_parser(
         "reproduce", help="regenerate a paper table/figure"
     )
@@ -315,7 +255,6 @@ def main(argv: list[str] | None = None) -> int:
         "compare": _cmd_compare,
         "demo": _cmd_demo,
         "obs": _cmd_obs,
-        "eval": _cmd_eval,
         "reproduce": _cmd_reproduce,
     }
     try:

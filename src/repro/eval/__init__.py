@@ -9,15 +9,10 @@ from repro.eval.harness import (
     sweep_budgets,
     time_to_recall,
 )
-from repro.eval.ir_report import format_ir_report, ir_report
 from repro.eval.latency import LatencySummary, latency_summary, measure_latencies
 from repro.eval.metrics import (
-    mean_mrr_at_k,
-    mean_ndcg_at_k,
     mean_recall,
     mean_recall_at_k,
-    mrr_at_k,
-    ndcg_at_k,
     precision,
     recall,
     recall_at_k,
@@ -43,17 +38,11 @@ __all__ = [
     "default_budgets",
     "format_curve_points",
     "format_curves",
-    "format_ir_report",
     "format_table",
-    "ir_report",
     "latency_summary",
-    "mean_mrr_at_k",
-    "mean_ndcg_at_k",
     "mean_recall",
     "mean_recall_at_k",
     "measure_latencies",
-    "mrr_at_k",
-    "ndcg_at_k",
     "paired_bootstrap_test",
     "plot_recall_time",
     "precision",

@@ -4,11 +4,8 @@
 * **precision** — fraction of *retrieved* items that are true neighbours
   (Figure 4a plots precision against recall to show the effect of code
   length).
-* **rank-aware IR metrics** — :func:`recall_at_k`, :func:`mrr_at_k` and
-  :func:`ndcg_at_k` score the *ordered* result list against a truth
-  set, which is what distinguishes a reranked pipeline from the
-  candidate-only one: both may retrieve the same neighbours, but the
-  reranked list puts them earlier.
+* **recall@k** — :func:`recall_at_k` scores the top ``k`` of an
+  *ordered* result list against a truth set.
 
 Because every querying method re-ranks candidates by exact distance,
 recall at a candidate budget equals the overlap between the candidate
@@ -18,17 +15,11 @@ recall curve off a single probe trace.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
 
 __all__ = [
-    "mean_mrr_at_k",
-    "mean_ndcg_at_k",
     "mean_recall",
     "mean_recall_at_k",
-    "mrr_at_k",
-    "ndcg_at_k",
     "precision",
     "recall",
     "recall_at_k",
@@ -90,86 +81,15 @@ def recall_at_k(
     return recall(returned, truth_ids)
 
 
-def mrr_at_k(
-    returned_ids: np.ndarray, truth_ids: np.ndarray, k: int
-) -> float:
-    """Reciprocal rank of the first relevant item within the top k.
-
-    ``1 / rank`` (1-based) of the earliest returned id that is in the
-    truth set, or ``0.0`` when no relevant item appears in the top k.
-    """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    truth = set(np.asarray(truth_ids).ravel().tolist())
-    if not truth:
-        raise ValueError("truth set must be non-empty")
-    returned = np.asarray(returned_ids).ravel()[:k]
-    for rank, item in enumerate(returned.tolist(), start=1):
-        if item in truth:
-            return 1.0 / rank
-    return 0.0
-
-
-def ndcg_at_k(
-    returned_ids: np.ndarray, truth_ids: np.ndarray, k: int
-) -> float:
-    """Binary-relevance NDCG over the top k of an ordered result list.
-
-    ``DCG = Σ_i rel_i / log2(i + 2)`` over 0-based positions, with
-    ``rel_i = 1`` when the id is in the truth set.  The ideal DCG puts
-    ``min(k, |truth|)`` relevant items first, so a perfect ordering
-    scores exactly 1.0.
-    """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    truth = set(np.asarray(truth_ids).ravel().tolist())
-    if not truth:
-        raise ValueError("truth set must be non-empty")
-    returned = np.asarray(returned_ids).ravel()[:k]
-    dcg = sum(
-        1.0 / np.log2(position + 2.0)
-        for position, item in enumerate(returned.tolist())
-        if item in truth
-    )
-    ideal = sum(
-        1.0 / np.log2(position + 2.0)
-        for position in range(min(k, len(truth)))
-    )
-    return float(dcg / ideal)
-
-
-def _mean_over_queries(
-    metric: Callable[[np.ndarray, np.ndarray, int], float],
-    returned_per_query: list[np.ndarray],
-    truth_ids: np.ndarray,
-    k: int,
-) -> float:
-    truth = np.asarray(truth_ids)
-    if len(returned_per_query) != len(truth):
-        raise ValueError("one returned set per query is required")
-    total = sum(
-        metric(returned, truth_row, k)
-        for returned, truth_row in zip(returned_per_query, truth)
-    )
-    return total / len(truth)
-
-
 def mean_recall_at_k(
     returned_per_query: list[np.ndarray], truth_ids: np.ndarray, k: int
 ) -> float:
     """Average :func:`recall_at_k` over a query batch."""
-    return _mean_over_queries(recall_at_k, returned_per_query, truth_ids, k)
-
-
-def mean_mrr_at_k(
-    returned_per_query: list[np.ndarray], truth_ids: np.ndarray, k: int
-) -> float:
-    """Average :func:`mrr_at_k` over a query batch."""
-    return _mean_over_queries(mrr_at_k, returned_per_query, truth_ids, k)
-
-
-def mean_ndcg_at_k(
-    returned_per_query: list[np.ndarray], truth_ids: np.ndarray, k: int
-) -> float:
-    """Average :func:`ndcg_at_k` over a query batch."""
-    return _mean_over_queries(ndcg_at_k, returned_per_query, truth_ids, k)
+    truth = np.asarray(truth_ids)
+    if len(returned_per_query) != len(truth):
+        raise ValueError("one returned set per query is required")
+    total = sum(
+        recall_at_k(returned, truth_row, k)
+        for returned, truth_row in zip(returned_per_query, truth)
+    )
+    return total / len(truth)

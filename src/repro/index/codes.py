@@ -6,12 +6,14 @@ this package codes live in two interchangeable representations:
 * **bit arrays** — ``numpy`` arrays of shape ``(n, m)`` (or ``(m,)`` for a
   single code) with ``uint8`` entries in ``{0, 1}``; column ``i`` holds bit
   ``c_i`` from the paper.
-* **signatures** — unsigned integers where bit position ``i`` stores
-  ``c_i``.  Signatures are compact dictionary keys for hash tables and are
-  what probers pass around.
+* **signatures** — non-negative ``int64`` integers where bit position
+  ``i`` stores ``c_i``.  Signatures are compact dictionary keys for hash
+  tables and are what probers pass around.
 
-This module provides loss-free conversion between the two plus Hamming
-arithmetic.  Code length is limited to 63 bits so that signatures fit in
+This module provides loss-free conversion between the two
+(:func:`pack_bits` / :func:`unpack_bits`) plus Hamming arithmetic on
+signatures (:func:`hamming_weight` / :func:`hamming_distance`, one
+``np.bitwise_count`` each).  Code length is limited to 63 bits so that signatures fit in
 ``int64``; the paper never exceeds 28 bits (code length is chosen as
 ``log2(N / 10)``).
 """
@@ -23,10 +25,6 @@ import numpy as np
 __all__ = [
     "MAX_CODE_LENGTH",
     "pack_bits",
-    "pack_code_words",
-    "packed_hamming_distances",
-    "packed_qd_distances",
-    "qd_cost_tables",
     "unpack_bits",
     "hamming_distance",
     "hamming_weight",
@@ -34,8 +32,6 @@ __all__ = [
 ]
 
 MAX_CODE_LENGTH = 63
-
-_CHUNK_BITS = 8
 
 
 def validate_code_length(m: int) -> int:
@@ -113,115 +109,3 @@ def hamming_distance(a: np.ndarray | int, b: np.ndarray | int) -> np.ndarray | i
     if both_scalar:
         return int(counts)
     return counts
-
-
-# -- packed-block kernels ---------------------------------------------
-#
-# The signatures above fit one int64 because code length is capped at
-# 63.  The kernels below are the contiguous-block counterparts used by
-# the batch evaluation paths: codes packed 64 bits per word, scored
-# with ``np.bitwise_count`` over whole blocks so per-candidate cost is
-# a handful of ufunc ops instead of a Python-level bit unpack.
-
-def pack_code_words(bits: np.ndarray) -> np.ndarray:
-    """Pack a ``(n, m)`` {0, 1} array into ``(n, W)`` uint64 words.
-
-    Word ``w`` of row ``i`` holds bits ``64·w … 64·w+63`` of code ``i``
-    (bit ``j`` of the code at bit position ``j − 64·w`` of the word),
-    with ``W = ceil(m / 64)``; trailing bits of the last word are zero.
-    Unlike :func:`pack_bits` this imposes no 63-bit ceiling — it is the
-    storage format for long-code blocks.
-    """
-    arr = np.asarray(bits, dtype=np.uint64)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a (n, m) bit array, got ndim={arr.ndim}")
-    if arr.size and np.any(arr > 1):
-        raise ValueError("bit array entries must be 0 or 1")
-    n, m = arr.shape
-    if m < 1:
-        raise ValueError("codes must have at least one bit")
-    n_words = -(-m // 64)
-    words = np.zeros((n, n_words), dtype=np.uint64)
-    for w in range(n_words):
-        chunk = arr[:, 64 * w:64 * (w + 1)]
-        shifts = np.arange(chunk.shape[1], dtype=np.uint64)
-        words[:, w] = (chunk << shifts).sum(axis=1, dtype=np.uint64)
-    return words
-
-
-def packed_hamming_distances(
-    query_words: np.ndarray, code_words: np.ndarray
-) -> np.ndarray:
-    """Hamming distances from packed queries to a packed code block.
-
-    ``query_words`` is ``(W,)`` or ``(q, W)``, ``code_words`` is
-    ``(n, W)`` (both from :func:`pack_code_words`); returns ``(n,)`` or
-    ``(q, n)`` int64 distances.  One XOR, one ``np.bitwise_count`` and
-    one word-axis sum over the contiguous block — no bit unpacking.
-    """
-    q = np.asarray(query_words, dtype=np.uint64)
-    c = np.asarray(code_words, dtype=np.uint64)
-    if c.ndim != 2:
-        raise ValueError(f"code_words must be (n, W), got ndim={c.ndim}")
-    single = q.ndim == 1
-    if single:
-        q = q[np.newaxis, :]
-    if q.shape[-1] != c.shape[-1]:
-        raise ValueError(
-            f"word-count mismatch: queries have {q.shape[-1]} words, "
-            f"codes have {c.shape[-1]}"
-        )
-    counts = np.bitwise_count(q[:, np.newaxis, :] ^ c[np.newaxis, :, :])
-    dists = counts.sum(axis=-1, dtype=np.int64)
-    if single:
-        return dists[0]
-    return dists
-
-
-def qd_cost_tables(query_signature: int, flip_costs: np.ndarray) -> np.ndarray:
-    """Per-byte lookup tables for quantization distance against one query.
-
-    Chunk ``c`` of the returned ``(C, 256)`` float64 table (with
-    ``C = ceil(m / 8)``) maps a candidate's byte value ``v`` to
-    ``Σ_j ((q_byte ⊕ v) >> j & 1) · flip_costs[8c + j]`` — that chunk's
-    contribution to ``dist(q, b) = Σ_i (c_i(q) ⊕ b_i)·|p_i(q)|``
-    (Definition 1).  Each entry accumulates its bits in ascending
-    order, so summing the ``C`` chunk lookups reproduces the naive
-    per-bit sum deterministically.
-    """
-    costs = np.asarray(flip_costs, dtype=np.float64)
-    m = validate_code_length(len(costs))
-    n_chunks = -(-m // _CHUNK_BITS)
-    values = np.arange(256, dtype=np.int64)
-    tables = np.zeros((n_chunks, 256), dtype=np.float64)
-    for c in range(n_chunks):
-        q_byte = (int(query_signature) >> (_CHUNK_BITS * c)) & 0xFF
-        flipped = values ^ q_byte
-        for j in range(min(_CHUNK_BITS, m - _CHUNK_BITS * c)):
-            bit = (flipped >> j) & 1
-            tables[c] += bit * costs[_CHUNK_BITS * c + j]
-    return tables
-
-
-def packed_qd_distances(
-    bucket_signatures: np.ndarray, cost_tables: np.ndarray
-) -> np.ndarray:
-    """Quantization distances of packed signatures via byte lookups.
-
-    ``bucket_signatures`` is an int64 array of single-word signatures
-    (code length ≤ 63) and ``cost_tables`` the query's tables from
-    :func:`qd_cost_tables`.  Equivalent to
-    :func:`repro.core.quantization_distance.quantization_distances`
-    up to float summation order: each candidate costs ``C`` gathers and
-    a ``C``-term sum instead of an ``m``-bit unpack and a matvec.
-    """
-    sigs = np.asarray(bucket_signatures, dtype=np.int64)
-    n_chunks = cost_tables.shape[0]
-    shifts = _CHUNK_BITS * np.arange(n_chunks, dtype=np.int64)
-    chunk_values = (sigs[..., np.newaxis] >> shifts) & 0xFF
-    out = np.zeros(sigs.shape, dtype=np.float64)
-    # Ascending-chunk accumulation: matches the per-entry ascending-bit
-    # order of qd_cost_tables, keeping the full sum order-deterministic.
-    for c in range(n_chunks):
-        out += cost_tables[c][chunk_values[..., c]]
-    return out

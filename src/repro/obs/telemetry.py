@@ -40,11 +40,9 @@ metric                                    kind       labels
 ``repro_serving_overload_level``          gauge      —
 ========================================  =========  =====================
 
-``index`` is the engine's name ("hash", "mih", "imi", "compact",
-"dynamic").  ``stage`` is a first-class label over
-the engine's pipeline stages: ``retrieval`` / ``evaluation`` /
-``total`` always, plus ``rerank`` for queries whose plan ran that
-stage.  The cache series are fed by
+``index`` is the engine's name ("hash", "mih", "imi", "dynamic").
+``stage`` is a first-class label over the engine's pipeline stages:
+``retrieval`` / ``evaluation`` / ``total``.  The cache series are fed by
 :class:`~repro.search.cache.QueryResultCache`; ``cache`` is the cache's
 name ("hash", …).
 
@@ -70,10 +68,8 @@ from typing import TYPE_CHECKING, Protocol
 from repro.obs.metrics import (
     DEFAULT_COUNT_BUCKETS,
     Counter,
-    CounterChild,
     Gauge,
     Histogram,
-    HistogramChild,
     MetricsRegistry,
 )
 from repro.obs.sampling import TraceSampler
@@ -120,7 +116,6 @@ class QueryStats(Protocol):
     evaluation_seconds: float
     total_seconds: float
     bucket_sizes: list[int] | None
-    stage_seconds: dict[str, float]
 
     def as_dict(self) -> dict: ...
 
@@ -142,28 +137,23 @@ class _IndexInstruments:
         "observe_candidates",
         "observe_buckets",
         "inc_early_stops",
-        "observe_rerank",
     )
 
-    def __init__(
-        self,
-        queries: CounterChild,
-        retrieval: HistogramChild,
-        evaluation: HistogramChild,
-        total: HistogramChild,
-        candidates: HistogramChild,
-        buckets: HistogramChild,
-        early_stops: CounterChild,
-        rerank: HistogramChild,
-    ) -> None:
-        self.inc_queries = queries.inc
-        self.observe_retrieval = retrieval.observe
-        self.observe_evaluation = evaluation.observe
-        self.observe_total = total.observe
-        self.observe_candidates = candidates.observe
-        self.observe_buckets = buckets.observe
-        self.inc_early_stops = early_stops.inc
-        self.observe_rerank = rerank.observe
+    def __init__(self, state: TelemetryState, index: str) -> None:
+        stage = state.stage_seconds
+        self.inc_queries = state.queries.labels(index=index).inc
+        self.observe_retrieval = stage.labels(
+            index=index, stage="retrieval"
+        ).observe
+        self.observe_evaluation = stage.labels(
+            index=index, stage="evaluation"
+        ).observe
+        self.observe_total = stage.labels(index=index, stage="total").observe
+        self.observe_candidates = state.candidates.labels(index=index).observe
+        self.observe_buckets = state.buckets_probed.labels(
+            index=index
+        ).observe
+        self.inc_early_stops = state.early_stops.labels(index=index).inc
 
 
 class TelemetryState:
@@ -313,24 +303,7 @@ class TelemetryState:
         with self._per_index_lock:
             instruments = self._per_index.get(index)
             if instruments is None:
-                instruments = _IndexInstruments(
-                    queries=self.queries.labels(index=index),
-                    retrieval=self.stage_seconds.labels(
-                        index=index, stage="retrieval"
-                    ),
-                    evaluation=self.stage_seconds.labels(
-                        index=index, stage="evaluation"
-                    ),
-                    total=self.stage_seconds.labels(
-                        index=index, stage="total"
-                    ),
-                    candidates=self.candidates.labels(index=index),
-                    buckets=self.buckets_probed.labels(index=index),
-                    early_stops=self.early_stops.labels(index=index),
-                    rerank=self.stage_seconds.labels(
-                        index=index, stage="rerank"
-                    ),
-                )
+                instruments = _IndexInstruments(self, index)
                 self._per_index[index] = instruments
             return instruments
 
@@ -421,9 +394,6 @@ def observe_query(
     ins.observe_buckets(ctx.n_buckets_probed)
     if ctx.early_stop_triggered:
         ins.inc_early_stops()
-    stage_seconds = getattr(ctx, "stage_seconds", None)
-    if stage_seconds and "rerank" in stage_seconds:
-        ins.observe_rerank(stage_seconds["rerank"])
     if sampled and state.sampler is not None:
         state.sampled_traces.inc()
         state.sampler.record(
@@ -448,9 +418,6 @@ def observe_batch(index: str, contexts: list) -> None:
         ins.observe_buckets(ctx.n_buckets_probed)
         if ctx.early_stop_triggered:
             ins.inc_early_stops()
-        stage_seconds = getattr(ctx, "stage_seconds", None)
-        if stage_seconds and "rerank" in stage_seconds:
-            ins.observe_rerank(stage_seconds["rerank"])
 
 
 def observe_cache(

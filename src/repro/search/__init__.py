@@ -5,11 +5,8 @@ from repro.search.cache import (
     cache_token,
     query_fingerprint,
 )
-from repro.search.compact_index import CompactHashIndex
 from repro.search.dynamic_index import DynamicHashIndex
 from repro.search.engine import (
-    ADCEvaluator,
-    CodeEvaluator,
     ExactEvaluator,
     ExecutionContext,
     QueryEngine,
@@ -24,12 +21,8 @@ from repro.search.searcher import (
     IMISearchIndex,
     MIHSearchIndex,
 )
-from repro.search.stages import RerankSpec
 
 __all__ = [
-    "ADCEvaluator",
-    "CodeEvaluator",
-    "CompactHashIndex",
     "DynamicHashIndex",
     "ExactEvaluator",
     "ExecutionContext",
@@ -39,7 +32,6 @@ __all__ = [
     "QueryEngine",
     "QueryPlan",
     "QueryResultCache",
-    "RerankSpec",
     "SearchResult",
     "cache_token",
     "query_fingerprint",

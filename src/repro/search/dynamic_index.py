@@ -32,7 +32,6 @@ from repro.search.engine import (
     validate_query,
 )
 from repro.search.results import SearchResult
-from repro.search.stages import RerankSpec
 
 __all__ = ["DynamicHashIndex"]
 
@@ -93,7 +92,6 @@ class DynamicHashIndex:
             name="dynamic",
             cache=cache,
         )
-        self._engine.rerankers["exact"] = self._engine.evaluator
 
     @property
     def num_items(self) -> int:
@@ -175,11 +173,7 @@ class DynamicHashIndex:
                 yield ids
 
     def search(
-        self,
-        query: np.ndarray,
-        k: int,
-        n_candidates: int,
-        rerank: RerankSpec | None = None,
+        self, query: np.ndarray, k: int, n_candidates: int
     ) -> SearchResult:
         """Approximate kNN over the current live items.
 
@@ -190,9 +184,7 @@ class DynamicHashIndex:
         result cache is consulted once, before any of that.
         """
         query = validate_query(query, self._dim)
-        plan = QueryPlan(
-            k=k, n_candidates=n_candidates, metric=self._metric, rerank=rerank
-        )
+        plan = QueryPlan(k=k, n_candidates=n_candidates, metric=self._metric)
         [result] = self._engine.run_cached(
             query[np.newaxis], plan, lambda block: self._execute(block, plan)
         )

@@ -6,18 +6,17 @@ gathers candidate ids, evaluation re-ranks the candidates exactly.
 This module is that loop, extracted once so each index class is a thin
 adapter instead of a private re-implementation::
 
-    Retrieve → DedupBudget → Evaluate → [Rerank] → Truncate
+    Retrieve → DedupBudget → Evaluate → Truncate
 
 * :class:`QueryPlan` — what to do: ``k``, stopping criteria
-  (candidate / bucket / time budgets), metric, multi-table strategy,
-  and the optional rerank spec.  ``stage_list()`` is the plan's
-  declarative serialisation — the stages it executes, in order, with
-  every stage's parameters — which is also what cache keys hash.
+  (candidate / bucket / time budgets), metric and multi-table strategy.
+  ``stage_list()`` is the plan's declarative serialisation — the stages
+  it executes, in order, with every stage's parameters — which is also
+  what cache keys hash.
 * :class:`ExecutionContext` — what happened: buckets probed, candidates
-  gathered, early-stop trigger, per-stage wall time
-  (``stage_seconds``) and per-stage facts (``stage_stats``).  Attached
-  to every :class:`~repro.search.results.SearchResult` as
-  ``extras["stats"]``.
+  gathered, early-stop trigger and per-stage wall time
+  (``stage_seconds``).  Attached to every
+  :class:`~repro.search.results.SearchResult` as ``extras["stats"]``.
 * :func:`top_k` — the shared exact top-``k`` selection: the ``k``
   smallest ``(score, id)`` pairs, so ties break by id everywhere.
 * :class:`QueryEngine` — runs a plan over one query's candidate stream
@@ -25,26 +24,23 @@ adapter instead of a private re-implementation::
   (:meth:`~QueryEngine.execute_batch_streams`,
   :meth:`~QueryEngine.execute_batch_ordered`).  All three gather a
   ragged candidate block — flat ids plus per-query counts — and hand it
-  to one body, :meth:`~QueryEngine.run`, that evaluates it, applies the
-  optional rerank and the cut to ``k``, assembles the ``SearchResult``
-  list and records telemetry; a single query is a batch of one.  The
-  Theorem 2 modes (``HashIndex.search_early_stop`` / ``search_range``)
-  run through the same body: their scan is a gather that returns its
-  candidates already scored, and the body only ranks them.
+  to one body, :meth:`~QueryEngine.run`, that evaluates it, cuts it to
+  ``k``, assembles the ``SearchResult`` list and records telemetry; a
+  single query is a batch of one.  The Theorem 2 modes
+  (``HashIndex.search_early_stop`` / ``search_range``) run through the
+  same body: their scan is a gather that returns its candidates
+  already scored, and the body only ranks them.
   :meth:`~QueryEngine.execute_probed` picks between the two batch
   paths: the ordered one when the prober can score the table's
   buckets, the streams one otherwise.
   :meth:`~QueryEngine.run_cached` is the one result-cache path in front
   of them: ``execute``, ``HashIndex.search_batch`` and
   ``DynamicHashIndex.search`` run through it, so only cache misses are
-  executed.  Engines resolve rerank modes from
-  :attr:`QueryEngine.rerankers`.
+  executed.
 
-Evaluators encapsulate scoring: exact distances over raw vectors
-(:class:`ExactEvaluator`), asymmetric distance over PQ codes
-(:class:`ADCEvaluator`), or code-based estimates for vector-free
-deployments (:class:`CodeEvaluator`).  The same evaluator contract
-powers the evaluation *and* rerank stages.
+:class:`ExactEvaluator` is the one scoring rule: exact distances over
+the raw vectors under a registered metric, as in the paper's
+Algorithm 1.
 """
 
 from __future__ import annotations
@@ -61,26 +57,16 @@ import numpy as np
 
 from repro import obs
 from repro.core.prober import BucketProber
-from repro.index.codes import (
-    hamming_distance,
-    packed_qd_distances,
-    qd_cost_tables,
-    unpack_bits,
-)
+from repro.index.codes import unpack_bits
 from repro.index.distance import METRICS
 from repro.search.cache import CacheKey, QueryResultCache, cache_token
 from repro.search.results import SearchResult
-from repro.search.stages import RerankSpec, drain_stream
+from repro.search.stages import drain_stream
 
 __all__ = [
-    "ADCEvaluator",
-    "CodeEvaluator",
-    "DistanceTableQuantizer",
-    "Evaluator",
     "ExactEvaluator",
     "ExecutionContext",
     "Gathered",
-    "ProbeInfoHasher",
     "QueryEngine",
     "QueryPlan",
     "RankedTable",
@@ -160,13 +146,8 @@ class QueryPlan:
     At least one stopping criterion (``n_candidates``, ``max_buckets``,
     ``time_budget``) must be set — Algorithm 1's remark that "other
     stopping criteria can also be used"; retrieval stops at whichever
-    bound is hit first.
-
-    ``rerank`` switches on the optional rerank stage: a
-    :class:`~repro.search.stages.RerankSpec` re-scores the evaluation
-    stage's surviving pool with a second scorer the engine resolves by
-    mode.  A plan is pure data — the same plan runs against any engine
-    that can resolve its rerank mode.
+    bound is hit first.  A plan is pure data — the same plan runs
+    against any engine.
     """
 
     k: int
@@ -175,7 +156,6 @@ class QueryPlan:
     time_budget: float | None = None
     metric: str = "euclidean"
     multi_table_strategy: str = "round_robin"
-    rerank: RerankSpec | None = None
 
     def __post_init__(self) -> None:
         # ``bool`` is an ``int``: a flag in ``k``'s place would run as 1.
@@ -215,21 +195,6 @@ class QueryPlan:
             raise ValueError(
                 "multi_table_strategy must be 'round_robin' or 'qd_merge'"
             )
-        if self.rerank is not None and not isinstance(self.rerank, RerankSpec):
-            raise TypeError(
-                f"rerank must be a RerankSpec, got {type(self.rerank).__name__}"
-            )
-
-    def evaluate_keep(self) -> int | None:
-        """How many ranked survivors the evaluation stage keeps.
-
-        ``k`` when evaluation is the last scoring stage (the classic
-        path); the rerank pool when a rerank follows (``None`` = keep
-        the whole scored candidate set).
-        """
-        if self.rerank is not None:
-            return self.rerank.pool
-        return self.k
 
     def stage_list(self) -> tuple[tuple[object, ...], ...]:
         """The declarative stage serialisation of this plan.
@@ -240,7 +205,7 @@ class QueryPlan:
         plans collide only if they execute the same stages with the
         same parameters.
         """
-        stages: list[tuple[object, ...]] = [
+        return (
             ("retrieve", self.multi_table_strategy),
             (
                 "dedup_budget",
@@ -248,12 +213,9 @@ class QueryPlan:
                 self.max_buckets,
                 self.time_budget,
             ),
-            ("evaluate", self.metric, self.evaluate_keep()),
-        ]
-        if self.rerank is not None:
-            stages.append(("rerank", self.rerank.mode, self.rerank.pool))
-        stages.append(("truncate", self.k))
-        return tuple(stages)
+            ("evaluate", self.metric, self.k),
+            ("truncate", self.k),
+        )
 
     def stage_names(self) -> tuple[str, ...]:
         """The names of the stages this plan executes, in order."""
@@ -266,10 +228,10 @@ class QueryPlan:
         (:mod:`repro.serving`) degrades admitted queries to cheaper
         plans before it ever rejects; this method is the ladder.  Level
         ``0`` is the plan itself.  Each level halves the candidate and
-        bucket budgets (never below ``max(floor, k)`` candidates or one
-        bucket), and from level ``2`` the optional rerank stage is
-        dropped entirely — the order mirrors the stages' cost: budget
-        first, the extra scoring pass second.
+        bucket budgets and the time budget once more (never below
+        ``max(floor, k)`` candidates or one bucket); no level drops a
+        stage, because the one evaluation stage is what makes the
+        answers exact over the candidates.
 
         The result is an ordinary :class:`QueryPlan`: running it
         directly is bit-identical to being degraded to it, which is the
@@ -294,7 +256,6 @@ class QueryPlan:
             n_candidates=n_candidates,
             max_buckets=max_buckets,
             time_budget=time_budget,
-            rerank=None if level >= 2 else self.rerank,
         )
 
     def budget_fraction(self, other: QueryPlan) -> float:
@@ -346,12 +307,8 @@ class ExecutionContext:
     stage_seconds:
         Wall time of each executed pipeline stage, keyed by stage name
         (``"retrieve"``, ``"dedup_budget"``, ``"evaluate"``,
-        ``"rerank"``, ``"truncate"``).  A single query records every
-        stage; batch rows record only the per-row stages (rerank and
-        truncate, when the plan has a rerank stage).
-    stage_stats:
-        Per-stage facts beyond timing (the rerank mode and pool size),
-        keyed by stage name.
+        ``"truncate"``).  A single query records every stage; batch
+        rows record none (their times are the batch's spans, split).
     bucket_sizes:
         Per-probed-bucket candidate counts, recorded only when the
         trace sampler selected this query (``None`` otherwise); part of
@@ -365,7 +322,6 @@ class ExecutionContext:
     evaluation_seconds: float = 0.0
     total_seconds: float = 0.0
     stage_seconds: dict[str, float] = field(default_factory=dict)
-    stage_stats: dict[str, dict] = field(default_factory=dict, repr=False)
     bucket_sizes: list[int] | None = field(default=None, repr=False)
 
     def as_dict(self) -> dict:
@@ -391,7 +347,7 @@ def top_k(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The ``k`` smallest ``(score, id)`` pairs, ascending.
 
-    The selection rule shared by every evaluator: ``argpartition`` to
+    The selection rule shared by every ranking path: ``argpartition`` to
     the cut, then a ``(score, id)`` lexsort of the survivors.  Every
     score below the boundary (the ``keep``-th smallest) is inside the
     partition, so more than ``keep`` candidates at or below it means a
@@ -414,32 +370,7 @@ def top_k(
     return candidate_ids[chosen], scores[chosen]
 
 
-# -- evaluator contracts ----------------------------------------------
-
-class Evaluator(Protocol):
-    """The evaluation stage's scoring rule, as the engine sees it.
-
-    ``evaluate`` re-ranks ``candidates`` for ``query`` and returns the
-    top-``k`` ``(ids, scores)`` pair, both aligned and ascending by
-    score with ties broken by id.
-    """
-
-    def evaluate(
-        self, query: np.ndarray, candidates: np.ndarray, k: int
-    ) -> tuple[np.ndarray, np.ndarray]: ...
-
-
-class DistanceTableQuantizer(Protocol):
-    """The slice of a product quantizer :class:`ADCEvaluator` needs."""
-
-    def distance_tables(self, query: np.ndarray) -> list[np.ndarray]: ...
-
-
-class ProbeInfoHasher(Protocol):
-    """The slice of a binary hasher :class:`CodeEvaluator` needs."""
-
-    def probe_info(self, query: np.ndarray) -> tuple[int, np.ndarray]: ...
-
+# -- table contract ---------------------------------------------------
 
 class RankedTable(Protocol):
     """The buckets the ordered kernel ranks and gathers from.
@@ -465,7 +396,7 @@ class RankedTable(Protocol):
     ) -> tuple[np.ndarray, np.ndarray]: ...
 
 
-# -- evaluators -------------------------------------------------------
+# -- the evaluator ----------------------------------------------------
 
 class ExactEvaluator:
     """Exact re-rank against raw vectors under a registered metric.
@@ -528,79 +459,6 @@ class ExactEvaluator:
             np.array([len(candidates)], dtype=np.int64),
             self.metric,
         )
-
-
-class ADCEvaluator:
-    """Asymmetric distance computation over fine PQ codes.
-
-    Scores candidates from their compressed codes via the query's
-    per-subspace distance tables — the memory-saving mode real VQ
-    systems run in; returned distances are approximate.
-    """
-
-    def __init__(
-        self, fine_quantizer: DistanceTableQuantizer, fine_codes: np.ndarray
-    ) -> None:
-        self._fine = fine_quantizer
-        self._codes = fine_codes
-
-    def evaluate(
-        self, query: np.ndarray, candidates: np.ndarray, k: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        if not len(candidates):
-            return _EMPTY_IDS, _EMPTY_DISTS
-        tables = self._fine.distance_tables(query)
-        codes = self._codes[candidates]
-        approx = np.zeros(len(candidates), dtype=np.float64)
-        for subspace, table in enumerate(tables):
-            approx += table[codes[:, subspace]]
-        ids, scores = top_k(candidates, approx, k)
-        return ids, np.sqrt(np.maximum(scores, 0.0))
-
-
-class CodeEvaluator:
-    """Code-only re-ranking for deployments without raw vectors.
-
-    ``asymmetric`` scores a candidate by the paper's quantization
-    distance evaluated at its long code (a scaled lower bound on true
-    distance, Theorem 2); ``symmetric`` uses Hamming distance between
-    long codes.  The returned "distances" are estimator values.
-
-    Both modes run as packed-block kernels over the int64 signatures
-    (:mod:`repro.index.codes`): symmetric is one XOR +
-    ``np.bitwise_count``, asymmetric builds the query's per-byte QD
-    lookup tables once and scores every candidate with byte gathers —
-    no per-candidate bit unpacking, so scoring stays ufunc-bound.
-    """
-
-    def __init__(
-        self,
-        rerank_hasher: ProbeInfoHasher,
-        long_signatures: np.ndarray,
-        mode: str,
-    ) -> None:
-        if mode not in ("asymmetric", "symmetric"):
-            raise ValueError("rerank must be 'asymmetric' or 'symmetric'")
-        self._hasher = rerank_hasher
-        self._signatures = long_signatures
-        self.mode = mode
-
-    def evaluate(
-        self, query: np.ndarray, candidates: np.ndarray, k: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        if not len(candidates):
-            return _EMPTY_IDS, _EMPTY_DISTS
-        long_sig, long_costs = self._hasher.probe_info(query)
-        candidate_codes = self._signatures[candidates]
-        if self.mode == "asymmetric":
-            estimates = packed_qd_distances(
-                candidate_codes, qd_cost_tables(long_sig, long_costs)
-            )
-        else:
-            estimates = hamming_distance(
-                candidate_codes, np.int64(long_sig)
-            ).astype(np.float64)
-        return top_k(candidates, estimates, k)
 
 
 _RAGGED_METRICS = ("euclidean", "cosine", "angular")
@@ -953,15 +811,12 @@ def qd_merged_scored_stream(
 class QueryEngine:
     """Execute :class:`QueryPlan` instances over candidate streams.
 
-    One engine per index: it owns the evaluator (the evaluation stage's
-    scoring rule) while each call supplies the plan and the retrieval
-    stream, so all indexes share a single instrumented control flow.
-    Every entry point gathers a ragged candidate block and runs the
-    same private body over it (evaluate → [rerank] → truncate →
-    results → telemetry).  A plan's rerank mode resolves against
-    :attr:`rerankers` — rerank mode (``"exact"`` / ``"adc"``) →
-    :class:`Evaluator` — which index front-ends populate from what they
-    can score faithfully (raw vectors, fine PQ codes).
+    One engine per index: it owns the :class:`ExactEvaluator` (the
+    evaluation stage's scoring rule) while each call supplies the plan
+    and the retrieval stream, so all indexes share a single
+    instrumented control flow.  Every entry point gathers a ragged
+    candidate block and runs the same private body over it (evaluate →
+    truncate → results → telemetry).
 
     ``name`` labels this engine's series in the metrics registry
     (``repro_queries_total{index="hash"}``, …) when telemetry is on.
@@ -978,7 +833,7 @@ class QueryEngine:
 
     def __init__(
         self,
-        evaluator: Evaluator,
+        evaluator: ExactEvaluator,
         name: str = "index",
         cache: QueryResultCache | None = None,
     ) -> None:
@@ -991,29 +846,7 @@ class QueryEngine:
         # search, and `+=` is not atomic under the GIL.  Reads (cache
         # keys) stay lock-free: a torn read just misses the cache.
         self._generation_lock = threading.Lock()
-        self.rerankers: dict[str, Evaluator] = {}
         self._cache_token = cache_token(name)
-
-    def reranker_for(self, spec: RerankSpec) -> Evaluator:
-        """The evaluator registered for ``spec.mode``, or a clear error."""
-        try:
-            return self.rerankers[spec.mode]
-        except KeyError:
-            raise ValueError(
-                f"engine {self.name!r} has no {spec.mode!r} reranker; "
-                f"available modes: {sorted(self.rerankers)}"
-            ) from None
-
-    def _resolve_reranker(self, plan: QueryPlan) -> Evaluator | None:
-        """The plan's reranker, ``None`` when the plan has no rerank.
-
-        Called before any cache lookup so a plan naming an unavailable
-        rerank mode fails loudly up front instead of deep inside
-        execution (or worse, after a stale hit).
-        """
-        if plan.rerank is None:
-            return None
-        return self.reranker_for(plan.rerank)
 
     def bump_generation(self) -> None:
         """Invalidate every cached result produced by this engine.
@@ -1041,8 +874,6 @@ class QueryEngine:
         cache = self.cache if QueryResultCache.cacheable(plan) else None
         if cache is None:
             return None
-        # An unavailable rerank mode raises here, before any hit is served.
-        self._resolve_reranker(plan)
         keys = cache.keys_for(self._cache_token, self.generation, plan, queries)
         return keys, [cache.lookup(key) for key in keys]
 
@@ -1267,43 +1098,31 @@ class QueryEngine:
         scan), their distances, else ``None``.  The body ranks the
         block — a pre-scored block with :func:`top_k`; otherwise the
         exact ragged kernel when it has more than one row, else the
-        evaluator once per segment — then, per row, re-scores the whole
-        surviving pool when the plan has a rerank (``rerank`` span;
-        ties break by id because the reranker is an
-        :class:`Evaluator`) and cuts the ranked list to ``k``
-        (``truncate`` span), assembles the results and records
-        telemetry.  Index adapters call it with their own ``gather``;
-        every other entry point of this class builds one.
+        evaluator once per segment — to ``k`` (ties break by id),
+        assembles the results and records telemetry.  Index adapters
+        call it with their own ``gather``; every other entry point of
+        this class builds one.
 
         ``single`` marks a batch of one run as a query of its own
         (:meth:`execute`, ``DynamicHashIndex.search``, the Theorem 2
         modes): it runs under its own ``query`` root span (retrieve,
-        dedup_budget, evaluate, [rerank], truncate), may be
-        trace-sampled, and its total is the root span.  Batch rows share
-        batch-level spans and run no per-row stages for plain plans;
-        their total is the sum of their stage times.
+        dedup_budget, evaluate, truncate), may be trace-sampled, and its
+        total is the root span.  Batch rows share batch-level spans and
+        run no per-row stages; their total is the sum of their
+        retrieval and evaluation shares.
         """
-        reranker = self._resolve_reranker(plan)
-        rerank_mode = None if plan.rerank is None else plan.rerank.mode
         contexts = [ExecutionContext() for _ in range(len(queries))]
         sampled = single and obs.should_sample()
         if sampled:
             contexts[0].bucket_sizes = []
-        truncate = reranker is not None or single
-        keep = plan.evaluate_keep()
         scope: AbstractContextManager[obs.Span | None] = (
             obs.span("query") if single else nullcontext()
         )
         results: list[SearchResult] = []
         with scope as root:
             candidates, counts, scored = gather(contexts)
-            cut = len(candidates) if keep is None else keep
             with obs.span("evaluate") as evaluate:
-                if (
-                    scored is None
-                    and len(counts) > 1
-                    and isinstance(self.evaluator, ExactEvaluator)
-                ):
+                if scored is None and len(counts) > 1:
                     dists = _ragged_distances(
                         queries,
                         self.evaluator._vectors(),
@@ -1311,29 +1130,23 @@ class QueryEngine:
                         counts,
                         self.evaluator.metric,
                     )
-                    ranked = _block_top_k(candidates, dists, counts, cut)
+                    ranked = _block_top_k(candidates, dists, counts, plan.k)
                 else:
                     ends = list(accumulate(counts.tolist()))
                     ranked = [
-                        self.evaluator.evaluate(query, candidates[lo:hi], cut)
+                        self.evaluator.evaluate(
+                            query, candidates[lo:hi], plan.k
+                        )
                         if scored is None
-                        else top_k(candidates[lo:hi], scored[lo:hi], cut)
+                        else top_k(candidates[lo:hi], scored[lo:hi], plan.k)
                         for query, lo, hi in zip(queries, [0, *ends], ends)
                     ]
             for ctx in contexts:
                 ctx.evaluation_seconds = evaluate.duration / len(contexts)
             if single:
                 contexts[0].stage_seconds["evaluate"] = evaluate.duration
-            for query, ctx, (ids, scores) in zip(queries, contexts, ranked):
-                if reranker is not None:
-                    with obs.span("rerank") as rerank:
-                        ctx.stage_stats["rerank"] = {
-                            "mode": rerank_mode,
-                            "pool": int(len(ids)),
-                        }
-                        ids, scores = reranker.evaluate(query, ids, len(ids))
-                    ctx.stage_seconds["rerank"] = rerank.duration
-                if truncate:
+            for ctx, (ids, scores) in zip(contexts, ranked):
+                if single:
                     with obs.span("truncate") as cut_span:
                         if len(ids) > plan.k:
                             ids, scores = ids[: plan.k], scores[: plan.k]
@@ -1354,12 +1167,7 @@ class QueryEngine:
                 self.name, contexts[0], root=root, sampled=sampled
             )
             return results
-        # Batch rows record only their per-row stages (rerank, truncate).
         for ctx in contexts:
-            ctx.total_seconds = (
-                ctx.retrieval_seconds
-                + ctx.evaluation_seconds
-                + sum(seconds for seconds in ctx.stage_seconds.values())
-            )
+            ctx.total_seconds = ctx.retrieval_seconds + ctx.evaluation_seconds
         obs.observe_batch(self.name, contexts)
         return results

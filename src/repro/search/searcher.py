@@ -32,7 +32,6 @@ from repro import obs
 from repro.core.gqr import GQR
 from repro.core.quantization_distance import theorem2_mu
 from repro.hashing.base import BinaryHasher, ProjectionHasher
-from repro.index.codes import pack_bits
 from repro.index.distance import METRICS
 from repro.index.hash_table import HashTable
 from repro.index.mih import MultiIndexHashing
@@ -42,9 +41,6 @@ from repro.quantization.opq import OptimizedProductQuantizer
 from repro.quantization.pq import ProductQuantizer
 from repro.search.cache import QueryResultCache
 from repro.search.engine import (
-    ADCEvaluator,
-    CodeEvaluator,
-    Evaluator,
     ExactEvaluator,
     ExecutionContext,
     Gathered,
@@ -60,7 +56,6 @@ from repro.search.engine import (
     validate_query_batch,
 )
 from repro.search.results import SearchResult
-from repro.search.stages import RerankSpec
 
 __all__ = [
     "HashIndex",
@@ -135,17 +130,6 @@ class HashIndex:
     cache:
         Optional :class:`~repro.search.cache.QueryResultCache`; repeated
         queries under the same plan return the cached result.
-    evaluation:
-        The evaluation stage's scoring rule: ``"exact"`` (true
-        distances over raw vectors, the default) or ``"code"``
-        (asymmetric quantization distance over the first table's codes
-        — the vector-free estimate; pair it with a rerank stage to
-        recover exact quality on the surviving pool).
-    rerank_quantizer:
-        Optional fine :class:`~repro.quantization.pq.ProductQuantizer`;
-        when given, plans may request ``RerankSpec(mode="adc")`` to
-        re-score the candidate pool with asymmetric distance over its
-        codes.  ``RerankSpec(mode="exact")`` is always available.
     """
 
     def __init__(
@@ -156,8 +140,6 @@ class HashIndex:
         metric: str = "euclidean",
         multi_table_strategy: str = "round_robin",
         cache: QueryResultCache | None = None,
-        evaluation: str = "exact",
-        rerank_quantizer: ProductQuantizer | None = None,
     ) -> None:
         self._data = np.asarray(data, dtype=np.float64)
         if self._data.ndim != 2:
@@ -170,8 +152,6 @@ class HashIndex:
             raise ValueError(
                 "multi_table_strategy must be 'round_robin' or 'qd_merge'"
             )
-        if evaluation not in ("exact", "code"):
-            raise ValueError("evaluation must be 'exact' or 'code'")
         hashers = list(hasher) if isinstance(hasher, (list, tuple)) else [hasher]
         if not hashers:
             raise ValueError("need at least one hasher")
@@ -182,32 +162,13 @@ class HashIndex:
             if not h.is_fitted:
                 h.fit(self._data)
         self._hashers = hashers
-        codes_per_table = [h.encode(self._data) for h in hashers]
-        self._tables = [HashTable(codes) for codes in codes_per_table]
+        self._tables = [HashTable(h.encode(self._data)) for h in hashers]
         self._prober = prober if prober is not None else GQR()
         self._metric = metric
         self._multi_table_strategy = multi_table_strategy
-        self._evaluation = evaluation
         self._dim = self._data.shape[1]
         self._exact = ExactEvaluator(self._data, metric)
-        self._evaluator: Evaluator
-        if evaluation == "code":
-            signatures = np.atleast_1d(
-                np.asarray(pack_bits(codes_per_table[0]), dtype=np.int64)
-            )
-            self._evaluator = CodeEvaluator(
-                hashers[0], signatures, "asymmetric"
-            )
-        else:
-            self._evaluator = self._exact
-        self._engine = QueryEngine(self._evaluator, name="hash", cache=cache)
-        self._engine.rerankers["exact"] = self._exact
-        if rerank_quantizer is not None:
-            if not rerank_quantizer.codebooks:
-                rerank_quantizer.fit(self._data)
-            self._engine.rerankers["adc"] = ADCEvaluator(
-                rerank_quantizer, rerank_quantizer.encode(self._data)
-            )
+        self._engine = QueryEngine(self._exact, name="hash", cache=cache)
         # Theorem 2's µ, computed on the first early-stop call; front
         # door worker threads may race to compute it.
         self._mu: float | None = None
@@ -237,11 +198,6 @@ class HashIndex:
     def multi_table_strategy(self) -> str:
         """How probe orders interleave across tables (see ``__init__``)."""
         return self._multi_table_strategy
-
-    @property
-    def evaluation(self) -> str:
-        """The evaluation stage's scoring rule (``"exact"`` / ``"code"``)."""
-        return self._evaluation
 
     @property
     def cache(self) -> QueryResultCache | None:
@@ -284,7 +240,6 @@ class HashIndex:
         n_candidates: int | None = None,
         max_buckets: int | None = None,
         time_budget: float | None = None,
-        rerank: RerankSpec | None = None,
     ) -> QueryPlan:
         """Build the :class:`QueryPlan` a ``search`` call would execute."""
         return QueryPlan(
@@ -294,7 +249,6 @@ class HashIndex:
             time_budget=time_budget,
             metric=self._metric,
             multi_table_strategy=self._multi_table_strategy,
-            rerank=rerank,
         )
 
     # -- retrieval ----------------------------------------------------
@@ -375,7 +329,6 @@ class HashIndex:
         n_candidates: int | None = None,
         max_buckets: int | None = None,
         time_budget: float | None = None,
-        rerank: RerankSpec | None = None,
     ) -> SearchResult:
         """Approximate kNN with the paper's pluggable stopping criteria.
 
@@ -387,11 +340,9 @@ class HashIndex:
         * ``time_budget`` — stop retrieving after this many seconds.
 
         At least one criterion must be given.  Collected candidates are
-        re-ranked by the evaluation stage and the top-``k`` returned;
-        ``rerank`` switches on the optional rerank stage (see
-        :meth:`plan`).
+        ranked by exact distance and the top-``k`` returned.
         """
-        plan = self.plan(k, n_candidates, max_buckets, time_budget, rerank)
+        plan = self.plan(k, n_candidates, max_buckets, time_budget)
         query = validate_query(query, self._dim)
         return self._engine.execute(query, plan, self.candidate_stream(query))
 
@@ -400,7 +351,6 @@ class HashIndex:
         queries: np.ndarray,
         k: int,
         n_candidates: int,
-        rerank: RerankSpec | None = None,
     ) -> list[SearchResult]:
         """``search`` over a query batch, genuinely batched.
 
@@ -419,7 +369,7 @@ class HashIndex:
         the rows.
         """
         queries = validate_query_batch(queries, self._dim)
-        plan = self.plan(k, n_candidates, rerank=rerank)
+        plan = self.plan(k, n_candidates)
         if not len(queries):
             return []
         return self._engine.run_cached(
@@ -434,15 +384,14 @@ class HashIndex:
         Validates ``query`` against this index's dimension (a malformed
         query raises ``ValueError``) and looks it up under the key
         :meth:`search` and :meth:`search_batch` would use for ``plan``'s
-        budgets and stages (:meth:`QueryEngine.lookup`).  Returns
+        budgets (:meth:`QueryEngine.lookup`).  Returns
         ``None`` on a miss, without a cache, and for time-budgeted
         plans, which are never cached.  The serving front door calls
         this at admission to answer repeats without queueing them.
         """
         query = validate_query(query, self._dim)
         plan = self.plan(
-            plan.k, plan.n_candidates, plan.max_buckets, plan.time_budget,
-            plan.rerank
+            plan.k, plan.n_candidates, plan.max_buckets, plan.time_budget
         )
         found = self._engine.lookup(query[np.newaxis], plan)
         return None if found is None else found[1][0]
@@ -679,9 +628,9 @@ class MIHSearchIndex:
         self._mih = MultiIndexHashing(hasher.encode(self._data), num_blocks)
         self._metric = metric
         self._dim = self._data.shape[1]
-        self._evaluator = ExactEvaluator(self._data, metric)
-        self._engine = QueryEngine(self._evaluator, name="mih", cache=cache)
-        self._engine.rerankers["exact"] = self._evaluator
+        self._engine = QueryEngine(
+            ExactEvaluator(self._data, metric), name="mih", cache=cache
+        )
 
     @property
     def num_items(self) -> int:
@@ -699,16 +648,10 @@ class MIHSearchIndex:
                 yield ids
 
     def search(
-        self,
-        query: np.ndarray,
-        k: int,
-        n_candidates: int,
-        rerank: RerankSpec | None = None,
+        self, query: np.ndarray, k: int, n_candidates: int
     ) -> SearchResult:
         query = validate_query(query, self._dim)
-        plan = QueryPlan(
-            k=k, n_candidates=n_candidates, metric=self._metric, rerank=rerank
-        )
+        plan = QueryPlan(k=k, n_candidates=n_candidates, metric=self._metric)
         return self._engine.execute(query, plan, self.candidate_stream(query))
 
 
@@ -720,13 +663,7 @@ class IMISearchIndex:
     quantizer:
         A fitted 2-subspace (O)PQ defining the IMI grid.
     data:
-        The ``(n, d)`` indexed items.
-    rerank_quantizer:
-        Optional *fine* :class:`~repro.quantization.pq.ProductQuantizer`
-        (typically many subspaces).  When given, candidates are scored
-        with asymmetric distance computation (ADC) over their compressed
-        codes instead of raw vectors — the memory-saving mode real VQ
-        systems run in; results become approximate.
+        The ``(n, d)`` indexed items; retained for exact evaluation.
     """
 
     def __init__(
@@ -734,27 +671,15 @@ class IMISearchIndex:
         quantizer: ProductQuantizer | OptimizedProductQuantizer,
         data: np.ndarray,
         metric: str = "euclidean",
-        rerank_quantizer: ProductQuantizer | None = None,
         cache: QueryResultCache | None = None,
     ) -> None:
         self._data = np.asarray(data, dtype=np.float64)
         self._imi = InvertedMultiIndex(quantizer, self._data)
         self._metric = metric
-        self._fine = rerank_quantizer
         self._dim = self._data.shape[1]
-        evaluator: Evaluator
-        exact = ExactEvaluator(self._data, metric)
-        if rerank_quantizer is not None:
-            if not rerank_quantizer.codebooks:
-                rerank_quantizer.fit(self._data)
-            self._fine_codes = rerank_quantizer.encode(self._data)
-            evaluator = ADCEvaluator(rerank_quantizer, self._fine_codes)
-        else:
-            evaluator = exact
-        self._engine = QueryEngine(evaluator, name="imi", cache=cache)
-        self._engine.rerankers["exact"] = exact
-        if rerank_quantizer is not None:
-            self._engine.rerankers["adc"] = evaluator
+        self._engine = QueryEngine(
+            ExactEvaluator(self._data, metric), name="imi", cache=cache
+        )
 
     @property
     def num_items(self) -> int:
@@ -768,14 +693,8 @@ class IMISearchIndex:
         yield from self._imi.probe(validate_query(query, self._dim))
 
     def search(
-        self,
-        query: np.ndarray,
-        k: int,
-        n_candidates: int,
-        rerank: RerankSpec | None = None,
+        self, query: np.ndarray, k: int, n_candidates: int
     ) -> SearchResult:
         query = validate_query(query, self._dim)
-        plan = QueryPlan(
-            k=k, n_candidates=n_candidates, metric=self._metric, rerank=rerank
-        )
+        plan = QueryPlan(k=k, n_candidates=n_candidates, metric=self._metric)
         return self._engine.execute(query, plan, self.candidate_stream(query))

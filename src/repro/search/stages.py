@@ -1,32 +1,21 @@
-"""The query pipeline's plan vocabulary and its dedup/budget loop.
+"""The query pipeline's dedup/budget loop.
 
 The paper's two-step loop (retrieval gathers candidates, evaluation
-re-ranks them exactly) runs as one pipeline::
+ranks them by exact distance) runs as one pipeline::
 
-    Retrieve → DedupBudget → Evaluate → [Rerank] → Truncate
+    Retrieve → DedupBudget → Evaluate → Truncate
 
 The engine (:class:`~repro.search.engine.QueryEngine`) runs every step
 itself, each under an :func:`repro.obs.span` named after it.  This
-module holds the two pieces it shares with its callers:
-
-* :class:`RerankSpec` — the plan field that switches on the optional
-  rerank step: the evaluation step's surviving pool is re-scored with a
-  second, more faithful scorer, exact distances over raw vectors
-  (``mode="exact"``) or PQ/OPQ asymmetric distance over fine codes
-  (``mode="adc"``).  This is the "hashing is a candidate stage"
-  architecture of the related-work revisit: a cheap estimator ranks the
-  pool, an expensive scorer fixes the top.  Public API.
-* :func:`drain_stream` — the dedup/budget loop over one query's
-  candidate stream.  Calling it from outside ``repro/search`` is a lint
-  error (reprolint RL011): the engine owns execution order, span naming
-  and stats accounting, and a step invoked on its own bypasses all
-  three.
+module holds :func:`drain_stream`, the dedup/budget loop over one
+query's candidate stream.  Calling it from outside ``repro/search`` is a lint error
+(reprolint RL011): the engine owns execution order, span naming and
+stats accounting, and a step invoked on its own bypasses all three.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -36,48 +25,9 @@ from repro import obs
 if TYPE_CHECKING:
     from repro.search.engine import ExecutionContext, QueryPlan
 
-__all__ = ["RerankSpec", "drain_stream"]
+__all__ = ["drain_stream"]
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
-
-
-# -- plan vocabulary ---------------------------------------------------
-
-@dataclass(frozen=True)
-class RerankSpec:
-    """Parameters of the plan's optional rerank step.
-
-    Attributes
-    ----------
-    mode:
-        ``"exact"`` (raw-vector distances) or ``"adc"`` (PQ/OPQ
-        asymmetric distance over fine codes).  Which modes are
-        available depends on the index — every raw-vector index offers
-        ``"exact"``; indexes built with a fine quantizer also offer
-        ``"adc"``.
-    pool:
-        How many evaluation survivors feed the re-ranker.  ``None``
-        (default) re-scores the *entire* candidate set; an integer
-        keeps the evaluation stage's best ``pool`` items — the matched-
-        budget setting the IR report compares at.
-    """
-
-    mode: str = "exact"
-    pool: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("exact", "adc"):
-            raise ValueError(
-                f"rerank mode must be 'exact' or 'adc', got {self.mode!r}"
-            )
-        if self.pool is not None and (
-            not isinstance(self.pool, (int, np.integer))
-            or isinstance(self.pool, bool)
-            or self.pool < 1
-        ):
-            raise ValueError(
-                f"rerank pool must be an integer >= 1, got {self.pool!r}"
-            )
 
 
 # -- the dedup/budget loop ---------------------------------------------

@@ -17,7 +17,8 @@ exceeds capacity.  Four cooperating mechanisms, declared in
   low-latency lane;
 * **graduated load shedding** — a hysteretic controller watching queue
   delay first *degrades* admitted queries to cheaper plans
-  (:meth:`QueryPlan.downgraded`; responses carry ``degraded`` and a
+  (:meth:`QueryPlan.downgraded`: each level halves the budgets once
+  more and drops no stage; responses carry ``degraded`` and a
   ``coverage`` budget fraction) and only sheds outright beyond the
   last degrade level.
 

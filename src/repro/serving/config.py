@@ -80,6 +80,12 @@ class OverloadConfig:
     threshold, and at most one step is taken per ``dwell_seconds`` —
     the two hysteresis mechanisms that keep the controller from
     flapping on bursty delay samples.
+
+    Degrade level ``l`` runs ``QueryPlan.downgraded(l)``: the plan's
+    candidate, bucket and time budgets divided by ``2**l``; no level
+    drops a stage, so every degraded answer is still exact over its
+    candidates.  At the default ``max_level`` of 2 the cheapest plan
+    keeps a quarter of the budgets.
     """
 
     degrade_delay_seconds: float = 0.010

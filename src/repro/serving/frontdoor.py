@@ -57,7 +57,7 @@ def execute_batch(index: Any, batch: Batch) -> list[SearchResult]:
     budgets, and indexes without ``search_batch``, fall back to
     per-ticket ``search`` calls with the effective plan's exact
     parameters.  The fallback passes only the keywords the plan sets, so
-    an index whose ``search`` takes just a candidate budget and a rerank
+    an index whose ``search`` takes just a candidate budget
     (``DynamicHashIndex``) serves candidate-budget plans.  Either way
     the results are bit-identical to running the effective plan
     directly — degradation changes *which* plan runs, never how it runs.
@@ -65,9 +65,9 @@ def execute_batch(index: Any, batch: Batch) -> list[SearchResult]:
     plan = batch.effective_plan
     if coalescible(plan) and hasattr(index, "search_batch"):
         assert plan.n_candidates is not None
-        return list(index.search_batch(
-            batch.queries, plan.k, plan.n_candidates, rerank=plan.rerank
-        ))
+        return list(
+            index.search_batch(batch.queries, plan.k, plan.n_candidates)
+        )
     keywords = _search_keywords(plan)
     return [
         index.search(ticket.query, plan.k, **keywords)
@@ -76,14 +76,13 @@ def execute_batch(index: Any, batch: Batch) -> list[SearchResult]:
 
 
 def _search_keywords(plan: QueryPlan) -> dict[str, Any]:
-    """The budget and rerank keywords ``plan`` sets, for ``search``."""
+    """The budget keywords ``plan`` sets, for ``search``."""
     return {
         name: value
         for name, value in (
             ("n_candidates", plan.n_candidates),
             ("max_buckets", plan.max_buckets),
             ("time_budget", plan.time_budget),
-            ("rerank", plan.rerank),
         )
         if value is not None
     }

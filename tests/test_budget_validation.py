@@ -2,7 +2,7 @@
 
 A negative or zero candidate budget, a bucket budget below one, a NaN
 or negative time budget, a NaN radius, a Theorem 2 candidate cap below
-one, a ``k`` or rerank pool that is not an integer >= 1, and a flag
+one, a ``k`` that is not an integer >= 1, and a flag
 (``bool`` or ``np.bool_``) in any count's place each raise
 ``ValueError`` before any bucket is probed, even for an empty query
 batch.
@@ -17,7 +17,6 @@ from repro.core.gqr import GQR
 from repro.data import gaussian_mixture
 from repro.hashing import ITQ
 from repro.search.engine import QueryPlan
-from repro.search.stages import RerankSpec
 from repro.search.searcher import HashIndex
 
 QUERY = np.zeros(16)
@@ -99,15 +98,8 @@ def test_k_must_be_an_integer(index, k):
         index.search_early_stop(QUERY, k, max_candidates=100)
 
 
-@pytest.mark.parametrize("pool", [*NON_INTEGERS, True], ids=repr)
-def test_rerank_pool_must_be_an_integer(pool):
-    with pytest.raises(ValueError, match="pool must be"):
-        RerankSpec(mode="exact", pool=pool)
-
-
 def test_numpy_integers_and_fractional_budgets_stay_legal(index):
-    rerank = RerankSpec(mode="exact", pool=np.int32(40))
-    result = index.search(QUERY, np.int64(5), n_candidates=100, rerank=rerank)
+    result = index.search(QUERY, np.int64(5), n_candidates=100)
     assert len(result.ids) == 5
     # The Theorem 2 scan takes a fractional cap's ceiling on purpose.
     early = index.search_early_stop(QUERY, 5, max_candidates=99.5)

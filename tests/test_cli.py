@@ -124,24 +124,6 @@ class TestExitCodes:
         assert capsys.readouterr().err == ""
 
 
-class TestEvalCommand:
-    def test_reports_all_pipelines(self, capsys):
-        code = main([
-            "eval", "--items", "600", "--queries", "6", "--k", "5",
-            "--budget", "120",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        for pipeline in ("candidate-only", "rerank-exact", "rerank-adc"):
-            assert pipeline in out
-        for metric in ("mrr@5", "recall@5", "ndcg@5"):
-            assert metric in out
-
-    def test_eval_defaults(self):
-        args = build_parser().parse_args(["eval"])
-        assert args.k == 10
-
-
 class TestReproduceCommand:
     def test_list(self, capsys):
         assert main(["reproduce", "--list"]) == 0

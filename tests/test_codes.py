@@ -8,10 +8,6 @@ from repro.index.codes import (
     hamming_distance,
     hamming_weight,
     pack_bits,
-    pack_code_words,
-    packed_hamming_distances,
-    packed_qd_distances,
-    qd_cost_tables,
     unpack_bits,
     validate_code_length,
 )
@@ -121,102 +117,3 @@ class TestHamming:
             assert hamming_distance(int(a), int(c)) <= (
                 hamming_distance(int(a), int(b)) + hamming_distance(int(b), int(c))
             )
-
-
-class TestPackCodeWords:
-    def test_single_word_agrees_with_pack_bits(self):
-        rng = np.random.default_rng(3)
-        bits = rng.integers(0, 2, size=(40, 63))
-        words = pack_code_words(bits)
-        assert words.shape == (40, 1)
-        assert words.dtype == np.uint64
-        assert np.array_equal(
-            words[:, 0].astype(np.int64), np.asarray(pack_bits(bits))
-        )
-
-    def test_multi_word_layout(self):
-        # Bit j lands in word j // 64 at position j % 64 — no 63-bit cap.
-        bits = np.zeros((1, 130), dtype=np.uint8)
-        bits[0, 0] = 1
-        bits[0, 64] = 1
-        bits[0, 129] = 1
-        words = pack_code_words(bits)
-        assert words.shape == (1, 3)
-        assert words[0].tolist() == [1, 1, 1 << (129 - 128)]
-
-    def test_rejects_non_binary_and_bad_shape(self):
-        with pytest.raises(ValueError):
-            pack_code_words(np.array([[0, 2]]))
-        with pytest.raises(ValueError):
-            pack_code_words(np.array([0, 1]))
-
-
-class TestPackedHammingDistances:
-    def test_matches_bitwise_reference(self):
-        rng = np.random.default_rng(4)
-        bits = rng.integers(0, 2, size=(60, 150))
-        words = pack_code_words(bits)
-        queries = pack_code_words(bits[:5])
-        got = packed_hamming_distances(queries, words)
-        want = (bits[:5, np.newaxis, :] != bits[np.newaxis, :, :]).sum(axis=2)
-        assert got.shape == (5, 60)
-        assert np.array_equal(got, want)
-
-    def test_single_query_returns_1d(self):
-        rng = np.random.default_rng(5)
-        bits = rng.integers(0, 2, size=(30, 70))
-        words = pack_code_words(bits)
-        got = packed_hamming_distances(words[3], words)
-        assert got.shape == (30,)
-        assert got[3] == 0
-
-    def test_rejects_word_count_mismatch(self):
-        with pytest.raises(ValueError, match="word-count"):
-            packed_hamming_distances(
-                np.zeros(2, dtype=np.uint64), np.zeros((4, 1), dtype=np.uint64)
-            )
-
-
-class TestPackedQuantizationDistance:
-    def test_matches_naive_definition(self):
-        # dist(q, b) = sum_i (c_i(q) xor b_i) * cost_i, bit by bit.
-        rng = np.random.default_rng(6)
-        m = 20
-        sig_bits = rng.integers(0, 2, size=(100, m))
-        sigs = np.asarray(pack_bits(sig_bits))
-        query_bits = rng.integers(0, 2, size=m)
-        query_sig = int(pack_bits(query_bits))
-        costs = rng.random(m)
-        tables = qd_cost_tables(query_sig, costs)
-        got = packed_qd_distances(sigs, tables)
-        want = np.zeros(len(sigs))
-        for i in range(m):
-            want += (sig_bits[:, i] != query_bits[i]) * costs[i]
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
-
-    def test_deterministic_across_calls(self):
-        rng = np.random.default_rng(7)
-        m = 33
-        sigs = np.asarray(
-            pack_bits(rng.integers(0, 2, size=(64, m))), dtype=np.int64
-        )
-        query_sig = int(pack_bits(rng.integers(0, 2, size=m)))
-        costs = rng.random(m)
-        first = packed_qd_distances(sigs, qd_cost_tables(query_sig, costs))
-        second = packed_qd_distances(sigs, qd_cost_tables(query_sig, costs))
-        assert np.array_equal(first, second)
-
-    def test_zero_for_query_bucket(self):
-        rng = np.random.default_rng(8)
-        m = 16
-        query_sig = int(pack_bits(rng.integers(0, 2, size=m)))
-        tables = qd_cost_tables(query_sig, rng.random(m))
-        assert packed_qd_distances(
-            np.array([query_sig], dtype=np.int64), tables
-        )[0] == 0.0
-
-    def test_tables_shape_covers_partial_chunk(self):
-        tables = qd_cost_tables(0, np.ones(20))
-        assert tables.shape == (3, 256)
-        # Bits beyond the code length contribute nothing.
-        assert tables[2].max() <= 4.0

@@ -21,7 +21,6 @@ from repro.eval.latency import (
 )
 from repro.hashing import ITQ
 from repro.quantization.pq import ProductQuantizer
-from repro.search.compact_index import CompactHashIndex
 from repro.search.dynamic_index import DynamicHashIndex
 from repro.search.searcher import HashIndex, IMISearchIndex, MIHSearchIndex
 
@@ -115,7 +114,6 @@ class TestBitIdenticalResults:
 class TestPerIndexLabels:
     def test_every_index_kind_reports_its_label(self, data, queries):
         probe = ITQ(code_length=8, seed=0).fit(data)
-        long = ITQ(code_length=16, seed=1).fit(data)
         pq = ProductQuantizer(2, n_centroids=8, seed=0).fit(data)
         dynamic = DynamicHashIndex(probe, dim=data.shape[1])
         dynamic.add(data[:500])
@@ -123,7 +121,6 @@ class TestPerIndexLabels:
             "hash": HashIndex(probe, data, prober=GQR()),
             "mih": MIHSearchIndex(ITQ(code_length=8, seed=0), data),
             "imi": IMISearchIndex(pq, data),
-            "compact": CompactHashIndex(probe, long, data),
             "dynamic": dynamic,
         }
         with obs.telemetry_session() as telemetry:

@@ -1,15 +1,13 @@
-"""Bit-identity of the staged pipeline for rerank-free plans.
+"""Bit-identity of the staged pipeline.
 
-The tentpole refactor decomposed ``QueryEngine.execute`` into typed
-stages (Retrieve → DedupBudget → Evaluate → Truncate for plain plans).
-Its contract: for any plan without rerank, every index type
-returns *bit-identical* results to the classic inline loop.  The
-reference here re-implements that loop — drain the candidate stream
-with interleaved dedup/budget accounting, score once with the engine's
-own evaluator, cut to k — without touching any stage machinery, and
-hypothesis drives (k, budget, query) across all six index front-ends.
-Reranked batches must equal reranked singles, and exact rerank must
-beat the candidate-only ranking's recall at the same budget.
+``QueryEngine`` runs every query as Retrieve → DedupBudget → Evaluate
+→ Truncate.  Its contract: every index type returns *bit-identical*
+results to the classic inline loop.  The reference here re-implements
+that loop — drain the candidate stream with interleaved dedup/budget
+accounting, score once with the engine's own evaluator, cut to k —
+without touching any stage machinery, and hypothesis drives (k,
+budget, query) across all five index front-ends.  Batches must equal
+singles.
 """
 
 from __future__ import annotations
@@ -19,18 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data import gaussian_mixture, ground_truth_knn, sample_queries
-from repro.eval.metrics import mean_recall
+from repro.data import gaussian_mixture, sample_queries
 from repro.hashing import ITQ
 from repro.quantization.pq import ProductQuantizer
 from repro.search import (
-    CompactHashIndex,
     DynamicHashIndex,
     HashIndex,
     IMISearchIndex,
     MIHSearchIndex,
     QueryPlan,
-    RerankSpec,
 )
 
 DATA = gaussian_mixture(600, 16, n_clusters=8, seed=11)
@@ -50,12 +45,6 @@ def _build_imi():
     return IMISearchIndex(coarse, DATA)
 
 
-def _build_compact():
-    probe = ITQ(code_length=6, seed=0).fit(DATA)
-    rerank = ITQ(code_length=12, seed=1).fit(DATA)
-    return CompactHashIndex(probe, rerank, DATA)
-
-
 def _build_dynamic():
     hasher = ITQ(code_length=8, seed=0).fit(DATA)
     index = DynamicHashIndex(hasher, DATA.shape[1])
@@ -73,7 +62,6 @@ BUILDERS = {
     "hash": _build_hash,
     "mih": _build_mih,
     "imi": _build_imi,
-    "compact": _build_compact,
     "dynamic": _build_dynamic,
     "multi": _build_multi,
 }
@@ -85,16 +73,6 @@ def get_index(name: str):
     if name not in _INDEXES:
         _INDEXES[name] = BUILDERS[name]()
     return _INDEXES[name]
-
-
-def _reranking_hash_index():
-    """A hash index with both rerank modes (exact and ADC) registered."""
-    if "hash+pq" not in _INDEXES:
-        _INDEXES["hash+pq"] = HashIndex(
-            ITQ(code_length=8, seed=0), DATA,
-            rerank_quantizer=ProductQuantizer(n_subspaces=4, seed=0),
-        )
-    return _INDEXES["hash+pq"]
 
 
 def reference_search(index, query, k, budget):
@@ -160,9 +138,8 @@ class TestStagedMatchesInlineReference:
 
 
 class TestBatchMatchesSerial:
-    """The batched fast paths skip stage objects entirely for plain
-    plans; rerank plans apply post stages per row.  Both must match the
-    single-query pipeline bit-for-bit."""
+    """The batched fast paths skip the per-row stages; they must match
+    the single-query pipeline bit-for-bit."""
 
     def test_plain_batch_matches_singles(self):
         index = get_index("hash")
@@ -174,50 +151,17 @@ class TestBatchMatchesSerial:
                 batched.distances, single.distances
             )
 
-    @pytest.mark.parametrize(
-        "mode,pool",
-        [("exact", None), ("exact", 40), ("adc", None), ("adc", 40)],
-    )
-    def test_reranked_batch_matches_singles(self, mode, pool):
-        index = _reranking_hash_index()
-        spec = RerankSpec(mode=mode, pool=pool)
-        results = index.search_batch(
-            QUERIES, k=10, n_candidates=120, rerank=spec
-        )
-        for query, batched in zip(QUERIES, results):
-            single = index.search(
-                query, k=10, n_candidates=120, rerank=spec
-            )
-            np.testing.assert_array_equal(batched.ids, single.ids)
-            np.testing.assert_array_equal(
-                batched.distances, single.distances
-            )
-
-
-#: Every front-end with a plain plan, and with an exact rerank plan
-#: wherever one is registered (compact has no exact reranker).
-_STREAMS_CASES = [(name, None) for name in sorted(BUILDERS)] + [
-    (name, "exact") for name in sorted(BUILDERS) if name != "compact"
-]
-
 
 class TestStreamsBatch:
     """``execute_batch_streams`` over every front-end's engine — the
-    MIH, IMI, compact, dynamic and multi-table engines included — must equal
+    MIH, IMI, dynamic and multi-table engines included — must equal
     per-query ``engine.execute`` over the same candidate streams."""
 
-    @pytest.mark.parametrize("name,rerank", _STREAMS_CASES)
-    def test_matches_execute(self, name, rerank):
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_matches_execute(self, name):
         index = get_index(name)
         engine = index.engine
-        plan = QueryPlan(
-            k=10,
-            n_candidates=200,
-            rerank=(
-                RerankSpec(mode=rerank, pool=40)
-                if rerank is not None else None
-            ),
-        )
+        plan = QueryPlan(k=10, n_candidates=200)
         streams = [index.candidate_stream(q) for q in QUERIES]
         batched = engine.execute_batch_streams(QUERIES, plan, streams)
         assert len(batched) == len(QUERIES)
@@ -238,28 +182,3 @@ class TestStreamsBatch:
             index.engine.execute_batch_streams(
                 QUERIES[:n_queries], index.plan(5, 100), streams
             )
-
-
-def test_exact_rerank_beats_candidate_only_recall():
-    """At a matched candidate budget, exact reranking strictly beats
-    the candidate-only ranking of a code-evaluated index on Recall@10:
-    code distances keep that ranking coarse, and the exact stage
-    re-scores the same candidates with true distances."""
-    data = gaussian_mixture(2_000, 32, n_clusters=40, cluster_spread=1.0,
-                            seed=7)
-    queries = sample_queries(data, 40, seed=8)
-    truth = ground_truth_knn(queries, data, 10)
-    index = HashIndex(
-        ITQ(code_length=12, seed=0), data,
-        evaluation="code",
-        rerank_quantizer=ProductQuantizer(n_subspaces=8, seed=0),
-    )
-
-    def recall(rerank):
-        returned = [
-            index.search(q, k=10, n_candidates=200, rerank=rerank).ids
-            for q in queries
-        ]
-        return mean_recall(returned, truth)
-
-    assert recall(RerankSpec(mode="exact")) > recall(None)

@@ -339,8 +339,8 @@ class TestStagePipelineEncapsulationRL011:
 
     def test_spec_vocabulary_is_allowed(self):
         src = (
-            "from repro.search import RerankSpec\n"
-            "spec = RerankSpec(mode='exact', pool=50)\n"
+            "from repro.search import QueryPlan\n"
+            "plan = QueryPlan(k=10, n_candidates=50)\n"
         )
         found = check_source(src, self.OUTSIDE, [get_rule("RL011")])
         assert found == []

@@ -19,7 +19,6 @@ from repro.search import (
     HashIndex,
     QueryPlan,
     QueryResultCache,
-    RerankSpec,
 )
 from repro.serving import (
     REASON_EXECUTION_ERROR,
@@ -427,23 +426,6 @@ class TestAdmissionLookup:
         for response, expected in zip((first, second), want):
             assert response.status == STATUS_SERVED
             assert np.array_equal(response.result.ids, expected.ids)
-
-    def test_unavailable_rerank_mode_rejected_at_submission(
-        self, cached, queries
-    ):
-        # Keying a plan resolves its stages, so with a cache attached a
-        # rerank mode the index lacks fails the lookup, not a batch.
-        plan = cached.plan(k=5, n_candidates=100,
-                           rerank=RerankSpec(mode="adc"))
-
-        async def scenario():
-            async with AsyncFrontDoor(cached) as door:
-                return await door.submit(queries[0], plan), door.core.stats
-
-        response, stats = run(scenario())
-        assert response.reason == REASON_INVALID_QUERY
-        assert "no 'adc' reranker" in response.detail
-        assert stats["admitted"]["interactive"] == 0
 
     def test_each_request_is_counted_once(self, cached, queries):
         # Repeats arrive in the same batch, in later batches and after

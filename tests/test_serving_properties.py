@@ -33,7 +33,7 @@ from repro.core.gqr import GQR
 from repro.data import gaussian_mixture, sample_queries
 from repro.data.workloads import TrafficTrace, zipfian_stream
 from repro.hashing import ITQ
-from repro.search import HashIndex, QueryResultCache, RerankSpec
+from repro.search import HashIndex, QueryResultCache
 from repro.serving import (
     STATUS_SERVED,
     FrontDoorCore,
@@ -142,7 +142,6 @@ class TestServingProperties:
                     _QUERIES[by_arrival[record.arrival]],
                     effective.k,
                     n_candidates=effective.n_candidates,
-                    rerank=effective.rerank,
                 )
                 assert np.array_equal(response.result.ids, direct.ids)
                 assert np.array_equal(
@@ -196,21 +195,16 @@ class TestDegradedCacheProperty:
             max_size=12,
         ),
         budget=st.integers(min_value=64, max_value=256),
-        rerank=st.booleans(),
     )
     @settings(max_examples=10, deadline=None)
     def test_every_level_matches_the_uncached_twin(
-        self, query_ids, budget, rerank
+        self, query_ids, budget
     ):
         cached = HashIndex(
             ITQ(code_length=8, seed=0), _DATA, prober=GQR(),
             cache=QueryResultCache(),
         )
-        plan = cached.plan(
-            k=5,
-            n_candidates=budget,
-            rerank=RerankSpec(pool=20) if rerank else None,
-        )
+        plan = cached.plan(k=5, n_candidates=budget)
         levels = range(default_config().overload.max_level + 1)
         batches = [batch_at(level, query_ids, plan) for level in levels]
         # Each level runs a distinct plan, so no two levels share a key.
@@ -239,21 +233,16 @@ class TestDegradedCacheProperty:
             max_size=12,
         ),
         budget=st.integers(min_value=64, max_value=256),
-        rerank=st.booleans(),
     )
     @settings(max_examples=10, deadline=None)
     def test_admission_hit_is_the_requested_plans_result(
-        self, query_ids, budget, rerank
+        self, query_ids, budget
     ):
         cached = HashIndex(
             ITQ(code_length=8, seed=0), _DATA, prober=GQR(),
             cache=QueryResultCache(),
         )
-        plan = cached.plan(
-            k=5,
-            n_candidates=budget,
-            rerank=RerankSpec(pool=20) if rerank else None,
-        )
+        plan = cached.plan(k=5, n_candidates=budget)
         want = execute_batch(_INDEX, batch_at(0, query_ids, plan))
         stored = execute_batch(cached, batch_at(0, query_ids, plan))
         for level in range(default_config().overload.max_level + 1):

@@ -6,8 +6,8 @@ with ``argpartition`` before sorting.  When a run of tied scores
 straddles the k-th place, ``argpartition`` keeps an arbitrary member of
 the run; the rule every path promises is "ties broken by id", so the
 kernels must return exactly what a full ``(score, id)`` lexsort does.
-Integer-valued scores are the kind :class:`CodeEvaluator`'s Hamming mode
-produces, and the kind that ties most.
+Integer-valued scores tie most, so the kernels are checked on them
+too.
 
 The second half pins the user-visible consequence: on an index whose
 rows are each stored many times over, ``search``, ``search_batch`` and

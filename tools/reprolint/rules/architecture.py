@@ -134,8 +134,8 @@ class StagePipelineEncapsulationRule(Rule):
 
     The ``drain_stream`` dedup/budget loop is the engine's
     implementation vocabulary, and so is any ``*Stage`` class a future
-    change might add.  Code outside ``repro/search`` configures
-    pipelines declaratively — a ``RerankSpec`` on a ``QueryPlan`` — and
+    change might add.  Code outside ``repro/search`` builds a
+    ``QueryPlan`` (or passes its budgets to an index's ``search``) and
     lets the engine run the stages.  Running a stage elsewhere would
     execute retrieval or scoring outside the instrumented pipeline,
     invisible to ``ExecutionContext`` stats, cache fingerprints and the
@@ -146,8 +146,8 @@ class StagePipelineEncapsulationRule(Rule):
     name = "stage-pipeline-encapsulation"
     description = (
         "pipeline stage internals (``*Stage`` classes, drain_stream) "
-        "may only be used inside repro/search; configure plans with "
-        "RerankSpec instead"
+        "may only be used inside repro/search; build a QueryPlan and "
+        "call the index's search instead"
     )
 
     _STAGES_MODULE = "repro.search.stages"
@@ -172,8 +172,8 @@ class StagePipelineEncapsulationRule(Rule):
                             module,
                             node,
                             "importing repro.search.stages wholesale "
-                            "exposes stage internals; import "
-                            "RerankSpec from repro.search instead",
+                            "exposes stage internals; build a QueryPlan "
+                            "and call the index's search instead",
                         )
             elif isinstance(node, ast.ImportFrom):
                 for alias in node.names:
@@ -182,8 +182,8 @@ class StagePipelineEncapsulationRule(Rule):
                             module,
                             node,
                             f"importing stage internal {alias.name!r} "
-                            "outside repro/search; configure the plan "
-                            "with RerankSpec and let the engine run the "
+                            "outside repro/search; build a QueryPlan and "
+                            "call the index's search, which runs the "
                             "pipeline",
                         )
             elif isinstance(node, ast.Call):
