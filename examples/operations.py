@@ -1,23 +1,21 @@
-"""Operations walkthrough: tune, persist, reload, measure tails.
+"""Operations walkthrough: latency percentiles and a probe trace.
 
-The lifecycle a deployment actually runs: auto-tune the code length and
-the candidate budget on a validation sample, save the trained index to
-disk, reload it in a "serving process", and report per-query latency
-percentiles plus a probe trace for one query.
+Builds an index at a fixed code length and candidate budget, reports
+per-query latency percentiles, and explains one query by tracing the
+buckets it probed.
 
 Run:  python examples/operations.py
 """
 
-import tempfile
-from pathlib import Path
-
 import numpy as np
 
-from repro import GQR, ITQ, HashIndex, load_index, save_index
+from repro import GQR, ITQ, HashIndex
 from repro.data import gaussian_mixture, ground_truth_knn, sample_queries
 from repro.eval import format_table, latency_summary, measure_latencies
 from repro.eval.trace import trace_query
-from repro.eval.tuning import tune_candidate_budget, tune_code_length
+
+CODE_LENGTH = 10  # log2(12000 / 10) ≈ 10.2
+BUDGET = 500
 
 
 def main() -> None:
@@ -25,55 +23,28 @@ def main() -> None:
                             cluster_spread=1.0, seed=4)
     validation = sample_queries(data, 30, seed=5)
     truth = ground_truth_knn(validation, data, 10)
+    index = HashIndex(ITQ(code_length=CODE_LENGTH, seed=0), data, prober=GQR())
+    print(f"index: {index.num_items} items, m = {index.code_length}, "
+          f"budget = {BUDGET} candidates")
 
-    # 1. Tune the code length around the paper's rule.
-    print("tuning code length ...")
-    length_result = tune_code_length(
-        lambda m: ITQ(code_length=m, seed=0),
-        data, validation, truth, target_recall=0.9,
-    )
-    per_length = {m: f"{s:.3f}s" for m, s in length_result.per_length.items()}
-    print(f"  time-to-90% per m: {per_length} -> m = "
-          f"{length_result.code_length}")
-
-    # 2. Build the index and tune the candidate budget for recall 0.95.
-    index = HashIndex(
-        ITQ(code_length=length_result.code_length, seed=0), data, prober=GQR()
-    )
-    budget_result = tune_candidate_budget(
-        index, validation, truth, target_recall=0.95
-    )
-    print(f"  budget for 95% recall: {budget_result.budget} candidates "
-          f"({budget_result.recall:.1%} on validation, "
-          f"{budget_result.evaluations} probes)")
-
-    # 3. Persist and reload (e.g. into a serving replica).
-    with tempfile.TemporaryDirectory() as tmp:
-        path = save_index(index, Path(tmp) / "prod_index")
-        size_mb = path.stat().st_size / 1e6
-        serving = load_index(path)
-        print(f"  saved {size_mb:.1f} MB -> reloaded "
-              f"{serving.num_items} items, m={serving.code_length}")
-
-    # 4. Serving-side latency percentiles at the tuned budget.
+    # 1. Latency percentiles at the fixed budget.
     live_queries = sample_queries(data, 100, seed=6)
     latencies = measure_latencies(
-        serving, live_queries, k=10, n_candidates=budget_result.budget
+        index, live_queries, k=10, n_candidates=BUDGET
     )
     summary = latency_summary(latencies)
     print(format_table(
         ["mean ms", "p50", "p95", "p99", "worst"], [summary.row()]
     ))
 
-    # 5. Explain one query: which buckets were probed, with what QD?
-    trace = trace_query(serving, validation[0], truth[0])
+    # 2. Explain one query: which buckets were probed, with what QD?
+    trace = trace_query(index, validation[0], truth[0])
     print("\nprobe trace of one query:")
     print(trace.to_table(max_rows=6))
 
-    # Sanity: the reloaded index still returns correct neighbours.
-    result = serving.search(validation[0], 10, budget_result.budget)
+    result = index.search(validation[0], 10, BUDGET)
     overlap = len(np.intersect1d(result.ids, truth[0]))
-    print(f"\nreloaded-index recall on the traced query: {overlap}/10")
+    print(f"\nrecall on the traced query: {overlap}/10")
 
 
 if __name__ == "__main__":

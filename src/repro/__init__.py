@@ -31,12 +31,10 @@ from repro.core import (
 )
 from repro.hashing import (
     ITQ,
-    AnchorGraphHashing,
     BinaryHasher,
     KMeansHashing,
     PCAHashing,
     RandomProjectionLSH,
-    SemiSupervisedHashing,
     SpectralHashing,
 )
 from repro.index import (
@@ -44,12 +42,10 @@ from repro.index import (
     LinearScan,
     MultiIndexHashing,
 )
-from repro.io import load_index, save_index
 from repro.probing import (
     BucketProber,
     GenerateHammingRanking,
     HammingRanking,
-    MultiProbeLSH,
 )
 from repro.quantization import (
     InvertedMultiIndex,
@@ -70,7 +66,6 @@ __version__ = "1.0.0"
 __all__ = [
     "GQR",
     "ITQ",
-    "AnchorGraphHashing",
     "BinaryHasher",
     "BucketProber",
     "DynamicHashIndex",
@@ -86,17 +81,13 @@ __all__ = [
     "LinearScan",
     "MIHSearchIndex",
     "MultiIndexHashing",
-    "MultiProbeLSH",
     "OptimizedProductQuantizer",
     "PCAHashing",
     "ProductQuantizer",
     "QDRanking",
     "RandomProjectionLSH",
-    "SemiSupervisedHashing",
     "SearchResult",
-    "load_index",
     "obs",
-    "save_index",
     "SharedGenerationTree",
     "SpectralHashing",
     "quantization_distance",

@@ -21,7 +21,7 @@ optimisation remark).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -42,26 +42,12 @@ class GQR(BucketProber):
         Optional precomputed generation tree shared across queries; must
         match the table's code length.  ``None`` builds the tree lazily
         per query (pure Algorithm 4).
-    cost_transform:
-        Optional monotone map applied to flip costs before ranking, e.g.
-        ``numpy.square`` turns GQR into the Multi-Probe-LSH-style score
-        of Section 5's comparison.  Must preserve non-negativity.
     """
 
     generates_unoccupied = True
 
-    def __init__(
-        self,
-        shared_tree: SharedGenerationTree | None = None,
-        cost_transform: Callable[[np.ndarray], np.ndarray] | None = None,
-    ) -> None:
+    def __init__(self, shared_tree: SharedGenerationTree | None = None) -> None:
         self._shared_tree = shared_tree
-        self._cost_transform = cost_transform
-
-    @property
-    def cost_transform(self) -> Callable[[np.ndarray], np.ndarray] | None:
-        """The monotone map applied to flip costs, if any."""
-        return self._cost_transform
 
     def probe(
         self, table: HashTable, signature: int, flip_costs: np.ndarray
@@ -83,10 +69,6 @@ class GQR(BucketProber):
             raise ValueError(
                 f"expected {m} flip costs for table, got {len(costs)}"
             )
-        if self._cost_transform is not None:
-            costs = np.asarray(self._cost_transform(costs), dtype=np.float64)
-            if costs.shape != (m,) or np.any(costs < 0):
-                raise ValueError("cost_transform must keep (m,) non-negative costs")
 
         # f: sorted position -> original bit position (Definition 3).
         permutation = np.argsort(costs, kind="stable")
@@ -137,18 +119,6 @@ class GQR(BucketProber):
         :func:`~repro.core.quantization_distance.batch_quantization_distances`.
         """
         del bucket_signatures, query_signatures
-        costs = np.asarray(cost_matrix, dtype=np.float64)
-        if self._cost_transform is not None:
-            costs = np.stack(
-                [
-                    np.asarray(self._cost_transform(row), dtype=np.float64)
-                    for row in costs
-                ]
-            )
-            if costs.shape != cost_matrix.shape or np.any(costs < 0):
-                raise ValueError(
-                    "cost_transform must keep (m,) non-negative costs"
-                )
         return batch_quantization_distances(
-            query_bits, costs, bucket_bits, bucket_complement
+            query_bits, cost_matrix, bucket_bits, bucket_complement
         )

@@ -2,8 +2,8 @@
 
 A *querying method* (Section 2.2) decides which buckets of a hash table
 to probe, and in what order.  Every method in this package — Hamming
-ranking, generate-to-probe Hamming ranking, QD ranking, GQR, Multi-Probe
-LSH — implements :class:`BucketProber`: given the query's binary code
+ranking, generate-to-probe Hamming ranking, QD ranking and GQR —
+implements :class:`BucketProber`: given the query's binary code
 signature and per-bit flip costs (see
 :meth:`repro.hashing.base.BinaryHasher.probe_info`), yield bucket
 signatures best-first.

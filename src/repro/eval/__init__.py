@@ -1,6 +1,5 @@
 """Evaluation: metrics, recall-time harness, plain-text reporting."""
 
-from repro.eval.comparison import MethodComparison, compare_methods
 from repro.eval.harness import (
     CurvePoint,
     default_budgets,
@@ -20,21 +19,14 @@ from repro.eval.metrics import (
 )
 from repro.eval.plotting import ascii_plot, plot_recall_time
 from repro.eval.reporting import format_curve_points, format_curves, format_table
-from repro.eval.stats import PairedTestResult, bootstrap_ci, paired_bootstrap_test
 from repro.eval.trace import ProbeStep, ProbeTrace, trace_query
-from repro.eval.tuning import TuningResult, tune_candidate_budget
 
 __all__ = [
     "CurvePoint",
     "LatencySummary",
-    "MethodComparison",
-    "PairedTestResult",
     "ProbeStep",
     "ProbeTrace",
-    "TuningResult",
     "ascii_plot",
-    "bootstrap_ci",
-    "compare_methods",
     "default_budgets",
     "format_curve_points",
     "format_curves",
@@ -43,7 +35,6 @@ __all__ = [
     "mean_recall",
     "mean_recall_at_k",
     "measure_latencies",
-    "paired_bootstrap_test",
     "plot_recall_time",
     "precision",
     "recall",
@@ -54,5 +45,4 @@ __all__ = [
     "sweep_budgets",
     "time_to_recall",
     "trace_query",
-    "tune_candidate_budget",
 ]

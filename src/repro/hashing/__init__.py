@@ -1,6 +1,5 @@
 """Learning-to-hash algorithms (the paper's hashing substrate)."""
 
-from repro.hashing.agh import AnchorGraphHashing
 from repro.hashing.base import (
     BinaryHasher,
     ProjectionHasher,
@@ -12,19 +11,15 @@ from repro.hashing.kmh import KMeansHashing
 from repro.hashing.lsh import RandomProjectionLSH
 from repro.hashing.pcah import PCAHashing
 from repro.hashing.sh import SpectralHashing
-from repro.hashing.ssh import SemiSupervisedHashing, pairs_from_neighbors
 
 __all__ = [
     "ITQ",
-    "AnchorGraphHashing",
     "BinaryHasher",
     "KMeansHashing",
     "PCAHashing",
     "ProjectionHasher",
     "RandomProjectionLSH",
-    "SemiSupervisedHashing",
     "SpectralHashing",
-    "pairs_from_neighbors",
     "sign_quantize",
     "spectral_norm_bound",
 ]

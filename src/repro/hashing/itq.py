@@ -14,13 +14,12 @@ rotation ``R`` of that subspace minimising the quantization loss
 
 The final projection is ``p(o) = (o − µ) W R`` with ``W`` the PCA basis.
 
-:func:`procrustes_rotation` runs the alternation for ITQ and for AGH's
-spectral rotation.  Every round writes into the same three ``(n, m)``
-buffers (``V R``, its sign mask and ``B``), so a fit's transient memory
-past the centered copy and ``V`` is about ``2.1 · n · m · 8`` bytes
-whatever the round count.  Writing in place changes no arithmetic:
-tests pin rotations, losses and codes bit for bit against a loop that
-allocates every round.
+:func:`procrustes_rotation` runs the alternation.  Every round writes
+into the same three ``(n, m)`` buffers (``V R``, its sign mask and
+``B``), so a fit's transient memory past the centered copy and ``V`` is
+about ``2.1 · n · m · 8`` bytes whatever the round count.  Writing in
+place changes no arithmetic: tests pin rotations, losses and codes bit
+for bit against a loop that allocates every round.
 """
 
 from __future__ import annotations

@@ -2,8 +2,7 @@
 
 The data-independent baseline the paper contrasts L2H against: hash
 vectors are sampled from an isotropic Gaussian, ignoring the dataset.
-Included both as a sanity baseline and because Multi-Probe LSH
-(:mod:`repro.probing.multiprobe_lsh`) is defined on top of it.
+Included as a sanity baseline.
 """
 
 from __future__ import annotations

@@ -436,15 +436,16 @@ class HashIndex:
         also stops after the first non-empty bucket that brings the
         candidate count to ``max_candidates`` (default: every item).
 
-        Requires a GQR prober without a ``cost_transform`` (the bound
-        holds for plain QD only), a hasher with a linear hashing matrix
+        Requires a GQR prober, a hasher with a linear hashing matrix
         (the bound needs ``M = σ_max(H)``), and the Euclidean metric.
         """
         if max_candidates is None:
             max_candidates = self.num_items
-        elif not max_candidates >= 1:
+        elif isinstance(max_candidates, (bool, np.bool_)) or not (
+            max_candidates >= 1
+        ):
             raise ValueError(
-                f"max_candidates must be >= 1, got {max_candidates}"
+                f"max_candidates must be >= 1, got {max_candidates!r}"
             )
         return self._theorem2_scan(query, k, np.inf, max_candidates)
 
@@ -457,8 +458,10 @@ class HashIndex:
         lie within the radius.  Same preconditions as
         :meth:`search_early_stop`.
         """
-        if not radius >= 0:
-            raise ValueError(f"radius must be non-negative, got {radius}")
+        if isinstance(radius, (bool, np.bool_)) or not radius >= 0:
+            raise ValueError(
+                f"radius must be a non-negative number, got {radius!r}"
+            )
         return self._theorem2_scan(query, None, radius, np.inf)
 
     def _theorem2_scan(
@@ -596,11 +599,6 @@ class HashIndex:
             raise TypeError("early stop needs a hasher with a hashing matrix")
         if not isinstance(self._prober, GQR):
             raise TypeError("early stop needs a GQR prober")
-        if self._prober.cost_transform is not None:
-            # µ·QD bounds true distance only for the untransformed QD.
-            raise ValueError(
-                "early stop needs a GQR prober without a cost_transform"
-            )
         mu = self._mu
         if mu is None:
             with self._mu_lock:

@@ -3,7 +3,7 @@
 A negative or zero candidate budget, a bucket budget below one, a NaN
 or negative time budget, a NaN radius, a Theorem 2 candidate cap below
 one, a ``k`` that is not an integer >= 1, and a flag
-(``bool`` or ``np.bool_``) in any count's place each raise
+(``bool`` or ``np.bool_``) in any count's or radius's place each raise
 ``ValueError`` before any bucket is probed, even for an empty query
 batch.
 """
@@ -65,10 +65,25 @@ def test_search_range_rejects_nan_radius(index):
         index.search_range(QUERY, math.nan)
 
 
+@pytest.mark.parametrize("radius", [True, False, np.True_], ids=repr)
+def test_search_range_rejects_flag_radius(index, radius):
+    # ``True >= 0`` holds, so a flag used to run as radius 1.0.
+    with pytest.raises(ValueError, match="radius"):
+        index.search_range(QUERY, radius)
+
+
 @pytest.mark.parametrize("max_candidates", [0, -5])
 def test_search_early_stop_rejects_cap_below_one(index, max_candidates):
     with pytest.raises(ValueError, match="max_candidates"):
         index.search_early_stop(QUERY, 10, max_candidates=max_candidates)
+
+
+@pytest.mark.parametrize("max_candidates", [True, np.True_], ids=repr)
+def test_search_early_stop_rejects_flag_cap(index, max_candidates):
+    # ``True >= 1`` holds, so a flag used to run as a cap of one
+    # candidate: one bucket probed, its whole contents returned.
+    with pytest.raises(ValueError, match="max_candidates"):
+        index.search_early_stop(QUERY, 5, max_candidates=max_candidates)
 
 
 def test_search_batch_validates_budget_on_an_empty_batch(index):

@@ -30,11 +30,10 @@ POOL = gaussian_mixture(480, DIM, n_clusters=6, seed=21)
 QUERIES = sample_queries(POOL, 6, seed=22)
 HASHER = ITQ(code_length=6, seed=0).fit(POOL)
 
-#: GQR, GQR under a cost transform and HR score buckets (ordered
-#: kernel); GHR has no bucket scores, so its searches stream.
+#: GQR and HR score buckets (ordered kernel); GHR has no bucket
+#: scores, so its searches stream.
 PROBERS = {
     "gqr": GQR,
-    "gqr-squared": lambda: GQR(cost_transform=np.square),
     "hr": HammingRanking,
     "ghr": GenerateHammingRanking,
 }

@@ -89,23 +89,6 @@ class TestGQR:
         with pytest.raises(ValueError):
             list(GQR(shared_tree=tree).probe(small_table, signature, costs))
 
-    def test_cost_transform_changes_multibit_order_only(
-        self, small_table, probe_inputs
-    ):
-        """Squared costs keep single-bit order but may reorder multi-bit
-        flips; the stream must still cover the code space exactly once."""
-        signature, costs = probe_inputs
-        squared = list(
-            GQR(cost_transform=np.square).probe(small_table, signature, costs)
-        )
-        assert sorted(squared) == list(range(1 << 8))
-
-    def test_cost_transform_validated(self, small_table, probe_inputs):
-        signature, costs = probe_inputs
-        bad = GQR(cost_transform=lambda c: -c)
-        with pytest.raises(ValueError):
-            list(bad.probe(small_table, signature, costs))
-
     def test_zero_costs_fine(self, small_table):
         buckets = list(GQR().probe(small_table, 0, np.zeros(8)))
         assert sorted(buckets) == list(range(256))

@@ -185,19 +185,6 @@ class TestEarlyStop:
         with pytest.raises(TypeError):
             index.search_early_stop(data[0], k=5)
 
-    def test_early_stop_rejects_cost_transform(self, data):
-        # µ·QD bounds the true distance only for untransformed QD; with
-        # squared costs the "exact" answer can miss true neighbours.
-        index = HashIndex(
-            ITQ(code_length=8, seed=0), data,
-            prober=GQR(cost_transform=np.square),
-        )
-        with pytest.raises(ValueError, match="cost_transform"):
-            index.search_early_stop(data[0], k=5)
-        with pytest.raises(ValueError, match="cost_transform"):
-            index.search_range(data[0], 1.0)
-        assert len(index.search(data[0], k=5, n_candidates=50).ids) == 5
-
     def test_early_stop_rejects_multi_table(self, data):
         index = HashIndex(
             [ITQ(code_length=8, seed=s) for s in (0, 1)], data, prober=GQR()
