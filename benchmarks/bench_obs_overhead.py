@@ -56,7 +56,6 @@ SAMPLE_EVERY = 32
 #: from above without needing to resolve ~1% from timing noise.
 MAX_ENABLED_OVERHEAD = 0.25 if SMOKE else 0.03
 MAX_DISABLED_SPAN_FRACTION = 0.10 if SMOKE else 0.02
-SPANS_PER_QUERY = 3  # query + retrieve + evaluate
 
 SPAN_MICROBENCH_ITERS = 10_000 if SMOKE else 100_000
 
@@ -67,6 +66,15 @@ def _mean_latency(index, queries):
     for query in queries:
         index.search(query, K, BUDGET)
     return (time.perf_counter() - start) / len(queries)
+
+
+def _spans_per_query(index, query):
+    """Spans one ``search`` opens: its root span and every span below it."""
+
+    def count(span):
+        return 1 + sum(count(child) for child in span.children)
+
+    return count(index.search(query, K, BUDGET).extras["spans"])
 
 
 def _span_nanos():
@@ -113,9 +121,10 @@ def test_obs_overhead(benchmark):
     enabled = statistics.median(measurements["enabled"])
     enabled_overhead = enabled / disabled - 1.0
     span_ns = _span_nanos()
+    spans_per_query = _spans_per_query(index, queries[0])
     # Upper bound on what the disabled path can cost relative to
     # telemetry-free code: the spans it opens, at measured span cost.
-    disabled_span_fraction = SPANS_PER_QUERY * span_ns * 1e-9 / disabled
+    disabled_span_fraction = spans_per_query * span_ns * 1e-9 / disabled
 
     # Telemetry must not change results: compare a run in each mode.
     plain = [index.search(q, K, BUDGET) for q in queries[:32]]
@@ -141,7 +150,7 @@ def test_obs_overhead(benchmark):
         "max_enabled_overhead": MAX_ENABLED_OVERHEAD,
         "disabled_span_fraction": disabled_span_fraction,
         "max_disabled_span_fraction": MAX_DISABLED_SPAN_FRACTION,
-        "spans_per_query": SPANS_PER_QUERY,
+        "spans_per_query": spans_per_query,
         "span_enter_exit_nanos": span_ns,
         "results_bit_identical": True,
     }

@@ -22,6 +22,7 @@ Quickstart::
 from repro import obs
 from repro.core import (
     GQR,
+    BucketProber,
     FlippingVectorGenerator,
     QDRanking,
     SharedGenerationTree,
@@ -42,11 +43,7 @@ from repro.index import (
     LinearScan,
     MultiIndexHashing,
 )
-from repro.probing import (
-    BucketProber,
-    GenerateHammingRanking,
-    HammingRanking,
-)
+from repro.probing import GenerateHammingRanking, HammingRanking
 from repro.quantization import (
     InvertedMultiIndex,
     KMeans,

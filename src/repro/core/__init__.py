@@ -8,7 +8,7 @@ from repro.core.generation_tree import (
     swap_move,
 )
 from repro.core.gqr import GQR
-from repro.core.prober import BucketProber, collect_candidates
+from repro.core.prober import BucketProber
 from repro.core.qd_ranking import QDRanking
 from repro.core.quantization_distance import (
     distance_lower_bound,
@@ -24,7 +24,6 @@ __all__ = [
     "QDRanking",
     "SharedGenerationTree",
     "append_move",
-    "collect_candidates",
     "distance_lower_bound",
     "mask_cost",
     "quantization_distance",

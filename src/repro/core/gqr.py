@@ -44,8 +44,6 @@ class GQR(BucketProber):
         per query (pure Algorithm 4).
     """
 
-    generates_unoccupied = True
-
     def __init__(self, shared_tree: SharedGenerationTree | None = None) -> None:
         self._shared_tree = shared_tree
 

@@ -22,16 +22,11 @@ import numpy as np
 
 from repro.index.hash_table import HashTable
 
-__all__ = ["BucketProber", "collect_candidates"]
+__all__ = ["BucketProber"]
 
 
 class BucketProber(ABC):
     """Order the buckets of a hash table for one query."""
-
-    #: Whether the prober enumerates the whole code space (generate-to-
-    #: probe methods) or only occupied buckets (sorting methods).  Purely
-    #: informational; both kinds eventually cover every stored item.
-    generates_unoccupied: bool = False
 
     @abstractmethod
     def probe(
@@ -64,43 +59,3 @@ class BucketProber(ABC):
         del bucket_signatures, bucket_bits, query_signatures
         del query_bits, cost_matrix, bucket_complement
         return None
-
-    def collect(
-        self,
-        table: HashTable,
-        signature: int,
-        flip_costs: np.ndarray,
-        n_candidates: int,
-    ) -> np.ndarray:
-        """Gather item ids bucket-by-bucket until ``n_candidates`` reached.
-
-        This is the retrieval loop of Algorithms 1 and 2: probe buckets
-        in order, append their items, stop once at least ``n_candidates``
-        ids are collected (or every bucket was probed).  The final bucket
-        is included whole, so slightly more than ``n_candidates`` ids may
-        return — exactly like the pseudo-code's ``while |C| < N``.
-        """
-        return collect_candidates(
-            self.probe(table, signature, flip_costs), table, n_candidates
-        )
-
-
-def collect_candidates(
-    bucket_order: Iterator[int], table: HashTable, n_candidates: int
-) -> np.ndarray:
-    """Drain ``bucket_order`` into item ids until the budget is met."""
-    if n_candidates < 1:
-        raise ValueError("n_candidates must be positive")
-    found: list[np.ndarray] = []
-    total = 0
-    for bucket in bucket_order:
-        ids = table.get(bucket)
-        if not len(ids):
-            continue
-        found.append(ids)
-        total += len(ids)
-        if total >= n_candidates:
-            break
-    if not found:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(found)

@@ -26,8 +26,6 @@ __all__ = ["QDRanking"]
 class QDRanking(BucketProber):
     """Sort all occupied buckets by quantization distance (Algorithm 1)."""
 
-    generates_unoccupied = False
-
     def probe(
         self, table: HashTable, signature: int, flip_costs: np.ndarray
     ) -> Iterator[int]:

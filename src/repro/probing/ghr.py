@@ -16,8 +16,8 @@ from itertools import combinations
 
 import numpy as np
 
+from repro.core.prober import BucketProber
 from repro.index.hash_table import HashTable
-from repro.probing.base import BucketProber
 
 __all__ = ["GenerateHammingRanking", "hamming_ring_signatures"]
 
@@ -35,8 +35,6 @@ def hamming_ring_signatures(
 
 class GenerateHammingRanking(BucketProber):
     """Enumerate the code space ring by ring around the query (hash lookup)."""
-
-    generates_unoccupied = True
 
     def probe(
         self, table: HashTable, signature: int, flip_costs: np.ndarray

@@ -15,17 +15,15 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from repro.core.prober import BucketProber
 from repro.index.codes import hamming_distance
 from repro.index.hash_table import HashTable
-from repro.probing.base import BucketProber
 
 __all__ = ["HammingRanking"]
 
 
 class HammingRanking(BucketProber):
     """Sort all occupied buckets by Hamming distance to the query."""
-
-    generates_unoccupied = False
 
     def probe(
         self, table: HashTable, signature: int, flip_costs: np.ndarray

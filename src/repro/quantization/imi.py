@@ -117,16 +117,3 @@ class InvertedMultiIndex:
             ids = self._cells.get(cell)
             if ids is not None:
                 yield ids
-
-    def collect(self, query: np.ndarray, n_candidates: int) -> np.ndarray:
-        """First ``n_candidates`` item ids in multi-sequence cell order."""
-        found: list[np.ndarray] = []
-        total = 0
-        for ids in self.probe(query):
-            found.append(ids)
-            total += len(ids)
-            if total >= n_candidates:
-                break
-        if not found:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(found)

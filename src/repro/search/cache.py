@@ -13,8 +13,7 @@ keyed on
 * the plan's **full serialized stage list**
   (``QueryPlan.stage_list()``) — every stage the plan executes with
   every parameter that shapes its output, so two plans differing in
-  *any* stage (a metric, a budget, a multi-table strategy) can never
-  collide;
+  *any* stage (a metric, a budget, ``k``) can never collide;
 * the **index identity and generation** — a process-unique token per
   engine plus a monotonically increasing generation number that mutable
   indexes bump on every ``add``/``remove``/append, so a stale hit is
@@ -193,8 +192,8 @@ class QueryResultCache:
         """The full cache key for one ``(engine, generation, plan, query)``.
 
         The plan contributes its complete serialized stage list, so
-        every stage parameter — budgets, metric, multi-table strategy
-        and ``k`` — participates in the key.
+        every stage parameter — budgets, metric and ``k`` — participates
+        in the key.
         """
         row = np.ascontiguousarray(query, dtype=np.float64)[np.newaxis]
         [key] = self.keys_for(token, generation, plan, row)

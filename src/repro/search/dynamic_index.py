@@ -20,15 +20,16 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.core.gqr import GQR
+from repro.core.prober import BucketProber
 from repro.hashing.base import BinaryHasher
 from repro.index.distance import METRICS
 from repro.index.dynamic import DynamicHashTable
-from repro.probing.base import BucketProber
 from repro.search.cache import QueryResultCache
 from repro.search.engine import (
     ExactEvaluator,
     QueryEngine,
     QueryPlan,
+    validate_items,
     validate_query,
 )
 from repro.search.results import SearchResult
@@ -116,13 +117,7 @@ class DynamicHashIndex:
         with a NaN or infinite entry are rejected before anything
         changes.
         """
-        items = np.atleast_2d(np.asarray(items, dtype=np.float64))
-        if items.ndim != 2 or items.shape[1] != self._dim:
-            raise ValueError(
-                f"expected dimensionality {self._dim}, got shape {items.shape}"
-            )
-        if not np.isfinite(items).all():
-            raise ValueError("items contain non-finite values (nan or inf)")
+        items = validate_items(np.atleast_2d(items), self._dim)
         codes = self._hasher.encode(items)
         with self._write_lock:
             n_recycled = min(len(self._free_ids), len(items))

@@ -6,10 +6,10 @@ gathers candidate ids, evaluation re-ranks the candidates exactly.
 This module is that loop, extracted once so each index class is a thin
 adapter instead of a private re-implementation::
 
-    Retrieve → DedupBudget → Evaluate → Truncate
+    Retrieve → DedupBudget → Evaluate
 
 * :class:`QueryPlan` — what to do: ``k``, stopping criteria
-  (candidate / bucket / time budgets), metric and multi-table strategy.
+  (candidate / bucket / time budgets) and metric.
   ``stage_list()`` is the plan's declarative serialisation — the stages
   it executes, in order, with every stage's parameters — which is also
   what cache keys hash.
@@ -24,8 +24,8 @@ adapter instead of a private re-implementation::
   (:meth:`~QueryEngine.execute_batch_streams`,
   :meth:`~QueryEngine.execute_batch_ordered`).  All three gather a
   ragged candidate block — flat ids plus per-query counts — and hand it
-  to one body, :meth:`~QueryEngine.run`, that evaluates it, cuts it to
-  ``k``, assembles the ``SearchResult`` list and records telemetry; a
+  to one body, :meth:`~QueryEngine.run`, that ranks it to ``k``,
+  assembles the ``SearchResult`` list and records telemetry; a
   single query is a batch of one.  The Theorem 2 modes
   (``HashIndex.search_early_stop`` / ``search_range``) run through the
   same body: their scan is a gather that returns its candidates
@@ -45,7 +45,6 @@ Algorithm 1.
 
 from __future__ import annotations
 
-import heapq
 import threading
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import AbstractContextManager, nullcontext
@@ -70,9 +69,9 @@ __all__ = [
     "QueryEngine",
     "QueryPlan",
     "RankedTable",
-    "qd_merged_scored_stream",
     "round_robin_stream",
     "top_k",
+    "validate_items",
     "validate_query",
     "validate_query_batch",
 ]
@@ -137,6 +136,33 @@ def validate_query_batch(
     return arr
 
 
+def validate_items(items: np.ndarray, dim: int | None = None) -> np.ndarray:
+    """Coerce the items an index stores to ``(n, dim)`` float64, or raise.
+
+    A row holding NaN or inf would be hashed into some bucket, but its
+    distances are NaN or infinite, so it ranks behind every finite item
+    and a query beside it never finds it.  Every index refuses such
+    rows here, before it builds or changes anything.
+    """
+    try:
+        arr = np.asarray(items, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(
+            "items must be a numeric array; got "
+            f"{type(items).__name__} that cannot be cast to float64"
+        ) from None
+    if arr.ndim != 2 or (dim is not None and arr.shape[1] != dim):
+        raise ValueError(
+            f"items must be an (n, {'d' if dim is None else dim}) array; "
+            f"got shape {arr.shape}"
+        )
+    # min and max propagate NaN and surface ±inf, so two reductions find
+    # any non-finite entry without a mask the size of the data.
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        raise ValueError("items contain non-finite values (nan or inf)")
+    return arr
+
+
 # -- plan and context -------------------------------------------------
 
 @dataclass(frozen=True)
@@ -155,7 +181,6 @@ class QueryPlan:
     max_buckets: int | None = None
     time_budget: float | None = None
     metric: str = "euclidean"
-    multi_table_strategy: str = "round_robin"
 
     def __post_init__(self) -> None:
         # ``bool`` is an ``int``: a flag in ``k``'s place would run as 1.
@@ -191,10 +216,6 @@ class QueryPlan:
             raise KeyError(
                 f"unknown metric {self.metric!r}; options: {sorted(METRICS)}"
             )
-        if self.multi_table_strategy not in ("round_robin", "qd_merge"):
-            raise ValueError(
-                "multi_table_strategy must be 'round_robin' or 'qd_merge'"
-            )
 
     def stage_list(self) -> tuple[tuple[object, ...], ...]:
         """The declarative stage serialisation of this plan.
@@ -206,7 +227,7 @@ class QueryPlan:
         same parameters.
         """
         return (
-            ("retrieve", self.multi_table_strategy),
+            ("retrieve",),
             (
                 "dedup_budget",
                 self.n_candidates,
@@ -214,7 +235,6 @@ class QueryPlan:
                 self.time_budget,
             ),
             ("evaluate", self.metric, self.k),
-            ("truncate", self.k),
         )
 
     def stage_names(self) -> tuple[str, ...]:
@@ -306,9 +326,9 @@ class ExecutionContext:
         query's stage times.
     stage_seconds:
         Wall time of each executed pipeline stage, keyed by stage name
-        (``"retrieve"``, ``"dedup_budget"``, ``"evaluate"``,
-        ``"truncate"``).  A single query records every stage; batch
-        rows record none (their times are the batch's spans, split).
+        (``"retrieve"``, ``"dedup_budget"``, ``"evaluate"``).  A single
+        query records every stage; batch rows record none (their times
+        are the batch's spans, split).
     bucket_sizes:
         Per-probed-bucket candidate counts, recorded only when the
         trace sampler selected this query (``None`` otherwise); part of
@@ -422,43 +442,39 @@ class ExactEvaluator:
         return self._data() if callable(self._data) else self._data
 
     def distances(
-        self, query: np.ndarray, candidates: np.ndarray
+        self,
+        query: np.ndarray,
+        candidates: np.ndarray,
+        counts: np.ndarray | None = None,
     ) -> np.ndarray:
         """Exact distances to ``candidates``, aligned — no selection.
 
-        The sanctioned interface for a gather that must score its
-        candidates to know when to stop (the Theorem 2 scan behind
-        early stop and range search, one call per chunk): it hands the
-        distances to :meth:`QueryEngine.run`, which only ranks them, so
-        exact scoring stays inside the engine's evaluator instead of
-        leaking into each index class.  Uses the same arithmetic as
-        :meth:`evaluate`, so both return bit-identical distances for
-        the same candidates.
+        ``query`` is one 1-D vector whose candidates are all of
+        ``candidates``; or, with ``counts``, the ``(B, d)`` rows of a
+        ragged block, whose row ``i`` owns the next ``counts[i]`` ids of
+        the row-stacked ``candidates``.  :meth:`QueryEngine.run` scores
+        every block it ranks with one call, and a gather that must
+        score its candidates to know when to stop (the Theorem 2 scan
+        behind early stop and range search, one call per chunk) calls
+        it too, so exact scoring stays inside the engine's evaluator
+        instead of leaking into each index class.  Every operation is
+        row-wise, so one query's distances carry the same bits whether
+        it is scored alone, in chunks, or inside a batch.
         """
         if not len(candidates):
             return _EMPTY_DISTS
-        return self._distances(query, candidates)
+        if counts is None:
+            query = query[np.newaxis, :]
+            counts = np.array([len(candidates)], dtype=np.int64)
+        return _ragged_distances(
+            query, self._vectors(), candidates, counts, self.metric
+        )
 
     def evaluate(
         self, query: np.ndarray, candidates: np.ndarray, k: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        if not len(candidates):
-            return _EMPTY_IDS, _EMPTY_DISTS
-        return top_k(candidates, self._distances(query, candidates), k)
-
-    def _distances(
-        self, query: np.ndarray, candidates: np.ndarray
-    ) -> np.ndarray:
-        # Same arithmetic as the batched block path, so per-query and
-        # batched searches return bit-identical distances; it is
-        # row-wise, so scoring candidates in chunks changes no bit.
-        return _ragged_distances(
-            query[np.newaxis, :],
-            self._vectors(),
-            candidates,
-            np.array([len(candidates)], dtype=np.int64),
-            self.metric,
-        )
+        """The ``k`` nearest ``candidates`` to one query, ties by id."""
+        return top_k(candidates, self.distances(query, candidates), k)
 
 
 _RAGGED_METRICS = ("euclidean", "cosine", "angular")
@@ -684,59 +700,6 @@ def _probe_order(scores: np.ndarray, signatures: np.ndarray) -> np.ndarray:
     return order
 
 
-def _block_top_k(
-    all_candidates: np.ndarray,
-    all_distances: np.ndarray,
-    counts: np.ndarray,
-    k: int,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """:func:`top_k` over every segment at once.
-
-    Pads the ragged block to a dense ``(B, max_count)`` matrix (∞
-    distance / maximal id sentinels sort last) so one argpartition and
-    one two-key lexsort rank the whole batch.  Rows whose cut lands
-    inside a run of tied distances — where argpartition keeps an
-    arbitrary part of the run — are found as in :func:`top_k` and
-    re-derived from a full lexsort.
-    """
-    n_queries = len(counts)
-    width = int(counts.max()) if n_queries else 0
-    if width == 0:
-        return [(_EMPTY_IDS, _EMPTY_DISTS)] * n_queries
-    row_mask = np.arange(width)[np.newaxis, :] < counts[:, np.newaxis]
-    dist_pad = np.full((n_queries, width), np.inf)
-    dist_pad[row_mask] = all_distances
-    ids_pad = np.full((n_queries, width), np.iinfo(np.int64).max, dtype=np.int64)
-    ids_pad[row_mask] = all_candidates
-    kth = min(k, width)
-    if kth < width:
-        part = np.argpartition(dist_pad, kth - 1, axis=1)[:, :kth]
-        part_dists = np.take_along_axis(dist_pad, part, axis=1)
-        part_ids = np.take_along_axis(ids_pad, part, axis=1)
-        # Rows with no more candidates than the cut hold them all already.
-        straddled = np.flatnonzero(
-            (
-                np.count_nonzero(dist_pad <= part_dists[:, -1:], axis=1)
-                > kth
-            )
-            & (counts > kth)
-        )
-        for row in straddled:
-            chosen = np.lexsort((ids_pad[row], dist_pad[row]))[:kth]
-            part_dists[row] = dist_pad[row, chosen]
-            part_ids[row] = ids_pad[row, chosen]
-    else:
-        part_dists, part_ids = dist_pad, ids_pad
-    suborder = np.lexsort((part_ids, part_dists), axis=1)
-    part_dists = np.take_along_axis(part_dists, suborder, axis=1)
-    part_ids = np.take_along_axis(part_ids, suborder, axis=1)
-    return [
-        (row_ids[:min(k, int(count))].copy(),
-         row_dists[:min(k, int(count))].copy())
-        for row_ids, row_dists, count in zip(part_ids, part_dists, counts)
-    ]
-
-
 # -- multi-table stream composition -----------------------------------
 
 def round_robin_stream(
@@ -768,44 +731,6 @@ def round_robin_stream(
         active = still_active
 
 
-def qd_merged_scored_stream(
-    scored_streams: list[Iterator[tuple[int, float]]],
-    tables: list,
-    num_items: int,
-) -> Iterator[tuple[float, np.ndarray]]:
-    """Heap-merge scored probe streams into one ascending-QD sequence.
-
-    Yields ``(qd, fresh_ids)`` pairs globally sorted by quantization
-    distance: each input stream is non-decreasing (Properties 1–2 /
-    Theorem 2's ordering guarantee), so a k-way heap merge preserves the
-    invariant across tables.  A bucket with small QD is a good bucket in
-    *any* table, so the globally best bucket is probed next instead of
-    strictly alternating tables.  Duplicates across tables are
-    suppressed; empty buckets still advance the merge but yield nothing.
-    """
-    streams = [iter(s) for s in scored_streams]
-    heap: list[tuple[float, int, int]] = []  # (qd, table_idx, bucket)
-    for idx, stream in enumerate(streams):
-        first = next(stream, None)
-        if first is not None:
-            bucket, qd = first
-            heap.append((qd, idx, bucket))
-    heapq.heapify(heap)
-    seen = np.zeros(num_items, dtype=bool)
-    while heap:
-        qd, idx, bucket = heapq.heappop(heap)
-        ids = tables[idx].get(bucket)
-        if len(ids):
-            fresh = ids[~seen[ids]]
-            if len(fresh):
-                seen[fresh] = True
-                yield qd, fresh
-        upcoming = next(streams[idx], None)
-        if upcoming is not None:
-            next_bucket, next_qd = upcoming
-            heapq.heappush(heap, (next_qd, idx, next_bucket))
-
-
 # -- the engine -------------------------------------------------------
 
 class QueryEngine:
@@ -815,8 +740,8 @@ class QueryEngine:
     evaluation stage's scoring rule) while each call supplies the plan
     and the retrieval stream, so all indexes share a single
     instrumented control flow.  Every entry point gathers a ragged
-    candidate block and runs the same private body over it (evaluate →
-    truncate → results → telemetry).
+    candidate block and runs the same body over it (evaluate → results
+    → telemetry).
 
     ``name`` labels this engine's series in the metrics registry
     (``repro_queries_total{index="hash"}``, …) when telemetry is on.
@@ -1095,18 +1020,18 @@ class QueryEngine:
         ``gather`` records each query's retrieval facts into its context
         and returns the ragged candidate block: flat ids, per-query
         counts and, when it scored the candidates itself (the Theorem 2
-        scan), their distances, else ``None``.  The body ranks the
-        block — a pre-scored block with :func:`top_k`; otherwise the
-        exact ragged kernel when it has more than one row, else the
-        evaluator once per segment — to ``k`` (ties break by id),
-        assembles the results and records telemetry.  Index adapters
+        scan), their distances, else ``None``.  The body scores an
+        unscored block with one :meth:`ExactEvaluator.distances` call,
+        whatever its row count, ranks each query's segment to ``k``
+        with :func:`top_k` (ties break by id), assembles the results
+        and records telemetry.  Index adapters
         call it with their own ``gather``; every other entry point of
         this class builds one.
 
         ``single`` marks a batch of one run as a query of its own
         (:meth:`execute`, ``DynamicHashIndex.search``, the Theorem 2
         modes): it runs under its own ``query`` root span (retrieve,
-        dedup_budget, evaluate, truncate), may be trace-sampled, and its
+        dedup_budget, evaluate), may be trace-sampled, and its
         total is the root span.  Batch rows share batch-level spans and
         run no per-row stages; their total is the sum of their
         retrieval and evaluation shares.
@@ -1118,48 +1043,32 @@ class QueryEngine:
         scope: AbstractContextManager[obs.Span | None] = (
             obs.span("query") if single else nullcontext()
         )
-        results: list[SearchResult] = []
         with scope as root:
             candidates, counts, scored = gather(contexts)
             with obs.span("evaluate") as evaluate:
-                if scored is None and len(counts) > 1:
-                    dists = _ragged_distances(
-                        queries,
-                        self.evaluator._vectors(),
-                        candidates,
-                        counts,
-                        self.evaluator.metric,
+                if scored is None:
+                    scored = self.evaluator.distances(
+                        queries, candidates, counts
                     )
-                    ranked = _block_top_k(candidates, dists, counts, plan.k)
-                else:
-                    ends = list(accumulate(counts.tolist()))
-                    ranked = [
-                        self.evaluator.evaluate(
-                            query, candidates[lo:hi], plan.k
-                        )
-                        if scored is None
-                        else top_k(candidates[lo:hi], scored[lo:hi], plan.k)
-                        for query, lo, hi in zip(queries, [0, *ends], ends)
-                    ]
+                ends = list(accumulate(counts.tolist()))
+                ranked = [
+                    top_k(candidates[lo:hi], scored[lo:hi], plan.k)
+                    for lo, hi in zip([0, *ends], ends)
+                ]
             for ctx in contexts:
                 ctx.evaluation_seconds = evaluate.duration / len(contexts)
             if single:
                 contexts[0].stage_seconds["evaluate"] = evaluate.duration
-            for ctx, (ids, scores) in zip(contexts, ranked):
-                if single:
-                    with obs.span("truncate") as cut_span:
-                        if len(ids) > plan.k:
-                            ids, scores = ids[: plan.k], scores[: plan.k]
-                    ctx.stage_seconds["truncate"] = cut_span.duration
-                results.append(
-                    SearchResult(
-                        ids,
-                        scores,
-                        ctx.n_candidates,
-                        ctx.n_buckets_probed,
-                        {"stats": ctx},
-                    )
+            results = [
+                SearchResult(
+                    ids,
+                    scores,
+                    ctx.n_candidates,
+                    ctx.n_buckets_probed,
+                    {"stats": ctx},
                 )
+                for ctx, (ids, scores) in zip(contexts, ranked)
+            ]
         if root is not None:
             contexts[0].total_seconds = root.duration
             results[0].extras["spans"] = root

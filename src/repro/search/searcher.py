@@ -8,8 +8,8 @@ instances and delegate:
 
 * :class:`HashIndex` — L2H hash table(s) + a pluggable
   :class:`~repro.core.prober.BucketProber` (HR, GHR, QR, GQR, …), with
-  multi-table probing (round-robin or global QD merge), Theorem 2 early
-  stop, exact range search, and genuinely batched queries.
+  round-robin multi-table probing, Theorem 2 early stop, exact range
+  search, and genuinely batched queries.
 * :class:`MIHSearchIndex` — Multi-Index Hashing over the same codes.
 * :class:`IMISearchIndex` — OPQ/PQ + inverted multi-index.
 
@@ -30,12 +30,12 @@ import numpy as np
 
 from repro import obs
 from repro.core.gqr import GQR
+from repro.core.prober import BucketProber
 from repro.core.quantization_distance import theorem2_mu
 from repro.hashing.base import BinaryHasher, ProjectionHasher
 from repro.index.distance import METRICS
 from repro.index.hash_table import HashTable
 from repro.index.mih import MultiIndexHashing
-from repro.probing.base import BucketProber
 from repro.quantization.imi import InvertedMultiIndex
 from repro.quantization.opq import OptimizedProductQuantizer
 from repro.quantization.pq import ProductQuantizer
@@ -49,9 +49,9 @@ from repro.search.engine import (
     _bucket_scores,
     _probe_prefix,
     _record_retrieval,
-    qd_merged_scored_stream,
     round_robin_stream,
     top_k,
+    validate_items,
     validate_query,
     validate_query_batch,
 )
@@ -121,12 +121,6 @@ class HashIndex:
         The querying method; defaults to :class:`~repro.core.gqr.GQR`.
     metric:
         Evaluation metric — a key of :data:`repro.index.distance.METRICS`.
-    multi_table_strategy:
-        How to interleave probe orders across tables: ``"round_robin"``
-        (one bucket from each table in turn, the paper's scheme) or
-        ``"qd_merge"`` (a heap-merge of the tables' scored streams into
-        one globally ascending-QD order; requires a prober with
-        ``probe_scored``, i.e. GQR).
     cache:
         Optional :class:`~repro.search.cache.QueryResultCache`; repeated
         queries under the same plan return the cached result.
@@ -138,19 +132,12 @@ class HashIndex:
         data: np.ndarray,
         prober: BucketProber | None = None,
         metric: str = "euclidean",
-        multi_table_strategy: str = "round_robin",
         cache: QueryResultCache | None = None,
     ) -> None:
-        self._data = np.asarray(data, dtype=np.float64)
-        if self._data.ndim != 2:
-            raise ValueError("data must be a (n, d) array")
+        self._data = validate_items(data)
         if metric not in METRICS:
             raise KeyError(
                 f"unknown metric {metric!r}; options: {sorted(METRICS)}"
-            )
-        if multi_table_strategy not in ("round_robin", "qd_merge"):
-            raise ValueError(
-                "multi_table_strategy must be 'round_robin' or 'qd_merge'"
             )
         hashers = list(hasher) if isinstance(hasher, (list, tuple)) else [hasher]
         if not hashers:
@@ -165,7 +152,6 @@ class HashIndex:
         self._tables = [HashTable(h.encode(self._data)) for h in hashers]
         self._prober = prober if prober is not None else GQR()
         self._metric = metric
-        self._multi_table_strategy = multi_table_strategy
         self._dim = self._data.shape[1]
         self._exact = ExactEvaluator(self._data, metric)
         self._engine = QueryEngine(self._exact, name="hash", cache=cache)
@@ -193,11 +179,6 @@ class HashIndex:
     @property
     def metric(self) -> str:
         return self._metric
-
-    @property
-    def multi_table_strategy(self) -> str:
-        """How probe orders interleave across tables (see ``__init__``)."""
-        return self._multi_table_strategy
 
     @property
     def cache(self) -> QueryResultCache | None:
@@ -248,7 +229,6 @@ class HashIndex:
             max_buckets=max_buckets,
             time_budget=time_budget,
             metric=self._metric,
-            multi_table_strategy=self._multi_table_strategy,
         )
 
     # -- retrieval ----------------------------------------------------
@@ -264,13 +244,11 @@ class HashIndex:
     ) -> Iterator[np.ndarray]:
         """Arrays of item ids, one per probed non-empty bucket.
 
-        With multiple tables, probing either round-robins across the
-        tables' probe orders (the paper's multi-hash-table strategy,
-        Section 6.3.5) or heap-merges the scored streams into one
-        globally ascending-QD order; duplicates across tables are
-        suppressed either way.  ``probe_infos`` lets batched callers
-        supply precomputed signatures/costs so hashing happens once per
-        table for a whole batch.
+        With multiple tables, probing round-robins across the tables'
+        probe orders (the paper's multi-hash-table strategy, Section
+        6.3.5) and suppresses duplicates across tables.  ``probe_infos``
+        lets batched callers supply precomputed signatures/costs so
+        hashing happens once per table for a whole batch.
         """
         query = validate_query(query, self._dim)
         if probe_infos is None:
@@ -283,42 +261,11 @@ class HashIndex:
                 if len(ids):
                     yield ids
             return
-        if self._multi_table_strategy == "qd_merge":
-            for _, ids in self.scored_stream(query, probe_infos):
-                yield ids
-        else:
-            streams = [
-                self._prober.probe(table, signature, costs)
-                for table, (signature, costs) in zip(self._tables, probe_infos)
-            ]
-            yield from round_robin_stream(
-                streams, self._tables, self.num_items
-            )
-
-    def scored_stream(
-        self,
-        query: np.ndarray,
-        probe_infos: list[tuple[int, np.ndarray]] | None = None,
-    ) -> Iterator[tuple[float, np.ndarray]]:
-        """The globally merged ``(qd, fresh_ids)`` stream across tables.
-
-        Exposes the ``qd_merge`` strategy's ordering invariant: the
-        yielded quantization distances are non-decreasing (Properties
-        1–2 / Theorem 2's ordering guarantee), whatever the number of
-        tables.
-        """
-        if not hasattr(self._prober, "probe_scored"):
-            raise TypeError(
-                "qd_merge needs a prober with probe_scored (e.g. GQR)"
-            )
-        query = validate_query(query, self._dim)
-        if probe_infos is None:
-            probe_infos = self._probe_infos(query)
-        scored = [
-            self._prober.probe_scored(table, signature, costs)
+        streams = [
+            self._prober.probe(table, signature, costs)
             for table, (signature, costs) in zip(self._tables, probe_infos)
         ]
-        return qd_merged_scored_stream(scored, self._tables, self.num_items)
+        yield from round_robin_stream(streams, self._tables, self.num_items)
 
     # -- evaluation ---------------------------------------------------
 
@@ -619,7 +566,7 @@ class MIHSearchIndex:
         metric: str = "euclidean",
         cache: QueryResultCache | None = None,
     ) -> None:
-        self._data = np.asarray(data, dtype=np.float64)
+        self._data = validate_items(data)
         if not hasher.is_fitted:
             hasher.fit(self._data)
         self._hasher = hasher
@@ -671,7 +618,7 @@ class IMISearchIndex:
         metric: str = "euclidean",
         cache: QueryResultCache | None = None,
     ) -> None:
-        self._data = np.asarray(data, dtype=np.float64)
+        self._data = validate_items(data)
         self._imi = InvertedMultiIndex(quantizer, self._data)
         self._metric = metric
         self._dim = self._data.shape[1]

@@ -3,7 +3,7 @@
 The paper's two-step loop (retrieval gathers candidates, evaluation
 ranks them by exact distance) runs as one pipeline::
 
-    Retrieve → DedupBudget → Evaluate → Truncate
+    Retrieve → DedupBudget → Evaluate
 
 The engine (:class:`~repro.search.engine.QueryEngine`) runs every step
 itself, each under an :func:`repro.obs.span` named after it.  This

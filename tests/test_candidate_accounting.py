@@ -85,3 +85,33 @@ class TestTwoTableFixture:
                  np.linalg.norm(data - query, axis=1))
             )[:5]
             assert np.array_equal(result.ids, exact)
+
+
+class TestEveryEvaluatedCandidateCounted:
+    """Each gathered candidate passes through one evaluator call.
+
+    A tracer that wraps the evaluator's ``distances`` and ``evaluate``
+    on one index, counting the candidates each call receives, must see
+    every candidate that single queries and batch rows rank.
+    """
+
+    def test_wrapped_evaluator_sees_every_candidate(self):
+        data = gaussian_mixture(2000, 16, n_clusters=8, seed=5)
+        index = HashIndex(ITQ(code_length=8, seed=0), data, prober=GQR())
+        evaluator = index.engine.evaluator
+        seen = [0]
+
+        def counting(name):
+            original = getattr(evaluator, name)
+
+            def wrapped(*args, **kwargs):
+                seen[0] += len(args[1])
+                return original(*args, **kwargs)
+
+            setattr(evaluator, name, wrapped)
+
+        counting("distances")
+        counting("evaluate")
+        results = index.search_batch(data[:16], k=10, n_candidates=150)
+        results.append(index.search(data[20], k=10, n_candidates=150))
+        assert seen[0] == sum(r.n_candidates for r in results) > 0

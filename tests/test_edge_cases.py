@@ -12,7 +12,9 @@ from repro.core.gqr import GQR
 from repro.data import gaussian_mixture
 from repro.hashing import ITQ, PCAHashing
 from repro.index.hash_table import HashTable
-from repro.search.searcher import HashIndex
+from repro.quantization.pq import ProductQuantizer
+from repro.search import DynamicHashIndex
+from repro.search.searcher import HashIndex, IMISearchIndex, MIHSearchIndex
 
 
 class TestNaNAndInfinity:
@@ -27,6 +29,43 @@ class TestNaNAndInfinity:
         data[0, 0] = np.inf
         with pytest.raises(ValueError):
             PCAHashing(code_length=3).fit(data)
+
+
+class TestNonFiniteItemsRejected:
+    """A NaN or inf row would be stored but could never be returned."""
+
+    @pytest.fixture(scope="class")
+    def clean(self):
+        return gaussian_mixture(300, 8, seed=2)
+
+    @pytest.fixture(scope="class")
+    def dirty(self, clean):
+        data = clean.copy()
+        data[7, 3] = np.nan
+        data[9, 0] = np.inf
+        return data
+
+    def test_hash_index_over_a_fitted_hasher(self, clean, dirty):
+        hasher = ITQ(code_length=4, seed=0).fit(clean)
+        with pytest.raises(ValueError, match="non-finite"):
+            HashIndex(hasher, dirty)
+
+    def test_mih_index_over_a_fitted_hasher(self, clean, dirty):
+        hasher = ITQ(code_length=4, seed=0).fit(clean)
+        with pytest.raises(ValueError, match="non-finite"):
+            MIHSearchIndex(hasher, dirty)
+
+    def test_imi_index(self, clean, dirty):
+        pq = ProductQuantizer(2, n_centroids=4, seed=0).fit(clean)
+        with pytest.raises(ValueError, match="non-finite"):
+            IMISearchIndex(pq, dirty)
+
+    def test_dynamic_index_add(self, clean, dirty):
+        index = DynamicHashIndex(ITQ(code_length=4, seed=0).fit(clean), 8)
+        for row in (7, 9):
+            with pytest.raises(ValueError, match="non-finite"):
+                index.add(dirty[row])
+        assert index.num_items == 0
 
 
 class TestTinyDatasets:

@@ -12,8 +12,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.gqr import GQR
 from repro.core.qd_ranking import QDRanking
@@ -42,13 +40,12 @@ def queries(data):
     return sample_queries(data, 12, seed=8)
 
 
-def build_index(data, prober_name, n_tables, strategy="round_robin"):
+def build_index(data, prober_name, n_tables):
     hashers = [ITQ(code_length=8, seed=s) for s in range(n_tables)]
     return HashIndex(
         hashers if n_tables > 1 else hashers[0],
         data,
         prober=PROBERS[prober_name](),
-        multi_table_strategy=strategy,
     )
 
 
@@ -76,24 +73,25 @@ def oracle_search(index, query, k, budget):
 
 
 CONFIGS = [
-    ("hr", 1, "round_robin"),
-    ("qr", 1, "round_robin"),
-    ("gqr", 1, "round_robin"),
-    ("hr", 2, "round_robin"),
-    ("qr", 2, "round_robin"),
-    ("gqr", 2, "round_robin"),
-    ("gqr", 2, "qd_merge"),
+    ("hr", 1),
+    ("qr", 1),
+    ("gqr", 1),
+    ("hr", 2),
+    ("qr", 2),
+    ("gqr", 2),
 ]
 
 
+# Tables are probed round-robin, the paper's multi-table order; the ids
+# name it.
 @pytest.mark.parametrize(
-    "prober_name,n_tables,strategy",
+    "prober_name,n_tables",
     CONFIGS,
-    ids=[f"{p}-{t}table-{s}" for p, t, s in CONFIGS],
+    ids=[f"{p}-{t}table-round_robin" for p, t in CONFIGS],
 )
 class TestEngineMatchesOracle:
-    def test_search(self, data, queries, prober_name, n_tables, strategy):
-        index = build_index(data, prober_name, n_tables, strategy)
+    def test_search(self, data, queries, prober_name, n_tables):
+        index = build_index(data, prober_name, n_tables)
         for query in queries:
             result = index.search(query, k=K, n_candidates=BUDGET)
             ids, dists, total, buckets = oracle_search(
@@ -104,8 +102,8 @@ class TestEngineMatchesOracle:
             assert result.n_candidates == total
             assert result.n_buckets_probed == buckets
 
-    def test_search_batch(self, data, queries, prober_name, n_tables, strategy):
-        index = build_index(data, prober_name, n_tables, strategy)
+    def test_search_batch(self, data, queries, prober_name, n_tables):
+        index = build_index(data, prober_name, n_tables)
         results = index.search_batch(queries, k=K, n_candidates=BUDGET)
         assert len(results) == len(queries)
         for query, result in zip(queries, results):
@@ -117,8 +115,8 @@ class TestEngineMatchesOracle:
             assert result.n_candidates == total
             assert result.n_buckets_probed == buckets
 
-    def test_stats_attached(self, data, queries, prober_name, n_tables, strategy):
-        index = build_index(data, prober_name, n_tables, strategy)
+    def test_stats_attached(self, data, queries, prober_name, n_tables):
+        index = build_index(data, prober_name, n_tables)
         for result in [index.search(queries[0], k=K, n_candidates=BUDGET)] + (
             index.search_batch(queries[:3], k=K, n_candidates=BUDGET)
         ):
@@ -166,34 +164,3 @@ class TestUniformValidation:
             np.empty((0, data.shape[1])), k=K, n_candidates=BUDGET
         ) == []
 
-
-class TestQDMergeOrdering:
-    """Satellite: the merged multi-table stream is globally QD-sorted."""
-
-    @given(
-        seed=st.integers(0, 2**16),
-        n_tables=st.integers(2, 3),
-        query_index=st.integers(0, 39),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_stream_qd_non_decreasing(self, seed, n_tables, query_index):
-        rng = np.random.default_rng(seed)
-        data = rng.normal(size=(40, 8))
-        index = HashIndex(
-            [ITQ(code_length=6, seed=seed + t) for t in range(n_tables)],
-            data,
-            prober=GQR(),
-            multi_table_strategy="qd_merge",
-        )
-        query = data[query_index]
-        qds, seen = [], set()
-        for qd, ids in index.scored_stream(query):
-            qds.append(qd)
-            for item in ids.tolist():
-                assert item not in seen  # cross-table dedup invariant
-                seen.add(item)
-        assert len(qds) > 0
-        diffs = np.diff(np.asarray(qds))
-        assert np.all(diffs >= -1e-12)
-        # The merged stream eventually surfaces every indexed item.
-        assert seen == set(range(len(data)))

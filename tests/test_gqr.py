@@ -11,6 +11,7 @@ from repro.core.qd_ranking import QDRanking
 from repro.core.quantization_distance import quantization_distances
 from repro.index import HashTable
 from repro.index.codes import unpack_bits
+from repro.search.searcher import HashIndex
 
 
 @pytest.fixture()
@@ -56,17 +57,18 @@ class TestGQR:
         assert np.allclose(qr_qds, gqr_qds)
         assert sorted(qr_order) == sorted(gqr_order)
 
-    def test_collect_matches_qr_candidates(
-        self, small_table, fitted_itq, small_data
-    ):
+    def test_collect_matches_qr_candidates(self, fitted_itq, small_data):
         """Same candidate sets at any budget (modulo QD ties)."""
+        gqr = HashIndex(fitted_itq, small_data, prober=GQR())
+        qr = HashIndex(fitted_itq, small_data, prober=QDRanking())
+        # k = every item: each search returns its whole candidate set.
+        n = len(small_data)
         for qi in (5, 50, 500):
-            signature, costs = fitted_itq.probe_info(small_data[qi])
             gqr_ids = set(
-                GQR().collect(small_table, signature, costs, 150).tolist()
+                gqr.search(small_data[qi], k=n, n_candidates=150).ids.tolist()
             )
             qr_ids = set(
-                QDRanking().collect(small_table, signature, costs, 150).tolist()
+                qr.search(small_data[qi], k=n, n_candidates=150).ids.tolist()
             )
             # Tie-broken orders may swap equal-QD buckets at the margin;
             # the overwhelming majority of candidates must coincide.

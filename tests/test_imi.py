@@ -6,6 +6,7 @@ import pytest
 from repro.quantization.imi import InvertedMultiIndex, multi_sequence
 from repro.quantization.opq import OptimizedProductQuantizer
 from repro.quantization.pq import ProductQuantizer
+from repro.search.searcher import IMISearchIndex
 
 
 class TestMultiSequence:
@@ -45,8 +46,12 @@ def data():
 
 
 @pytest.fixture(scope="module")
-def imi(data):
-    pq = ProductQuantizer(2, n_centroids=8, seed=0).fit(data)
+def pq(data):
+    return ProductQuantizer(2, n_centroids=8, seed=0).fit(data)
+
+
+@pytest.fixture(scope="module")
+def imi(pq, data):
     return InvertedMultiIndex(pq, data)
 
 
@@ -71,13 +76,15 @@ class TestInvertedMultiIndex:
         first = next(iter(imi.probe(query)))
         assert 5 in first.tolist()
 
-    def test_collect_respects_budget(self, imi, data):
-        ids = imi.collect(data[2], n_candidates=40)
-        assert len(ids) >= 40
+    def test_collect_respects_budget(self, pq, data):
+        index = IMISearchIndex(pq, data)
+        result = index.search(data[2], k=300, n_candidates=40)
+        assert result.n_candidates >= 40
 
-    def test_collect_all(self, imi, data):
-        ids = imi.collect(data[3], n_candidates=10_000)
-        assert len(ids) == 300
+    def test_collect_all(self, pq, data):
+        index = IMISearchIndex(pq, data)
+        result = index.search(data[3], k=300, n_candidates=10_000)
+        assert sorted(result.ids.tolist()) == list(range(300))
 
     def test_works_with_opq(self, data):
         opq = OptimizedProductQuantizer(

@@ -166,9 +166,7 @@ class TestSamplerIntegration:
         for trace in sampler.traces():
             assert trace.spans["name"] == "query"
             stages = [c["name"] for c in trace.spans["children"]]
-            assert stages == [
-                "retrieve", "dedup_budget", "evaluate", "truncate"
-            ]
+            assert stages == ["retrieve", "dedup_budget", "evaluate"]
             assert trace.stats["n_candidates"] >= 100
             # Per-bucket sizes are recorded only for sampled queries
             # and sum to the candidate count.

@@ -1,7 +1,7 @@
 """Bit-identity of the staged pipeline.
 
-``QueryEngine`` runs every query as Retrieve → DedupBudget → Evaluate
-→ Truncate.  Its contract: every index type returns *bit-identical*
+``QueryEngine`` runs every query as Retrieve → DedupBudget → Evaluate.
+Its contract: every index type returns *bit-identical*
 results to the classic inline loop.  The reference here re-implements
 that loop — drain the candidate stream with interleaved dedup/budget
 accounting, score once with the engine's own evaluator, cut to k —
@@ -126,7 +126,7 @@ class TestStagedMatchesInlineReference:
         result = index.search(QUERIES[0], k=5, n_candidates=100)
         stats = result.stats
         assert set(stats.stage_seconds) == {
-            "retrieve", "dedup_budget", "evaluate", "truncate"
+            "retrieve", "dedup_budget", "evaluate"
         }
         assert stats.retrieval_seconds == pytest.approx(
             stats.stage_seconds["retrieve"]

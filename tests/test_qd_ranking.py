@@ -6,6 +6,7 @@ import pytest
 from repro.core.qd_ranking import QDRanking
 from repro.core.quantization_distance import quantization_distances
 from repro.index.hash_table import HashTable
+from repro.search.searcher import HashIndex
 
 
 @pytest.fixture()
@@ -13,6 +14,11 @@ def probe_inputs(fitted_itq, small_data):
     query = small_data[11]
     signature, costs = fitted_itq.probe_info(query)
     return signature, costs
+
+
+@pytest.fixture()
+def qr_index(fitted_itq, small_data):
+    return HashIndex(fitted_itq, small_data, prober=QDRanking())
 
 
 class TestQDRanking:
@@ -38,19 +44,15 @@ class TestQDRanking:
         table = HashTable(np.empty((0, 8), dtype=np.uint8))
         assert list(QDRanking().probe(table, signature, costs)) == []
 
-    def test_collect_reaches_budget(self, small_table, probe_inputs):
-        signature, costs = probe_inputs
-        ids = QDRanking().collect(small_table, signature, costs, 100)
-        assert len(ids) >= 100
+    def test_collect_reaches_budget(self, qr_index, small_data):
+        result = qr_index.search(small_data[11], k=10, n_candidates=100)
+        assert result.n_candidates >= 100
 
-    def test_collect_all_items(self, small_table, probe_inputs):
-        signature, costs = probe_inputs
-        ids = QDRanking().collect(
-            small_table, signature, costs, small_table.num_items
-        )
-        assert sorted(ids.tolist()) == list(range(small_table.num_items))
+    def test_collect_all_items(self, qr_index, small_data):
+        n = len(small_data)
+        result = qr_index.search(small_data[11], k=n, n_candidates=n)
+        assert sorted(result.ids.tolist()) == list(range(n))
 
-    def test_collect_rejects_zero_budget(self, small_table, probe_inputs):
-        signature, costs = probe_inputs
+    def test_collect_rejects_zero_budget(self, qr_index, small_data):
         with pytest.raises(ValueError):
-            QDRanking().collect(small_table, signature, costs, 0)
+            qr_index.search(small_data[11], k=10, n_candidates=0)

@@ -1,5 +1,5 @@
-"""Tests for the search-layer extensions: metrics, range search,
-batch search, and the QD-merged multi-table strategy."""
+"""Tests for the search-layer extensions: metrics, range search and
+batch search."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,6 @@ from repro.core.gqr import GQR
 from repro.data import gaussian_mixture
 from repro.hashing import ITQ, RandomProjectionLSH
 from repro.index.distance import knn_exact
-from repro.index.linear_scan import knn_linear_scan
-from repro.probing import HammingRanking
 from repro.search.searcher import HashIndex
 
 
@@ -111,49 +109,3 @@ class TestBatchSearch:
         index = HashIndex(ITQ(code_length=8, seed=0), data)
         batch = index.search_batch(data[0], k=3, n_candidates=100)
         assert len(batch) == 1
-
-
-class TestQDMergeStrategy:
-    @pytest.fixture(scope="class")
-    def hashers(self, data):
-        return [ITQ(code_length=8, seed=s).fit(data) for s in (0, 1, 2)]
-
-    def test_same_coverage_as_round_robin(self, data, hashers):
-        merged = HashIndex(
-            hashers, data, prober=GQR(), multi_table_strategy="qd_merge"
-        )
-        found = np.concatenate(list(merged.candidate_stream(data[0])))
-        assert sorted(found.tolist()) == list(range(len(data)))
-        assert len(found) == len(data)  # dedup: each id exactly once
-
-    def test_merged_stream_recall_at_least_round_robin(self, data, hashers):
-        """Probing globally-best buckets first can only help quality at
-        a fixed candidate budget (on average)."""
-        truth, _ = knn_linear_scan(data[:15], data, 10)
-        budget = 150
-
-        def recall(strategy):
-            index = HashIndex(
-                hashers, data, prober=GQR(), multi_table_strategy=strategy
-            )
-            hits = 0
-            for qi in range(15):
-                result = index.search(data[qi], 10, budget)
-                hits += len(np.intersect1d(result.ids, truth[qi]))
-            return hits / 150
-
-        assert recall("qd_merge") >= recall("round_robin") - 0.05
-
-    def test_requires_scored_prober(self, data, hashers):
-        index = HashIndex(
-            hashers,
-            data,
-            prober=HammingRanking(),
-            multi_table_strategy="qd_merge",
-        )
-        with pytest.raises(TypeError):
-            list(index.candidate_stream(data[0]))
-
-    def test_strategy_validated(self, data, hashers):
-        with pytest.raises(ValueError):
-            HashIndex(hashers, data, multi_table_strategy="shuffle")

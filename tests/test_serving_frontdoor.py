@@ -33,7 +33,7 @@ from repro.serving import (
     default_config,
     execute_batch,
 )
-from repro.serving.core import Batch, FrontDoorCore
+from repro.serving.core import FrontDoorCore
 
 
 @pytest.fixture(scope="module")

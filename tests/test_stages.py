@@ -17,7 +17,7 @@ class TestSpecs:
     def test_plan_stage_names(self):
         plain = QueryPlan(k=5, n_candidates=10)
         assert plain.stage_names() == (
-            "retrieve", "dedup_budget", "evaluate", "truncate"
+            "retrieve", "dedup_budget", "evaluate"
         )
 
 
@@ -33,9 +33,6 @@ class TestCacheStageFingerprint:
             QueryPlan(k=5, n_candidates=51),
             QueryPlan(k=5, n_candidates=50, max_buckets=8),
             QueryPlan(k=5, n_candidates=50, metric="cosine"),
-            QueryPlan(
-                k=5, n_candidates=50, multi_table_strategy="qd_merge"
-            ),
         ]
         base_key = cache.key_for("tok", 0, base, query)
         for variant in variants:
@@ -63,9 +60,7 @@ class TestDowngraded:
             n_candidates, max_buckets, time_budget
         )
         assert got.stage_names() == self.PLAN.stage_names()
-        assert (got.k, got.metric, got.multi_table_strategy) == (
-            10, "euclidean", "round_robin"
-        )
+        assert (got.k, got.metric) == (10, "euclidean")
 
     def test_level_zero_is_the_plan_itself(self):
         assert self.PLAN.downgraded(0) is self.PLAN

@@ -1,13 +1,13 @@
 """Top-k selection keeps the ``k`` smallest ``(score, id)`` pairs.
 
-Both selection kernels — :func:`repro.search.engine.top_k` (one
-candidate set) and ``_block_top_k`` (a ragged block of them) — narrow
-with ``argpartition`` before sorting.  When a run of tied scores
-straddles the k-th place, ``argpartition`` keeps an arbitrary member of
-the run; the rule every path promises is "ties broken by id", so the
-kernels must return exactly what a full ``(score, id)`` lexsort does.
-Integer-valued scores tie most, so the kernels are checked on them
-too.
+The one selection kernel, :func:`repro.search.engine.top_k`, narrows
+with ``argpartition`` before sorting, and the engine's one body ranks
+every segment of a ragged candidate block with it.  When a run of tied
+scores straddles the k-th place, ``argpartition`` keeps an arbitrary
+member of the run; the rule every path promises is "ties broken by id",
+so the kernel and the block ranking must return exactly what a full
+``(score, id)`` lexsort does.  Integer-valued scores tie most, so they
+are checked on them too.
 
 The second half pins the user-visible consequence: on an index whose
 rows are each stored many times over, ``search``, ``search_batch`` and
@@ -23,7 +23,12 @@ from hypothesis import strategies as st
 from repro.data import gaussian_mixture, sample_queries
 from repro.hashing import ITQ
 from repro.search import HashIndex
-from repro.search.engine import _block_top_k, top_k
+from repro.search.engine import (
+    ExactEvaluator,
+    QueryEngine,
+    QueryPlan,
+    top_k,
+)
 
 
 def _reference(ids: np.ndarray, scores: np.ndarray, k: int):
@@ -65,16 +70,22 @@ class TestKernelsMatchFullLexsort:
     @given(_segments())
     @settings(max_examples=200, deadline=None)
     def test_block_top_k(self, block):
+        """The engine ranks a pre-scored ragged block segment by segment."""
         ids, scores, counts, k = block
         bounds = np.cumsum(counts)[:-1]
-        ranked = _block_top_k(ids, scores, counts, k)
+        engine = QueryEngine(ExactEvaluator(np.zeros((1, 1))))
+        ranked = engine.run(
+            np.zeros((len(counts), 1)),
+            QueryPlan(k=k, n_candidates=1),
+            lambda contexts: (ids, counts, scores),
+        )
         assert len(ranked) == len(counts)
-        for (got_ids, got_scores), seg_ids, seg_scores in zip(
+        for result, seg_ids, seg_scores in zip(
             ranked, np.split(ids, bounds), np.split(scores, bounds)
         ):
             want_ids, want_scores = _reference(seg_ids, seg_scores, k)
-            np.testing.assert_array_equal(got_ids, want_ids)
-            np.testing.assert_array_equal(got_scores, want_scores)
+            np.testing.assert_array_equal(result.ids, want_ids)
+            np.testing.assert_array_equal(result.distances, want_scores)
 
 
 class TestRepeatedRowsIndex:

@@ -1,7 +1,7 @@
 """RL013 — determinism lint.
 
 The paper's efficiency claims are validated by bit-identity suites
-(oracle equivalence, qd_merge, pipeline equivalence), and those
+(oracle equivalence, pipeline equivalence), and those
 only make sense if query execution is deterministic.  Three constructs
 quietly break that:
 
