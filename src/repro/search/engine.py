@@ -40,11 +40,15 @@ adapter instead of a private re-implementation::
 
 :class:`ExactEvaluator` is the one scoring rule: exact distances over
 the raw vectors under a registered metric, as in the paper's
-Algorithm 1.
+Algorithm 1.  Over a fixed Euclidean corpus it screens candidates on a
+float32 copy and computes float64 distances only for those that could
+rank, with the same bits as scoring them all.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import threading
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import AbstractContextManager, nullcontext
@@ -424,6 +428,13 @@ class ExactEvaluator:
     ``data`` may be the ``(n, d)`` array itself or a zero-argument
     callable returning it — the latter lets mutable indexes (whose item
     storage is reallocated as it grows) stay wired to live storage.
+
+    A fixed float64 array under the Euclidean metric also gets a
+    float32 copy, the *screen*: :meth:`distances` asked for a top-``k``
+    or a ``limit`` scores every candidate on the copy first and runs
+    the float64 kernel only on those that could rank (see
+    :func:`_screened_distances`).  Callable storage and the angular
+    metrics have no copy and always score in float64.
     """
 
     def __init__(
@@ -437,6 +448,23 @@ class ExactEvaluator:
             )
         self._data = data
         self.metric = metric
+        self._screen: np.ndarray | None = None
+        if (
+            metric == "euclidean"
+            and isinstance(data, np.ndarray)
+            and data.dtype == np.float64
+            and data.shape[1] <= _SCREEN_MAX_DIM
+        ):
+            # Items beyond float32's range become inf; the screen
+            # re-scores every candidate whose float32 distance is not
+            # finite.
+            with np.errstate(over="ignore"):
+                self._screen = data.astype(np.float32)
+
+    @property
+    def screen_bytes(self) -> int:
+        """Bytes held by the float32 screen copy; 0 when there is none."""
+        return 0 if self._screen is None else int(self._screen.nbytes)
 
     def _vectors(self) -> np.ndarray:
         return self._data() if callable(self._data) else self._data
@@ -446,6 +474,9 @@ class ExactEvaluator:
         query: np.ndarray,
         candidates: np.ndarray,
         counts: np.ndarray | None = None,
+        *,
+        k: int | None = None,
+        limit: float = np.inf,
     ) -> np.ndarray:
         """Exact distances to ``candidates``, aligned — no selection.
 
@@ -460,12 +491,28 @@ class ExactEvaluator:
         instead of leaking into each index class.  Every operation is
         row-wise, so one query's distances carry the same bits whether
         it is scored alone, in chunks, or inside a batch.
+
+        ``k`` and ``limit`` say which distances the caller will use:
+        those within ``limit`` that could be among their row's ``k``
+        nearest.  Each of those is exact, with the bits it has without
+        them; any other candidate may read ``+inf`` instead, when the
+        float32 screen proves its distance exceeds ``limit`` or its
+        row's ``k``-th nearest.
         """
         if not len(candidates):
             return _EMPTY_DISTS
         if counts is None:
             query = query[np.newaxis, :]
             counts = np.array([len(candidates)], dtype=np.int64)
+        # The screen can drop a candidate only below a finite threshold:
+        # a finite limit, or a row with more than k candidates.
+        if self._screen is not None and (
+            limit < np.inf or (k is not None and int(counts.max()) > k)
+        ):
+            return _screened_distances(
+                query, self._vectors(), self._screen, candidates, counts,
+                k, limit,
+            )
         return _ragged_distances(
             query, self._vectors(), candidates, counts, self.metric
         )
@@ -474,7 +521,114 @@ class ExactEvaluator:
         self, query: np.ndarray, candidates: np.ndarray, k: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """The ``k`` nearest ``candidates`` to one query, ties by id."""
-        return top_k(candidates, self.distances(query, candidates), k)
+        return top_k(candidates, self.distances(query, candidates, k=k), k)
+
+
+#: Widest vectors the float32 screen serves: its margin's proof needs
+#: ``d · 2⁻²⁴ ≤ 0.01``.
+_SCREEN_MAX_DIM = 167_772
+
+
+def _screen_margin(queries: np.ndarray) -> tuple[float, np.ndarray]:
+    """The float32 screen's error margin, as ``(rel, offset)`` per row.
+
+    ``d32`` is a candidate's distance computed by
+    :func:`_ragged_distances` on the float32 screen (the items rounded
+    to float32) and the query rounded to float32; ``d64`` is the same
+    kernel's answer in float64.  With ``u = 2⁻²⁴``, the margin of a
+    candidate of row ``i`` is ``ε = rel·d32 + offset[i]``, that is::
+
+        ε = 2(d+2)·u·(d32 + ‖q‖) + 2·√d·2⁻⁷⁵
+
+    and ``|d32 − d64| ≤ ε`` whenever ``d32`` is finite.  Proof, for a
+    ``d``-dimensional query ``q`` and item ``x`` with ``D = ‖x − q‖`` in
+    exact arithmetic, IEEE round-to-nearest and ``d·u ≤ 0.01``
+    (:data:`_SCREEN_MAX_DIM`):
+
+    1. Rounding to float32 moves each coordinate by at most
+       ``u·|x_j| + 2⁻¹⁵⁰`` (half a subnormal step covers underflow),
+       so ``r̃ = x̃ − q̃`` is within ``u(‖x‖ + ‖q‖) + 2√d·2⁻¹⁵⁰`` of
+       ``x − q``; with ``‖x‖ ≤ D + ‖q‖``, ``a = ‖r̃‖`` satisfies
+       ``|a − D| ≤ uD + 2u‖q‖ + 2√d·2⁻¹⁵⁰``.  No corpus norm is needed.
+    2. The float32 subtraction is exact or relatively off by ``u``
+       (a subnormal difference is exact).  The sum of ``d`` squares,
+       in any order and with or without a wider accumulator, is within
+       ``γ_d = du/(1 − du)`` relatively plus ``1.02·d·2⁻¹⁵⁰`` of
+       underflowed products; the square root adds ``u``.  With
+       ``s = √(1.02d)·2⁻⁷⁵`` and ``c = (1+u)²(1+γ_d) − 1 ≤
+       (1.02d + 2.03)u``: ``|d32 − a| ≤ c·a + (1+u)s`` and
+       ``a ≤ (d32 + s)/(1 − c)``.
+    3. The float64 kernel is step 2 with ``2⁻⁵³`` for ``u`` and no
+       rounding of its inputs: ``|d64 − D| ≤ (1.02d + 2.03)2⁻⁵³·D``
+       plus a term below ``10⁻¹⁶⁰``, and ``D ≤ (a + 2u‖q‖ +
+       2√d·2⁻¹⁵⁰)/(1 − u)``.
+    4. Summing 1–3, ``|d32 − d64| ≤ 1.0106(c + 1.0004u)(d32 + s) +
+       2.0001u‖q‖ + 1.02s ≤ (1.031d + 3.07)u·d32 + 2.0001u‖q‖ +
+       1.05√d·2⁻⁷⁵``, under ``ε`` with room for the float64 rounding
+       of the screen's own tests on ``d32``, ``ε`` and ``‖q‖``.
+
+    A finite ``d32`` means no float32 step overflowed (an overflow
+    leaves inf or nan).
+    """
+    dim = queries.shape[1]
+    rel = 2.0 * (dim + 2) * 2.0 ** -24
+    norms = np.sqrt(np.einsum("ij,ij->i", queries, queries))
+    return rel, rel * norms + 2.0 * math.sqrt(dim) * 2.0 ** -75
+
+
+def _screened_distances(
+    queries: np.ndarray,
+    data: np.ndarray,
+    screen: np.ndarray,
+    stacked_ids: np.ndarray,
+    counts: np.ndarray,
+    k: int | None,
+    limit: float,
+) -> np.ndarray:
+    """Euclidean :func:`_ragged_distances` of the candidates that can rank.
+
+    Scores every candidate on the float32 ``screen`` first (``d32``,
+    margin ``ε`` from :func:`_screen_margin`).  Row ``i``'s threshold
+    ``τ`` is ``limit``, lowered to the ``k``-th smallest ``d32 + ε``
+    when the row has more than ``k`` candidates.  A candidate with
+    ``d32 − ε > τ`` reads ``+inf``; every other one, and every one whose
+    ``d32`` is not finite, goes through the float64 kernel.  Near-ties
+    only make that re-scored set larger.
+
+    Since ``d64 ≤ d32 + ε`` for each candidate, each row's ``k``-th
+    smallest ``d64`` is at most ``τ``, and a dropped candidate has
+    ``d64 ≥ d32 − ε > τ``: it is neither among the row's ``k`` nearest
+    (not even as a tie) nor within ``limit``.  The float64 kernel is
+    row-wise, so the re-scored candidates carry exactly the bits of
+    scoring them all.
+    """
+    bounds = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d32 = _ragged_distances(
+            queries.astype(np.float32), screen, stacked_ids, counts,
+            "euclidean",
+        )
+        rel, offset = _screen_margin(queries)
+        tau = np.full(len(counts), limit, dtype=np.float64)
+        if k is not None:
+            upper = d32 * (1.0 + rel)
+            upper += np.repeat(offset, counts)
+            for row in np.flatnonzero(counts > k).tolist():
+                seg = upper[bounds[row]:bounds[row + 1]]
+                # fmin skips a nan k-th value (from a nan d32): no cut.
+                tau[row] = np.fmin(
+                    tau[row], np.partition(seg, k - 1)[k - 1]
+                )
+        # d32 − ε > τ, as d32·(1 − rel) > τ + offset.
+        drop = d32 * (1.0 - rel) > np.repeat(tau + offset, counts)
+    drop &= np.isfinite(d32)
+    rescored = np.flatnonzero(~drop)
+    out = np.full(len(stacked_ids), np.inf)
+    out[rescored] = _ragged_distances(
+        queries, data, stacked_ids[rescored],
+        np.diff(np.searchsorted(rescored, bounds)), "euclidean",
+    )
+    return out
 
 
 _RAGGED_METRICS = ("euclidean", "cosine", "angular")
@@ -510,8 +664,8 @@ def _ragged_distances(
     """
     if metric not in _RAGGED_METRICS:
         raise KeyError(f"unknown metric {metric!r}")
-    bounds = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-    out = np.empty(int(bounds[-1]), dtype=np.float64)
+    bounds = [0, *accumulate(counts.tolist())]
+    out = np.empty(bounds[-1], dtype=np.float64)
     euclidean = metric == "euclidean"
     n_segments = len(counts)
     lo = 0
@@ -519,7 +673,7 @@ def _ragged_distances(
         hi = lo + 1
         while hi < n_segments and bounds[hi + 1] - bounds[lo] <= row_block:
             hi += 1
-        seg = slice(int(bounds[lo]), int(bounds[hi]))
+        seg = slice(bounds[lo], bounds[hi])
         # ``take`` gathers rows measurably faster than fancy indexing
         # and copies the same values.
         vectors = data.take(stacked_ids[seg], axis=0)
@@ -530,7 +684,7 @@ def _ragged_distances(
             # memory traffic) disappears.
             for q in range(lo, hi):
                 vectors[
-                    int(bounds[q] - bounds[lo]):int(bounds[q + 1] - bounds[lo])
+                    bounds[q] - bounds[lo]:bounds[q + 1] - bounds[lo]
                 ] -= queries[q]
             out[seg] = np.einsum("ij,ij->i", vectors, vectors)
         else:
@@ -549,6 +703,13 @@ def _ragged_distances(
     if metric == "cosine":
         return np.subtract(1.0, out, out=out)
     return np.arccos(out, out=out)
+
+
+#: Rows the ordered kernel scores and orders at a time.  Its
+#: temporaries take about 18 bytes per row per occupied bucket.  On
+#: bulk-recall's index (2-core x86_64) a 256-row batch took 88–90 ms
+#: with blocks of 32 or 64 rows, 94 ms with 128 and 108 ms with 256.
+_SCORE_BLOCK = 64
 
 
 def _probe_prefix(
@@ -881,9 +1042,10 @@ class QueryEngine:
         ``probe_infos()`` returns each row's ``(signature,
         flip_costs)``.  When the table has buckets and ``prober``
         implements ``batch_scores``, the rows run through
-        :meth:`execute_batch_ordered`, which hashes and scores inside
-        its retrieve span; otherwise ``streams()`` builds one candidate
-        stream per row for :meth:`execute_batch_streams`.  Either way a
+        :meth:`execute_batch_ordered`, which hashes once and scores
+        each block of rows inside its retrieve span; otherwise
+        ``streams()`` builds one candidate stream per row for
+        :meth:`execute_batch_streams`.  Either way a
         single query's hashing and scoring count in its root span.
         Uncached: callers go through :meth:`run_cached` first.
         ``single`` marks one row with per-query telemetry (see
@@ -896,11 +1058,13 @@ class QueryEngine:
             return self.execute_batch_streams(
                 queries, plan, streams(), single=single
             )
+        # Hashed once per batch, on the first block's scoring call.
+        infos = functools.cache(probe_infos)
         return self.execute_batch_ordered(
             queries,
             plan,
             table,
-            lambda: _bucket_scores(prober, table, probe_infos()),
+            lambda rows: _bucket_scores(prober, table, infos()[rows]),
             single=single,
         )
 
@@ -949,24 +1113,27 @@ class QueryEngine:
         queries: np.ndarray,
         plan: QueryPlan,
         table: RankedTable,
-        scores: Callable[[], np.ndarray],
+        scores: Callable[[slice], np.ndarray],
         *,
         single: bool = False,
     ) -> list[SearchResult]:
-        """Batched execution from a ``(B, nb)`` bucket score matrix.
+        """Batched execution from per-block bucket score matrices.
 
         The fast path behind ``search_batch`` and
-        ``DynamicHashIndex.search``: ``scores()``, called inside the
-        retrieve span, returns the matrix whose column ``j`` scores the
+        ``DynamicHashIndex.search``: ``scores(rows)``, called inside the
+        retrieve span once per block of :data:`_SCORE_BLOCK` rows,
+        returns the block's matrix, whose column ``j`` scores the
         ``j``-th bucket slot of ``table.dense_layout()`` (signatures
-        ascending), and every query's probe order is ascending
+        ascending).  Every query's probe order is ascending
         ``(score, bucket signature)`` — the order the sorting probers
-        (and, over occupied buckets, GQR) produce — so the whole
-        batch's bucket orders come from one vectorised argsort and the
-        candidate gather from one cumulative-sum drain, instead of B
-        generator walks.  Each row's counts come from the ids actually
-        gathered, so slots of size 0 (a dynamic table's emptied
-        buckets) are not counted as probed.
+        (and, over occupied buckets, GQR) produce — so a block's bucket
+        orders come from one vectorised argsort instead of a generator
+        walk per row, and the whole batch's candidates from one
+        cumulative-sum gather.  Blocking bounds the score and order
+        temporaries, which grow with rows × occupied buckets; each row's
+        order and cut do not depend on its block.  Each row's counts
+        come from the ids actually gathered, so slots of size 0 (a
+        dynamic table's emptied buckets) are not counted as probed.
         """
         budget = plan.n_candidates
         if budget is None:
@@ -975,19 +1142,28 @@ class QueryEngine:
         def gather(contexts: list[ExecutionContext]) -> Gathered:
             with obs.span("retrieve") as retrieve:
                 signatures, sizes = table.dense_layout()[:2]
-                order, cumulative = _probe_prefix(
-                    scores(), signatures, sizes, budget
-                )
-                stops = np.minimum(
-                    (cumulative < budget).sum(axis=1), order.shape[1] - 1
-                )
+                probed_slots: list[np.ndarray] = []
+                block_stops: list[np.ndarray] = []
+                for lo in range(0, len(queries), _SCORE_BLOCK):
+                    order, cumulative = _probe_prefix(
+                        scores(slice(lo, lo + _SCORE_BLOCK)),
+                        signatures, sizes, budget,
+                    )
+                    stops = np.minimum(
+                        (cumulative < budget).sum(axis=1), order.shape[1] - 1
+                    )
+                    # Each row's probed prefix: its order up to the stop.
+                    probed_slots.append(order[
+                        np.arange(order.shape[1])[np.newaxis, :]
+                        <= stops[:, np.newaxis]
+                    ])
+                    block_stops.append(stops)
             with obs.span("dedup_budget") as cut:
                 # Ragged gather of every query's probed buckets in one shot.
-                col_mask = (
-                    np.arange(order.shape[1])[np.newaxis, :]
-                    <= stops[:, np.newaxis]
+                candidates, lengths = table.gather(
+                    np.concatenate(probed_slots)
                 )
-                candidates, lengths = table.gather(order[col_mask])
+                stops = np.concatenate(block_stops)
                 starts = np.concatenate(([0], np.cumsum(stops + 1)[:-1]))
                 counts = np.add.reduceat(lengths, starts)
                 probed = np.add.reduceat(
@@ -1022,9 +1198,10 @@ class QueryEngine:
         counts and, when it scored the candidates itself (the Theorem 2
         scan), their distances, else ``None``.  The body scores an
         unscored block with one :meth:`ExactEvaluator.distances` call,
-        whatever its row count, ranks each query's segment to ``k``
-        with :func:`top_k` (ties break by id), assembles the results
-        and records telemetry.  Index adapters
+        whatever its row count, passing ``k`` so the evaluator may
+        screen out candidates that cannot rank, ranks each query's
+        segment to ``k`` with :func:`top_k` (ties break by id),
+        assembles the results and records telemetry.  Index adapters
         call it with their own ``gather``; every other entry point of
         this class builds one.
 
@@ -1048,7 +1225,7 @@ class QueryEngine:
             with obs.span("evaluate") as evaluate:
                 if scored is None:
                     scored = self.evaluator.distances(
-                        queries, candidates, counts
+                        queries, candidates, counts, k=plan.k
                     )
                 ends = list(accumulate(counts.tolist()))
                 ranked = [

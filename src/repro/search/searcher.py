@@ -207,10 +207,13 @@ class HashIndex:
 
         ``tables`` is the part that scales with the number of hash
         tables — the cost axis of the paper's Figure 12 comparison
-        (single-table GQR vs multi-table GHR).
+        (single-table GQR vs multi-table GHR).  ``screen`` is the
+        evaluator's float32 copy of ``data`` (0 when it keeps none:
+        see :class:`~repro.search.engine.ExactEvaluator`).
         """
         return {
             "data": int(self._data.nbytes),
+            "screen": self._exact.screen_bytes,
             "tables": int(sum(t.memory_bytes() for t in self._tables)),
             "num_tables": len(self._tables),
         }
@@ -308,12 +311,13 @@ class HashIndex:
         rows issue exactly one projection/encode call per table
         (:meth:`BinaryHasher.probe_info_batch`).  For probers with
         vectorised bucket scoring (HR, QR, GQR) on a single table, the
-        per-query probe orders additionally come from one shared score
-        matrix and the candidate gather is one vectorised pass.  Exact
-        evaluation of a multi-row batch is one ragged kernel over every
-        query's own candidate segment (no union, no per-query distance
-        call).  Results are identical to mapping :meth:`search` over
-        the rows.
+        per-query probe orders additionally come from shared score
+        matrices, scored 64 rows at a time, and the candidate gather is
+        one vectorised pass.  Exact evaluation of a multi-row batch is
+        one ragged kernel over every query's own candidate segment (no
+        union, no per-query distance call), screened in float32 so that
+        only candidates that could rank are scored in float64.  Results
+        are identical to mapping :meth:`search` over the rows.
         """
         queries = validate_query_batch(queries, self._dim)
         plan = self.plan(k, n_candidates)
@@ -438,7 +442,9 @@ class HashIndex:
         bounds sorted, so the first bucket past the limit is a
         ``searchsorted``.  Buckets are taken in chunks of growing
         candidate count, gathered in one pass and scored with one
-        distance call.  Every bucket in a chunk passed the bound
+        distance call, which may read a candidate beyond the limit as
+        ``inf`` (the evaluator's float32 screen).  Every bucket in a
+        chunk passed the bound
         against the limit known before the chunk; with ``k`` given the
         limit can only fall inside it, and :func:`_first_stop` finds
         where.  The probed buckets, counters and distances are those of
@@ -489,7 +495,11 @@ class HashIndex:
                     if end == pos:
                         break
                     chunk_ids, lengths = table.gather(order[pos:end])
-                    chunk_dists = self._exact.distances(query, chunk_ids)
+                    # Only distances within the limit can stop the scan
+                    # or rank; the evaluator may read the rest as inf.
+                    chunk_dists = self._exact.distances(
+                        query, chunk_ids, limit=limit
+                    )
                     n_probed, pulled = end - pos, len(chunk_ids)
                     if k is None:
                         within = chunk_dists <= radius

@@ -5,17 +5,25 @@
   not the batch's retrieval span split evenly across the rows.
 * ``search_batch`` over an index with no items (a pre-fitted hasher
   over an empty array) answers every row with an empty result.
+* The ordered kernel scores and orders buckets in blocks of
+  ``engine._SCORE_BLOCK`` rows: batches on either side of a block edge
+  answer every row as that row alone does, counters included, with one
+  bucket-scoring call per block; and a 256-row batch never holds a
+  whole-batch score matrix.
 """
 
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import numpy as np
+import pytest
 
-from repro.data import gaussian_mixture
+from repro.data import gaussian_mixture, sample_queries
 from repro.hashing import ITQ
 from repro.search import HashIndex
+from repro.search.engine import _SCORE_BLOCK
 
 SLOW_SECONDS = 0.2
 
@@ -49,3 +57,51 @@ def test_empty_index_batch_returns_empty_results():
         assert len(result.ids) == 0
         assert len(result.distances) == 0
         assert result.n_candidates == 0
+
+
+@pytest.fixture(scope="module")
+def block_index():
+    data = gaussian_mixture(3000, 16, n_clusters=12, seed=8)
+    index = HashIndex(ITQ(code_length=10, seed=0), data)
+    return index, sample_queries(data, 256, seed=2)
+
+
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 129, 256])
+def test_score_blocks_match_rows_run_alone(block_index, rows, monkeypatch):
+    index, queries = block_index
+    calls = []
+    batch_scores = index.prober.batch_scores
+
+    def spy(*args):
+        scores = batch_scores(*args)
+        calls.append(len(scores))
+        return scores
+
+    monkeypatch.setattr(index.prober, "batch_scores", spy)
+    batch = index.search_batch(queries[:rows], k=7, n_candidates=120)
+    assert calls == [
+        min(_SCORE_BLOCK, rows - lo) for lo in range(0, rows, _SCORE_BLOCK)
+    ]
+    for query, got in zip(queries[:rows], batch, strict=True):
+        [alone] = index.search_batch(query[np.newaxis], k=7, n_candidates=120)
+        assert got.ids.tobytes() == alone.ids.tobytes()
+        assert got.distances.tobytes() == alone.distances.tobytes()
+        assert got.n_candidates == alone.n_candidates
+        assert got.n_buckets_probed == alone.n_buckets_probed
+
+
+def test_batch_transient_stays_below_one_score_matrix():
+    # Unclustered items occupy most of the 4,096 buckets, so a
+    # whole-batch (256, buckets) float64 score matrix would be 8 MB.
+    data = np.random.default_rng(9).standard_normal((20_000, 16))
+    index = HashIndex(ITQ(code_length=12, seed=0), data)
+    queries = sample_queries(data, 256, seed=4)
+    index.search_batch(queries, 10, 200)
+    n_buckets = len(index.tables[0].dense_layout()[0])
+    tracemalloc.start()
+    try:
+        index.search_batch(queries, 10, 200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(queries) * n_buckets * 8

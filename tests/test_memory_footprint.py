@@ -29,3 +29,13 @@ class TestMemoryFootprint:
         table_bytes = index.tables[0].memory_bytes()
         assert table_bytes > len(data) * 8  # at least the id arrays
         assert table_bytes < len(data) * 8 + 70_000  # bounded overhead
+
+    def test_screen_is_a_float32_copy_of_a_fixed_euclidean_corpus(self, data):
+        index = HashIndex(ITQ(code_length=6, seed=0), data)
+        mem = index.memory_footprint()
+        assert mem["screen"] == data.size * 4 == mem["data"] // 2
+
+    def test_no_screen_for_angular_metrics(self, data):
+        for metric in ("cosine", "angular"):
+            index = HashIndex(ITQ(code_length=6, seed=0), data, metric=metric)
+            assert index.memory_footprint()["screen"] == 0

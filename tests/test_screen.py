@@ -1,0 +1,237 @@
+"""Differential tests: the float32 screen against float64 scoring of all.
+
+``ExactEvaluator`` keeps a float32 copy of a fixed Euclidean corpus,
+screens every candidate on it and re-scores in float64 only those its
+error margin cannot rule out (``engine._screened_distances``).  The
+tests below build each index twice over the same items and fitted
+hasher — as built, and a twin whose evaluator has no copy and scores
+every candidate in float64 — and require ``search_batch``,
+``search_early_stop`` and ``search_range`` to return the same ids and
+distances bit for bit, with the same counters.
+
+The corpora are adversarial for a float32 screen: exact duplicates,
+items whose distances to the query tie within the margin, a 1e4 offset
+with a 1e-3 spread (float32's spacing there is about 1e-3), items
+scaled to 1e-30 and 1e-20 (float32 squares underflow), and items
+beyond float32's range (they round to inf).
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.gqr import GQR
+from repro.data import gaussian_mixture
+from repro.hashing import ITQ
+from repro.search.engine import (
+    ExactEvaluator,
+    _ragged_distances,
+    _screen_margin,
+)
+from repro.search.searcher import HashIndex
+
+N_ITEMS = 600
+
+# Family -> the spread of its items around their centre, which also
+# scales the noise added to the queries drawn from its rows.
+FAMILIES = {
+    "gaussian": 1.0,
+    "duplicates": 1.0,
+    "near_ties": 0.0,
+    "offset": 1e-3,
+    "tiny": 1e-30,
+    "subnormal": 1e-20,
+    "beyond_float32": 1.0,
+}
+
+
+def _items(family: str, dim: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng([seed, list(FAMILIES).index(family)])
+    items = rng.standard_normal((N_ITEMS, dim))
+    if family == "duplicates":
+        items = items[rng.integers(0, N_ITEMS // 10, N_ITEMS)]
+    elif family == "near_ties":
+        # Every item at distance 3 from the origin (the queries), up to
+        # a few 1e-7 steps: ties within the screen's margin.
+        radii = 3.0 * (1.0 + 1e-7 * rng.integers(-3, 4, N_ITEMS))
+        items *= (radii / np.linalg.norm(items, axis=1))[:, np.newaxis]
+    elif family == "offset":
+        items = 1e4 + 1e-3 * items
+    elif family in ("tiny", "subnormal"):
+        items *= FAMILIES[family]
+    elif family == "beyond_float32":
+        items[: N_ITEMS // 3] *= 1e39
+    return items
+
+
+@lru_cache(maxsize=None)
+def _indexes(family: str, dim: int, seed: int) -> tuple[HashIndex, HashIndex]:
+    """The screened index and its copy-less twin over the same items."""
+    items = _items(family, dim, seed)
+    hasher = ITQ(code_length=min(6, dim), seed=0).fit(items)
+    screened = HashIndex(hasher, items, prober=GQR())
+    twin = HashIndex(hasher, items, prober=GQR())
+    twin.engine.evaluator._screen = None
+    assert screened.memory_footprint()["screen"] > 0
+    assert twin.memory_footprint()["screen"] == 0
+    return screened, twin
+
+
+def _queries(family: str, items: np.ndarray, rows, noise: float, seed: int):
+    if family == "near_ties":
+        return np.zeros((len(rows), items.shape[1]))
+    rng = np.random.default_rng(seed)
+    picked = items[list(rows)]
+    return picked + noise * FAMILIES[family] * rng.standard_normal(picked.shape)
+
+
+def _same(got, want) -> None:
+    assert got.ids.tobytes() == want.ids.tobytes()
+    assert got.distances.tobytes() == want.distances.tobytes()
+    assert got.n_candidates == want.n_candidates
+    assert got.n_buckets_probed == want.n_buckets_probed
+    assert got.stats.early_stop_triggered == want.stats.early_stop_triggered
+
+
+corpora = st.tuples(
+    st.sampled_from(sorted(FAMILIES)),
+    st.sampled_from([2, 8, 24]),
+    st.integers(0, 2),
+)
+query_rows = st.lists(st.integers(0, N_ITEMS - 1), min_size=1, max_size=6)
+noises = st.sampled_from([0.0, 1e-6, 0.3])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    corpus=corpora,
+    rows=query_rows,
+    noise=noises,
+    k=st.integers(1, 12),
+    budget=st.integers(1, 300),
+)
+def test_search_batch_screened_equals_float64(corpus, rows, noise, k, budget):
+    screened, twin = _indexes(*corpus)
+    queries = _queries(corpus[0], twin.data, rows, noise, corpus[2])
+    for got, want in zip(
+        screened.search_batch(queries, k, budget),
+        twin.search_batch(queries, k, budget),
+        strict=True,
+    ):
+        _same(got, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    corpus=corpora,
+    rows=query_rows,
+    noise=noises,
+    k=st.integers(1, 12),
+    cap=st.sampled_from([None, 300, 450]),
+)
+def test_early_stop_screened_equals_float64(corpus, rows, noise, k, cap):
+    screened, twin = _indexes(*corpus)
+    for query in _queries(corpus[0], twin.data, rows, noise, corpus[2]):
+        _same(
+            screened.search_early_stop(query, k, cap),
+            twin.search_early_stop(query, k, cap),
+        )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    corpus=corpora,
+    rows=query_rows,
+    noise=noises,
+    nth=st.integers(0, N_ITEMS - 1),
+)
+def test_range_screened_equals_float64(corpus, rows, noise, nth):
+    screened, twin = _indexes(*corpus)
+    every = np.arange(N_ITEMS)
+    for query in _queries(corpus[0], twin.data, rows, noise, corpus[2]):
+        # The radius is an item's own float64 distance: that item and
+        # its ties sit exactly on the boundary.
+        radius = float(
+            np.sort(twin.engine.evaluator.distances(query, every))[nth]
+        )
+        _same(
+            screened.search_range(query, radius),
+            twin.search_range(query, radius),
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(sorted(FAMILIES)),
+    dim=st.sampled_from([1, 2, 8, 24, 64]),
+    seed=st.integers(0, 50),
+    noise=noises,
+)
+def test_margin_bounds_float32_error(family, dim, seed, noise):
+    """``|d32 − d64| ≤ ε`` for every finite ``d32``, as the proof says."""
+    items = _items(family, dim, seed)
+    queries = _queries(family, items, range(0, N_ITEMS, 100), noise, seed)
+    ids = np.tile(np.arange(N_ITEMS), len(queries))
+    counts = np.full(len(queries), N_ITEMS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d32 = _ragged_distances(
+            queries.astype(np.float32), items.astype(np.float32), ids,
+            counts, "euclidean",
+        )
+        rel, offset = _screen_margin(queries)
+    margin = rel * d32 + np.repeat(offset, counts)
+    d64 = _ragged_distances(queries, items, ids, counts, "euclidean")
+    finite = np.isfinite(d32)
+    assert (np.abs(d32 - d64)[finite] <= margin[finite]).all()
+
+
+class TestScreenScope:
+    @pytest.fixture(scope="class")
+    def data(self):
+        return gaussian_mixture(2000, 16, n_clusters=8, seed=3)
+
+    def test_top_k_drops_only_candidates_that_cannot_rank(self, data):
+        screened = ExactEvaluator(data)
+        plain = ExactEvaluator(lambda: data)
+        query, ids = data[0] + 0.1, np.arange(len(data))
+        exact = plain.distances(query, ids)
+        got = screened.distances(query, ids, k=10)
+        finite = np.isfinite(got)
+        # The screen ran: most candidates were ruled out...
+        assert finite.sum() < len(ids) // 10
+        # ...every distance it kept is the float64 one, bit for bit...
+        assert got[finite].tobytes() == exact[finite].tobytes()
+        # ...and the ten nearest are among them.
+        assert finite[np.argsort(exact, kind="stable")[:10]].all()
+
+    def test_limit_keeps_everything_within_it(self, data):
+        screened = ExactEvaluator(data)
+        query, ids = data[5], np.arange(len(data))
+        exact = ExactEvaluator(lambda: data).distances(query, ids)
+        limit = float(np.sort(exact)[40])
+        got = screened.distances(query, ids, limit=limit)
+        within = exact <= limit
+        assert got[within].tobytes() == exact[within].tobytes()
+        assert np.isinf(got[~within]).any()
+
+    @pytest.mark.parametrize(
+        "source, metric",
+        [
+            (lambda d: (lambda: d), "euclidean"),
+            (lambda d: d, "cosine"),
+            (lambda d: d, "angular"),
+            (lambda d: d.astype(np.float32), "euclidean"),
+        ],
+        ids=["callable", "cosine", "angular", "float32-data"],
+    )
+    def test_no_copy_scores_everything_in_full(self, data, source, metric):
+        evaluator = ExactEvaluator(source(data), metric)
+        assert evaluator.screen_bytes == 0
+        ids = np.arange(len(data))
+        got = evaluator.distances(data[1], ids, k=3)
+        assert np.isfinite(got).all()
