@@ -20,6 +20,10 @@ vectors in exactly ascending-QD order — Algorithm 4.
 Masks here are integers whose bit ``i`` is the ``(i+1)``-th entry of the
 sorted flipping vector, i.e. bit 0 flips the *cheapest* position; the
 "rightmost 1" of the paper is the *highest* set bit of the mask.
+
+The batched query paths do not walk a heap per row, nor score every
+bucket: they rank a fixed, precomputed prefix of this tree and certify
+the result with Properties 1 and 2 (:mod:`repro.core.tree_prefix`).
 """
 
 from __future__ import annotations

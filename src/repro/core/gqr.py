@@ -28,6 +28,7 @@ import numpy as np
 from repro.core.generation_tree import FlippingVectorGenerator, SharedGenerationTree
 from repro.core.prober import BucketProber
 from repro.core.quantization_distance import batch_quantization_distances
+from repro.core.tree_prefix import TreePrefix, cached_tree_prefix
 from repro.index.hash_table import HashTable
 
 __all__ = ["GQR"]
@@ -107,11 +108,12 @@ class GQR(BucketProber):
         Restricted to occupied buckets, :meth:`probe_scored` yields
         buckets in ascending ``(score, signature)`` order of these
         scores (``tests/test_gqr.py`` checks it, with and without a
-        shared tree).  So callers that know the occupied buckets score
-        them here instead of walking the generation tree: the batched
-        path (``HashIndex.search_batch``) sorts every row, and the
-        Theorem 2 scan (``search_early_stop`` / ``search_range``) sorts
-        a prefix of its one row and uses the scores as its bounds.
+        shared tree).  The batched path (``HashIndex.search_batch``,
+        ``DynamicHashIndex.search``) and the Theorem 2 scan
+        (``search_early_stop`` / ``search_range``) rank a row from
+        :meth:`tree_prefix` first, and call this only for the rows the
+        prefix does not certify: it is their fallback, sorted up to the
+        budget, and its scores are the scan's bounds.
         Pass ``bucket_complement`` (``1 − bucket_bits``, float64) to
         score without converting the bucket bits; see
         :func:`~repro.core.quantization_distance.batch_quantization_distances`.
@@ -120,3 +122,7 @@ class GQR(BucketProber):
         return batch_quantization_distances(
             query_bits, cost_matrix, bucket_bits, bucket_complement
         )
+
+    def tree_prefix(self, code_length: int, size: int) -> TreePrefix:
+        """The shared tree prefix: its order is this prober's QD order."""
+        return cached_tree_prefix(code_length, size)

@@ -20,6 +20,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from repro.core.tree_prefix import TreePrefix
 from repro.index.hash_table import HashTable
 
 __all__ = ["BucketProber"]
@@ -50,12 +51,28 @@ class BucketProber(ABC):
         — one ``(B, nb)`` matrix instead of B generator walks.  The
         query-execution engine takes this fast path for every prober
         that overrides the method, deciding before it hashes or scores,
-        so an override always returns the matrix; this base version
-        returns ``None`` and keeps the per-query stream path.
+        so an override always returns the matrix; it is called for the
+        rows :meth:`tree_prefix` does not rank (every row when that
+        returns ``None``).  This base version returns ``None`` and keeps
+        the per-query stream path.
         ``bucket_bits`` is ``(nb, m)``; callers may pass it
         as float64 with its complement ``1 − bucket_bits`` in
         ``bucket_complement`` so a QD kernel converts nothing.
         """
         del bucket_signatures, bucket_bits, query_signatures
         del query_bits, cost_matrix, bucket_complement
+        return None
+
+    def tree_prefix(self, code_length: int, size: int) -> TreePrefix | None:
+        """The generation-tree prefix that ranks in this prober's order, or ``None``.
+
+        Probers whose order is ascending ``(QD, signature)`` over
+        occupied buckets (QR, GQR) return the shared
+        :class:`~repro.core.tree_prefix.TreePrefix` of ``(code_length,
+        size)``; the query-execution engine then ranks a block's rows
+        from it and scores with :meth:`batch_scores` only the rows it
+        does not certify.  This base version returns ``None``, and
+        every row is scored.
+        """
+        del code_length, size
         return None

@@ -18,6 +18,7 @@ from repro.core.quantization_distance import (
     batch_quantization_distances,
     quantization_distances,
 )
+from repro.core.tree_prefix import TreePrefix, cached_tree_prefix
 from repro.index.hash_table import HashTable
 
 __all__ = ["QDRanking"]
@@ -52,3 +53,7 @@ class QDRanking(BucketProber):
         return batch_quantization_distances(
             query_bits, cost_matrix, bucket_bits, bucket_complement
         )
+
+    def tree_prefix(self, code_length: int, size: int) -> TreePrefix:
+        """The shared tree prefix: its order is this prober's QD order."""
+        return cached_tree_prefix(code_length, size)

@@ -1,0 +1,230 @@
+"""Certified generation-tree prefixes: rank a row's buckets without scoring all.
+
+QD ranking scores every occupied bucket before it probes the first one
+(Algorithm 1's slow start); GQR generates buckets in the same order
+from a heap over the Append/Swap tree (Algorithms 2–4), but a heap walk
+per row is slow in Python.  A :class:`TreePrefix` ranks a whole block
+of rows in numpy from a *fixed* part of the tree.
+
+Precomputed once per code length ``m`` and size ``L``:
+
+* the *down-set* ``D``: the first ``L`` masks
+  :class:`~repro.core.generation_tree.FlippingVectorGenerator` emits
+  under a data-independent cost profile (the expected order statistics
+  of ``m`` half-normal costs), masks tied with the ``L``-th included.
+  Any prefix of the heap's emission is closed under tree parents;
+* the *frontier* ``F``: the Append/Swap children of ``D`` that are not
+  in ``D`` (mask 1, the tree's root, is the child of mask 0).
+
+Walking up from a non-zero mask outside ``D`` reaches ``D`` (the root is
+in it, or in ``F`` when ``D = {0}``), so the mask descends from a member
+of ``F`` (Property 1); by Property 2 it costs at least as much under
+*any* ascending cost vector, not just the profile's.
+
+Per row, :meth:`TreePrefix.rank` sorts the flip costs, scores
+``D ∪ F`` with one matmul, maps ``D`` to bucket signatures through
+lookup tables over the two halves of a mask and to bucket slots through
+the table's dense slot table, and ranks ``D``'s present slots by QD.
+The row's *stop* is the first ranked slot whose cumulative size meets
+the budget.  The row is **certified** when
+
+1. the stop's QD is below the smallest QD in ``F``, so no bucket outside
+   ``D`` ranks before it; and
+2. every two neighbours among the ranked slots up to the stop, and the
+   stop and the slot after it, differ in QD,
+
+each comparison with a margin for the rounding of an ``m``-term sum
+(see :meth:`TreePrefix.rank`).  A certified row's probe order up to its
+stop, and its cumulative sizes, are then exactly those of sorting the
+score row of :meth:`~repro.core.prober.BucketProber.batch_scores` by
+``(score, signature)``.  A row that fails either test (a budget beyond
+``D``'s buckets, a tie or near-tie, a negative or NaN cost) is the
+caller's to rank from the score row.  ``docs/theory.md`` has the proof.
+"""
+
+from __future__ import annotations
+
+import functools
+from statistics import NormalDist
+from typing import NamedTuple
+
+import numpy as np
+
+from repro.core.generation_tree import (
+    FlippingVectorGenerator,
+    append_move,
+    swap_move,
+)
+from repro.index.codes import unpack_bits, validate_code_length
+
+__all__ = [
+    "RankedPrefix",
+    "TreePrefix",
+    "cached_tree_prefix",
+]
+
+class RankedPrefix(NamedTuple):
+    """:meth:`TreePrefix.rank` of a block of rows.
+
+    ``order``, ``cumulative`` and ``scores`` are ``(rows, |D|)``: each
+    row's present slots ranked by QD, their running size total and
+    their QDs, then its absent masks (slot ``-1``, QD ``inf``).  Only
+    the columns up to ``stops[i]`` of a row with ``certified[i]`` set
+    are meaningful.
+    """
+
+    certified: np.ndarray
+    order: np.ndarray
+    cumulative: np.ndarray
+    scores: np.ndarray
+    stops: np.ndarray
+
+
+def _half_normal_profile(m: int) -> np.ndarray:
+    """Ascending expected order statistics of ``m`` half-normal costs.
+
+    Blom's plotting positions ``(i + 0.625)/(m + 0.25)`` through the
+    half-normal quantile ``Φ⁻¹((1 + p)/2)``.
+    """
+    normal = NormalDist()
+    return np.array(
+        [normal.inv_cdf(0.5 + 0.5 * (i + 0.625) / (m + 0.25)) for i in range(m)],
+        dtype=np.float64,
+    )
+
+
+def _children(mask: int, m: int) -> tuple[int, ...]:
+    """Tree children of ``mask``; mask 0 has the root, mask 1."""
+    if mask == 0:
+        return (1,)
+    if mask.bit_length() >= m:
+        return ()
+    return append_move(mask), swap_move(mask)
+
+
+def _subset_xors(flips: np.ndarray) -> np.ndarray:
+    """Per row, the XOR of every subset of ``flips``' columns.
+
+    ``flips`` is ``(rows, h)``; entry ``[r, s]`` of the ``(rows, 2^h)``
+    result XORs the columns whose bits are set in ``s``.
+    """
+    rows, width = flips.shape
+    table = np.zeros((rows, 1 << width), dtype=np.int64)
+    for bit in range(width):
+        table[:, 1 << bit:2 << bit] = (
+            table[:, :1 << bit] ^ flips[:, bit:bit + 1]
+        )
+    return table
+
+
+class TreePrefix:
+    """The down-set ``D`` and frontier ``F`` of one ``(m, L)``.
+
+    Parameters
+    ----------
+    code_length:
+        ``m``, the table's code length.
+    size:
+        ``L``: how many masks of the profile's emission ``D`` holds
+        (more when masks tie at the cut; all ``2^m`` at most).
+    """
+
+    def __init__(self, code_length: int, size: int) -> None:
+        m = validate_code_length(code_length)
+        if size < 1:
+            raise ValueError(f"size must be >= 1, got {size}")
+        down: list[int] = []
+        cut = 0.0
+        for mask, cost in FlippingVectorGenerator(_half_normal_profile(m)):
+            if len(down) >= size and cost != cut:
+                break
+            down.append(mask)
+            cut = cost
+        members = set(down)
+        # D's emission order fixes F's order; the set only answers
+        # membership.
+        frontier = [
+            child
+            for mask in down
+            for child in _children(mask, m)
+            if child not in members
+        ]
+        self.down_set = np.array(down, dtype=np.int64)
+        self.frontier = np.array(frontier, dtype=np.int64)
+        # QD of every mask of D ∪ F is sorted_costs @ _bits.
+        masks = np.concatenate((self.down_set, self.frontier))
+        self._bits = np.ascontiguousarray(
+            unpack_bits(masks, m).T, dtype=np.float64
+        )
+        self._half = (m + 1) // 2
+        self._low = self.down_set & ((1 << self._half) - 1)
+        self._high = self.down_set >> self._half
+        # Margin of the certificate's comparisons: rounding error of an
+        # m-term sum of non-negative terms, with room to spare.
+        self._grow = 1.0 + 8.0 * (m + 1) * 2.0 ** -53
+
+    def rank(
+        self,
+        query_signatures: np.ndarray,
+        cost_matrix: np.ndarray,
+        slot_table: np.ndarray,
+        sizes: np.ndarray,
+        budget: int,
+    ) -> RankedPrefix:
+        """Rank ``D``'s present slots for every row, and certify the rows.
+
+        ``query_signatures`` is ``(rows,)`` and ``cost_matrix``
+        ``(rows, m)`` flip costs; ``slot_table[s]`` is the slot of
+        signature ``s``, or ``-1`` when the table has none, and
+        ``sizes[slot]`` the slot's id count.  Row ``i``'s stop is the
+        first ranked slot whose cumulative size reaches ``budget``.
+
+        Each comparison of the certificate is ``a·(1 + 8(m+1)·2⁻⁵³) < b``
+        on the matmul's QDs.  Every QD here and in ``batch_scores`` is
+        a rounded sum of the same non-negative costs, within ``γ =
+        (m−1)·2⁻⁵³/(1 − (m−1)·2⁻⁵³)`` of the exact sum relatively, so a
+        comparison that passes orders the two exact sums, and the two
+        ``batch_scores`` values, the same way.
+        """
+        costs = np.asarray(cost_matrix, dtype=np.float64)
+        n_rows, n_down = len(costs), len(self.down_set)
+        permutation = np.argsort(costs, axis=1, kind="stable")
+        sorted_costs = np.take_along_axis(costs, permutation, axis=1)
+        qds = sorted_costs @ self._bits
+        # Sorted position x flips bit permutation[x] of the query's code.
+        flips = np.left_shift(np.int64(1), permutation)
+        signatures = (
+            _subset_xors(flips[:, :self._half])[:, self._low]
+            ^ _subset_xors(flips[:, self._half:])[:, self._high]
+            ^ np.asarray(query_signatures, dtype=np.int64)[:, np.newaxis]
+        )
+        slots = slot_table[signatures]
+        keyed = np.where(slots >= 0, qds[:, :n_down], np.inf)
+        ranking = np.argsort(keyed, axis=1)
+        order = np.take_along_axis(slots, ranking, axis=1).astype(np.int64)
+        scores = np.take_along_axis(keyed, ranking, axis=1)
+        cumulative = np.cumsum(
+            np.where(order >= 0, sizes[order], 0), axis=1
+        )
+        stops = (cumulative < budget).sum(axis=1)
+        # Two trailing infs: the last pair never clears, so argmin finds
+        # each row's first uncleared pair.
+        padded = np.concatenate(
+            (scores, np.full((n_rows, 2), np.inf)), axis=1
+        )
+        cleared = padded[:, :-1] * self._grow < padded[:, 1:]
+        floor = qds[:, n_down:].min(axis=1, initial=np.inf)
+        at_stop = padded[np.arange(n_rows), stops]
+        certified = (
+            (stops < np.count_nonzero(slots >= 0, axis=1))
+            & (np.argmin(cleared, axis=1) > stops)
+            & (at_stop * self._grow < floor)
+            & (costs >= 0).all(axis=1)
+        )
+        return RankedPrefix(certified, order, cumulative, scores, stops)
+
+
+@functools.lru_cache(maxsize=16)
+def cached_tree_prefix(code_length: int, size: int) -> TreePrefix:
+    """The shared :class:`TreePrefix` of ``(code_length, size)``."""
+    return TreePrefix(code_length, size)

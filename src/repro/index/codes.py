@@ -24,7 +24,9 @@ import numpy as np
 
 __all__ = [
     "MAX_CODE_LENGTH",
+    "MAX_SLOT_BITS",
     "pack_bits",
+    "slot_table",
     "unpack_bits",
     "hamming_distance",
     "hamming_weight",
@@ -32,6 +34,10 @@ __all__ = [
 ]
 
 MAX_CODE_LENGTH = 63
+
+#: Longest code with a dense slot table (:func:`slot_table`): ``2^m``
+#: int32 entries are 64 KB at m = 14 and 4 MB at m = 20.
+MAX_SLOT_BITS = 20
 
 
 def validate_code_length(m: int) -> int:
@@ -88,6 +94,23 @@ def unpack_bits(signatures: np.ndarray | int, m: int) -> np.ndarray:
     if scalar:
         return bits[0]
     return bits
+
+
+def slot_table(signatures: np.ndarray, m: int) -> np.ndarray:
+    """Dense map from signature to its position in ``signatures``.
+
+    An int32 array of ``2^m`` entries holding ``i`` at
+    ``signatures[i]`` and ``-1`` elsewhere; for ``m`` up to
+    :data:`MAX_SLOT_BITS`.
+    """
+    m = validate_code_length(m)
+    if m > MAX_SLOT_BITS:
+        raise ValueError(
+            f"no slot table above {MAX_SLOT_BITS} bits, got code length {m}"
+        )
+    slots = np.full(1 << m, -1, dtype=np.int32)
+    slots[signatures] = np.arange(len(signatures), dtype=np.int32)
+    return slots
 
 
 def hamming_weight(signatures: np.ndarray | int) -> np.ndarray | int:

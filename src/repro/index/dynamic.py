@@ -10,9 +10,11 @@ prober works on it unchanged, while supporting ``add`` and ``remove``.
 Storage is a :class:`BucketLayout`: bucket slots sorted by signature,
 each with its size and its id array, plus the float64 bucket bits and
 their complement that :meth:`~repro.core.prober.BucketProber.batch_scores`
-multiplies.  The same layout serves the engine's ordered kernel
-(score every slot, rank, gather a prefix), so a search whose prober
-scores buckets never walks a generator through ``get``.
+multiplies, and a dense signature-to-slot table.  The same layout
+serves the engine's ordered kernel (rank slots from a certified prefix
+of GQR's generation tree, or from a score row of every slot, then
+gather a prefix), so a search whose prober ranks buckets never walks a
+generator through ``get``.
 
 Writes are batched numpy operations under one writer lock, applied in
 place: a removed id leaves its bucket array at once (there are no
@@ -32,7 +34,12 @@ from itertools import accumulate, groupby
 
 import numpy as np
 
-from repro.index.codes import pack_bits, unpack_bits, validate_code_length
+from repro.index.codes import (
+    pack_bits,
+    slot_table,
+    unpack_bits,
+    validate_code_length,
+)
 
 __all__ = ["BucketLayout", "DynamicHashTable"]
 
@@ -49,7 +56,7 @@ class BucketLayout:
     """
 
     __slots__ = (
-        "_table", "bits", "buckets", "code_length", "complement",
+        "_slots", "_table", "bits", "buckets", "code_length", "complement",
         "signatures", "sizes",
     )
 
@@ -68,6 +75,7 @@ class BucketLayout:
         self.buckets = buckets
         self.bits = bits
         self.complement = 1.0 - bits
+        self._slots: np.ndarray | None = None
 
     def widened(self, fresh: np.ndarray) -> BucketLayout:
         """A copy with empty slots for the ascending new ``fresh`` signatures."""
@@ -106,6 +114,18 @@ class BucketLayout:
     def bucket_bits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(signatures, bits, 1 − bits)``, the scoring operands."""
         return self.signatures, self.bits, self.complement
+
+    def slot_table(self) -> np.ndarray:
+        """Dense map from signature to slot, ``-1`` where there is none.
+
+        Built on the first ranked read of this layout and kept: the
+        signatures never change.  Two reads racing to build it build
+        equal arrays.
+        """
+        slots = self._slots
+        if slots is None:
+            slots = self._slots = slot_table(self.signatures, self.code_length)
+        return slots
 
     def gather(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ids of the slots at ``positions``, and each slot's id count.

@@ -14,7 +14,12 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from repro.index.codes import pack_bits, unpack_bits, validate_code_length
+from repro.index.codes import (
+    pack_bits,
+    slot_table,
+    unpack_bits,
+    validate_code_length,
+)
 
 __all__ = ["HashTable"]
 
@@ -82,6 +87,7 @@ class HashTable:
         }
         self._layout: tuple[np.ndarray, ...] | None = None
         self._bits: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._slots: np.ndarray | None = None
         # The table is immutable but the layout caches are not:
         # AsyncFrontDoor(max_workers>1) worker threads may race to
         # build them on first use.
@@ -169,6 +175,37 @@ class HashTable:
                     self._bits = cached
         return cached
 
+    def slot_table(self) -> np.ndarray:
+        """Cached dense map from signature to :meth:`dense_layout` slot.
+
+        An int32 array of ``2^m`` entries: the slot of each occupied
+        signature, ``-1`` elsewhere (64 KB at m = 14).  The tree-prefix
+        ranking (:mod:`repro.core.tree_prefix`) resolves generated
+        signatures through it; codes longer than
+        :data:`~repro.index.codes.MAX_SLOT_BITS` have none.
+        """
+        cached = self._slots
+        if cached is None:
+            signatures = self.dense_layout()[0]
+            with self._layout_lock:
+                cached = self._slots
+                if cached is None:
+                    cached = slot_table(signatures, self._m)
+                    self._slots = cached
+        return cached
+
+    def ranking_bytes(self) -> int:
+        """Bytes of the caches ranked reads build; 0 before the first.
+
+        The dense layout, the bucket bits and their complement, and the
+        slot table.
+        """
+        layout, bits, slots = self._layout, self._bits, self._slots
+        total = 0 if layout is None else sum(a.nbytes for a in layout)
+        if bits is not None:
+            total += bits[1].nbytes + bits[2].nbytes
+        return total + (0 if slots is None else slots.nbytes)
+
     def gather(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ids of the buckets at ``positions`` of :meth:`dense_layout`.
 
@@ -216,3 +253,4 @@ class HashTable:
 
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
+

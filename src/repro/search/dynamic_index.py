@@ -6,8 +6,8 @@ The hash functions stay fixed (trained once on a representative sample,
 as L2H deployments do); items stream in and out of the bucket table.
 Search delegates to the shared query-execution engine, with the exact
 evaluator wired to the index's live (growable) vector storage: each
-read scores the table's published bucket layout, ranks it and gathers
-a prefix, taking no lock.  Writes are batched and serialised by one
+read ranks the table's published bucket layout and gathers a prefix,
+taking no lock.  Writes are batched and serialised by one
 write lock; ``add`` stores vectors before the table publishes their
 ids, so a read never sees an id without its vector.
 """
@@ -172,8 +172,9 @@ class DynamicHashIndex:
     ) -> SearchResult:
         """Approximate kNN over the current live items.
 
-        Ranks the published layout's buckets from one score row and
-        gathers a prefix of that order
+        Ranks the published layout's buckets — from a certified prefix
+        of GQR's generation tree, else from one score row — and gathers
+        a prefix of that order
         (:meth:`~repro.search.engine.QueryEngine.execute_probed`); a
         prober that cannot score buckets streams them instead.  The
         result cache is consulted once, before any of that.
@@ -190,7 +191,7 @@ class DynamicHashIndex:
     ) -> list[SearchResult]:
         """:meth:`search`'s uncached body over its one validated row.
 
-        Hashing and bucket scoring run inside the query's root span, so
+        Hashing and bucket ranking run inside the query's root span, so
         its ``total_seconds`` covers them.
         """
         return self._engine.execute_probed(

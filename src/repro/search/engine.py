@@ -32,7 +32,10 @@ adapter instead of a private re-implementation::
   already scored, and the body only ranks them.
   :meth:`~QueryEngine.execute_probed` picks between the two batch
   paths: the ordered one when the prober can score the table's
-  buckets, the streams one otherwise.
+  buckets, the streams one otherwise.  The ordered path ranks QR's
+  and GQR's rows from a certified prefix of the generation tree
+  (:mod:`repro.core.tree_prefix`) and scores every bucket only for
+  the rows that prefix cannot certify, and for HR.
   :meth:`~QueryEngine.run_cached` is the one result-cache path in front
   of them: ``execute``, ``HashIndex.search_batch`` and
   ``DynamicHashIndex.search`` run through it, so only cache misses are
@@ -47,7 +50,6 @@ rank, with the same bits as scoring them all.
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -60,7 +62,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.prober import BucketProber
-from repro.index.codes import unpack_bits
+from repro.index.codes import MAX_SLOT_BITS, unpack_bits
 from repro.index.distance import METRICS
 from repro.search.cache import CacheKey, QueryResultCache, cache_token
 from repro.search.results import SearchResult
@@ -404,6 +406,8 @@ class RankedTable(Protocol):
     table.  ``dense_layout()`` starts with the signatures (ascending)
     and sizes of its bucket slots; ``bucket_bits()`` gives the
     signatures with their float64 bits and complement;
+    ``slot_table()`` maps every signature to its slot or ``-1`` (codes
+    of up to :data:`~repro.index.codes.MAX_SLOT_BITS` bits);
     ``gather(positions)`` returns the ids of those slots and each
     slot's id count.
     """
@@ -414,6 +418,8 @@ class RankedTable(Protocol):
     def dense_layout(self) -> tuple[np.ndarray, ...]: ...
 
     def bucket_bits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
+
+    def slot_table(self) -> np.ndarray: ...
 
     def gather(
         self, positions: np.ndarray
@@ -705,11 +711,23 @@ def _ragged_distances(
     return np.arccos(out, out=out)
 
 
-#: Rows the ordered kernel scores and orders at a time.  Its
-#: temporaries take about 18 bytes per row per occupied bucket.  On
-#: bulk-recall's index (2-core x86_64) a 256-row batch took 88–90 ms
+#: Rows the ordered kernel ranks at a time.  A block's score rows take
+#: about 18 bytes per row per occupied bucket.  On bulk-recall's index
+#: (2-core x86_64), scoring every row, a 256-row batch took 88–90 ms
 #: with blocks of 32 or 64 rows, 94 ms with 128 and 108 ms with 256.
 _SCORE_BLOCK = 64
+
+
+def _prefix_width(sizes: np.ndarray, budget: int) -> int:
+    """Probe-order columns that likely hold a row's budget.
+
+    Four times the budget's worth of mean-sized buckets, at least 16 and
+    at most every bucket.
+    """
+    n_buckets = len(sizes)
+    # The integer sum is exact and several times faster than mean().
+    mean_size = max(int(sizes.sum()) / n_buckets, 1.0) if n_buckets else 1.0
+    return int(min(n_buckets, max(16, 4 * budget / mean_size + 1)))
 
 
 def _probe_prefix(
@@ -723,14 +741,12 @@ def _probe_prefix(
     Returns only the shortest column prefix that satisfies every
     query's candidate budget: sorting and cumulating all ``nb`` bucket
     columns is wasted work when the budget is met after a few dozen
-    buckets, so this orders a prefix of ``W`` columns, starting at four
-    times the budget's worth of mean-sized buckets and growing ``W`` ×4
-    until every row reaches the budget or runs out of buckets.
+    buckets, so this orders a prefix of ``W`` columns, starting at
+    :func:`_prefix_width` and growing ``W`` ×4 until every row reaches
+    the budget or runs out of buckets.
     """
-    n_queries, n_buckets = scores.shape
-    # The integer sum is exact and several times faster than mean().
-    mean_size = max(int(sizes.sum()) / len(sizes), 1.0) if len(sizes) else 1.0
-    width = int(min(n_buckets, max(16, 4 * budget / mean_size + 1)))
+    n_buckets = scores.shape[1]
+    width = _prefix_width(sizes, budget)
     while True:
         if width >= n_buckets:
             order = _probe_order(scores, signatures)
@@ -745,28 +761,97 @@ def _probe_prefix(
 def _bucket_scores(
     prober: BucketProber,
     table: RankedTable,
-    probe_infos: Sequence[tuple[int, np.ndarray]],
+    query_signatures: np.ndarray,
+    cost_matrix: np.ndarray,
 ) -> np.ndarray:
     """``prober``'s ``(B, nb)`` scores of ``table``'s bucket slots.
 
     Row ``i`` scores every slot of ``table.dense_layout()`` for the
-    ``i``-th ``(signature, flip_costs)`` of ``probe_infos``.  Only for
-    a prober that implements ``batch_scores``: the base returns ``None``.
+    query with signature ``query_signatures[i]`` and flip costs
+    ``cost_matrix[i]``.  Only for a prober that implements
+    ``batch_scores``: the base returns ``None``.
     """
     signatures, bits, complement = table.bucket_bits()
-    query_signatures = np.fromiter(
-        (signature for signature, _ in probe_infos),
-        dtype=np.int64,
-        count=len(probe_infos),
-    )
     return cast(np.ndarray, prober.batch_scores(
         signatures,
         bits,
         query_signatures,
         unpack_bits(query_signatures, table.code_length),
-        np.stack([costs for _, costs in probe_infos]),
+        cost_matrix,
         complement,
     ))
+
+
+def _ranked_prefixes(
+    prober: BucketProber,
+    table: RankedTable,
+    probe_infos: Sequence[tuple[int, np.ndarray]],
+    budget: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's probe order up to its stop: slots, cumulative sizes, QDs.
+
+    Row ``i`` ranks ``table``'s slots for the ``i``-th ``(signature,
+    flip_costs)`` of ``probe_infos`` in ascending ``(score,
+    signature)`` order; its stop is the first slot whose cumulative
+    size reaches ``budget`` (the last slot when none does).  Returns
+    ``(order, cumulative, scores, stops)``, the first three
+    ``(rows, W)`` with only each row's columns up to ``stops[i]``
+    meaningful.
+
+    When the prober has a generation-tree prefix
+    (``prober.tree_prefix``) of about twice :func:`_prefix_width`'s
+    width, rounded up to a power of two, and the table has more slots
+    than it holds masks and a slot table (at most
+    :data:`~repro.index.codes.MAX_SLOT_BITS` bits), the rows are ranked
+    from that prefix (:meth:`~repro.core.tree_prefix.TreePrefix.rank`).
+    Only the rows it does not certify are scored with ``batch_scores``
+    and ordered by :func:`_probe_prefix`; a certified row's answer is
+    theirs exactly.
+    """
+    signatures, sizes = table.dense_layout()[:2]
+    query_signatures = np.fromiter(
+        (signature for signature, _ in probe_infos),
+        dtype=np.int64,
+        count=len(probe_infos),
+    )
+    cost_matrix = np.stack([costs for _, costs in probe_infos])
+    size = 1 << (2 * _prefix_width(sizes, budget) - 1).bit_length()
+    prefix = (
+        prober.tree_prefix(table.code_length, size)
+        if table.code_length <= MAX_SLOT_BITS and size < len(signatures)
+        else None
+    )
+    if prefix is None:
+        rest = np.arange(len(probe_infos))
+    else:
+        ranked = prefix.rank(
+            query_signatures, cost_matrix, table.slot_table(), sizes, budget
+        )
+        rest = np.flatnonzero(~ranked.certified)
+        if not len(rest):
+            return ranked.order, ranked.cumulative, ranked.scores, ranked.stops
+    scores = _bucket_scores(
+        prober, table, query_signatures[rest], cost_matrix[rest]
+    )
+    order, cumulative = _probe_prefix(scores, signatures, sizes, budget)
+    stops = np.minimum((cumulative < budget).sum(axis=1), order.shape[1] - 1)
+    scores = np.take_along_axis(scores, order, axis=1)
+    if prefix is None:
+        return order, cumulative, scores, stops
+    # Certified rows from the tree, the rest from their score rows,
+    # each up to its stop.
+    certified = ranked.certified
+    width = 1 + max(int(ranked.stops.max(initial=0, where=certified)),
+                    int(stops.max()))
+    merged: list[np.ndarray] = []
+    for tree, scored in zip(ranked[1:4], (order, cumulative, scores)):
+        out = np.zeros((len(probe_infos), width), dtype=tree.dtype)
+        out[certified, :tree.shape[1]] = tree[certified, :width]
+        out[rest, :scored.shape[1]] = scored[:, :width]
+        merged.append(out)
+    all_stops = ranked.stops.copy()
+    all_stops[rest] = stops
+    return merged[0], merged[1], merged[2], all_stops
 
 
 #: What a gather hands :meth:`QueryEngine.run`: flat candidate ids,
@@ -1037,19 +1122,18 @@ class QueryEngine:
         *,
         single: bool = False,
     ) -> list[SearchResult]:
-        """Rank ``table``'s buckets by score if ``prober`` can, else stream.
+        """Rank ``table``'s buckets if ``prober`` can, else stream them.
 
         ``probe_infos()`` returns each row's ``(signature,
         flip_costs)``.  When the table has buckets and ``prober``
         implements ``batch_scores``, the rows run through
-        :meth:`execute_batch_ordered`, which hashes once and scores
-        each block of rows inside its retrieve span; otherwise
-        ``streams()`` builds one candidate stream per row for
-        :meth:`execute_batch_streams`.  Either way a
-        single query's hashing and scoring count in its root span.
-        Uncached: callers go through :meth:`run_cached` first.
-        ``single`` marks one row with per-query telemetry (see
-        :meth:`run`).
+        :meth:`execute_batch_ordered`, which hashes once and ranks each
+        block of rows inside its retrieve span; otherwise ``streams()``
+        builds one candidate stream per row for
+        :meth:`execute_batch_streams`.  Either way a single query's
+        hashing and ranking count in its root span.  Uncached: callers
+        go through :meth:`run_cached` first.  ``single`` marks one row
+        with per-query telemetry (see :meth:`run`).
         """
         if (
             not len(table.dense_layout()[0])
@@ -1058,14 +1142,8 @@ class QueryEngine:
             return self.execute_batch_streams(
                 queries, plan, streams(), single=single
             )
-        # Hashed once per batch, on the first block's scoring call.
-        infos = functools.cache(probe_infos)
         return self.execute_batch_ordered(
-            queries,
-            plan,
-            table,
-            lambda rows: _bucket_scores(prober, table, infos()[rows]),
-            single=single,
+            queries, plan, prober, table, probe_infos, single=single
         )
 
     def execute_batch_streams(
@@ -1112,28 +1190,31 @@ class QueryEngine:
         self,
         queries: np.ndarray,
         plan: QueryPlan,
+        prober: BucketProber,
         table: RankedTable,
-        scores: Callable[[slice], np.ndarray],
+        probe_infos: Callable[[], Sequence[tuple[int, np.ndarray]]],
         *,
         single: bool = False,
     ) -> list[SearchResult]:
-        """Batched execution from per-block bucket score matrices.
+        """Batched execution from ranked bucket prefixes.
 
         The fast path behind ``search_batch`` and
-        ``DynamicHashIndex.search``: ``scores(rows)``, called inside the
-        retrieve span once per block of :data:`_SCORE_BLOCK` rows,
-        returns the block's matrix, whose column ``j`` scores the
-        ``j``-th bucket slot of ``table.dense_layout()`` (signatures
-        ascending).  Every query's probe order is ascending
-        ``(score, bucket signature)`` — the order the sorting probers
-        (and, over occupied buckets, GQR) produce — so a block's bucket
-        orders come from one vectorised argsort instead of a generator
-        walk per row, and the whole batch's candidates from one
-        cumulative-sum gather.  Blocking bounds the score and order
-        temporaries, which grow with rows × occupied buckets; each row's
-        order and cut do not depend on its block.  Each row's counts
-        come from the ids actually gathered, so slots of size 0 (a
-        dynamic table's emptied buckets) are not counted as probed.
+        ``DynamicHashIndex.search``.  Inside the retrieve span, blocks
+        of :data:`_SCORE_BLOCK` rows are ranked by
+        :func:`_ranked_prefixes` (``probe_infos()``, called once, gives
+        each row's ``(signature, flip_costs)``): every query's probe
+        order is ascending ``(score, bucket signature)`` over the
+        slots of ``table.dense_layout()`` — the order the sorting
+        probers (and, over occupied buckets, GQR) produce.  Rows a
+        certified generation-tree prefix ranks are never scored; the
+        others get one ``batch_scores`` call per block and a vectorised
+        argsort instead of a generator walk per row.  The whole batch's
+        candidates come from one cumulative-sum gather.  Blocking
+        bounds the score and order temporaries, which grow with rows ×
+        occupied buckets; each row's order and cut do not depend on its
+        block.  Each row's counts come from the ids actually gathered,
+        so slots of size 0 (a dynamic table's emptied buckets) are not
+        counted as probed.
         """
         budget = plan.n_candidates
         if budget is None:
@@ -1141,16 +1222,12 @@ class QueryEngine:
 
         def gather(contexts: list[ExecutionContext]) -> Gathered:
             with obs.span("retrieve") as retrieve:
-                signatures, sizes = table.dense_layout()[:2]
+                infos = probe_infos()
                 probed_slots: list[np.ndarray] = []
                 block_stops: list[np.ndarray] = []
                 for lo in range(0, len(queries), _SCORE_BLOCK):
-                    order, cumulative = _probe_prefix(
-                        scores(slice(lo, lo + _SCORE_BLOCK)),
-                        signatures, sizes, budget,
-                    )
-                    stops = np.minimum(
-                        (cumulative < budget).sum(axis=1), order.shape[1] - 1
+                    order, _, _, stops = _ranked_prefixes(
+                        prober, table, infos[lo:lo + _SCORE_BLOCK], budget
                     )
                     # Each row's probed prefix: its order up to the stop.
                     probed_slots.append(order[

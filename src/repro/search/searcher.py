@@ -46,8 +46,7 @@ from repro.search.engine import (
     Gathered,
     QueryEngine,
     QueryPlan,
-    _bucket_scores,
-    _probe_prefix,
+    _ranked_prefixes,
     _record_retrieval,
     round_robin_stream,
     top_k,
@@ -209,12 +208,17 @@ class HashIndex:
         tables — the cost axis of the paper's Figure 12 comparison
         (single-table GQR vs multi-table GHR).  ``screen`` is the
         evaluator's float32 copy of ``data`` (0 when it keeps none:
-        see :class:`~repro.search.engine.ExactEvaluator`).
+        see :class:`~repro.search.engine.ExactEvaluator`).  ``ranking``
+        is what the tables cache for ranked reads — dense layout,
+        bucket bits and complement, slot table
+        (:meth:`~repro.index.hash_table.HashTable.ranking_bytes`); 0
+        before the first.
         """
         return {
             "data": int(self._data.nbytes),
             "screen": self._exact.screen_bytes,
             "tables": int(sum(t.memory_bytes() for t in self._tables)),
+            "ranking": int(sum(t.ranking_bytes() for t in self._tables)),
             "num_tables": len(self._tables),
         }
 
@@ -311,9 +315,11 @@ class HashIndex:
         rows issue exactly one projection/encode call per table
         (:meth:`BinaryHasher.probe_info_batch`).  For probers with
         vectorised bucket scoring (HR, QR, GQR) on a single table, the
-        per-query probe orders additionally come from shared score
-        matrices, scored 64 rows at a time, and the candidate gather is
-        one vectorised pass.  Exact evaluation of a multi-row batch is
+        per-query probe orders are ranked 64 rows at a time: QR and GQR
+        rows from a certified prefix of the generation tree, and the
+        rows it does not certify (and HR's) from a shared score matrix
+        over every bucket; the candidate gather is one vectorised pass.
+        Exact evaluation of a multi-row batch is
         one ragged kernel over every query's own candidate segment (no
         union, no per-query distance call), screened in float32 so that
         only candidates that could rank are scored in float64.  Results
@@ -436,16 +442,17 @@ class HashIndex:
         The scan is the ``gather`` of the engine's one body
         (:meth:`QueryEngine.run`), which ranks the distances it returns
         and times, samples and records the query like any other.  Only
-        occupied buckets are visited.  One ``batch_scores`` row scores
-        them all and the engine's probe-order prefix for the candidate
-        cap ranks them — GQR's order over occupied buckets — with the
-        bounds sorted, so the first bucket past the limit is a
-        ``searchsorted``.  Buckets are taken in chunks of growing
-        candidate count, gathered in one pass and scored with one
-        distance call, which may read a candidate beyond the limit as
-        ``inf`` (the evaluator's float32 screen).  Every bucket in a
-        chunk passed the bound
-        against the limit known before the chunk; with ``k`` given the
+        occupied buckets are visited.  The engine ranks them in GQR's
+        order over occupied buckets up to the bucket that reaches the
+        cap (:func:`~repro.search.engine._ranked_prefixes`: a certified
+        generation-tree prefix, else one ``batch_scores`` row), and
+        their QDs give the bounds, sorted, so the first bucket past the
+        limit is a ``searchsorted``.  Buckets are taken in chunks of
+        growing candidate count, gathered in one pass and scored with
+        one distance call, which may read a candidate beyond the limit
+        as ``inf`` (the evaluator's float32 screen).  Every bucket in a
+        chunk passed the bound against the limit known before the
+        chunk; with ``k`` given the
         limit can only fall inside it, and :func:`_first_stop` finds
         where.  The probed buckets, counters and distances are those of
         visiting one bucket at a time.
@@ -463,15 +470,12 @@ class HashIndex:
         def gather(contexts: list[ExecutionContext]) -> Gathered:
             ctx = contexts[0]
             with obs.span("retrieve") as retrieve:
-                scores = _bucket_scores(
-                    prober, table, [hasher.probe_info(query)]
+                order, cumulative, scores, stops = _ranked_prefixes(
+                    prober, table, [hasher.probe_info(query)], cap
                 )
-                signatures, sizes = table.dense_layout()[:2]
-                order, cumulative = _probe_prefix(
-                    scores, signatures, sizes, cap
-                )
-                order, cumulative = order[0], cumulative[0]
-                bounds = mu * scores[0, order]
+                end = int(stops[0]) + 1
+                order, cumulative = order[0, :end], cumulative[0, :end]
+                bounds = mu * scores[0, :end]
             with obs.span("dedup_budget") as cut:
                 kept_ids = np.empty(0, dtype=np.int64)
                 kept_dists = np.empty(0, dtype=np.float64)

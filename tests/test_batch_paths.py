@@ -5,11 +5,13 @@
   not the batch's retrieval span split evenly across the rows.
 * ``search_batch`` over an index with no items (a pre-fitted hasher
   over an empty array) answers every row with an empty result.
-* The ordered kernel scores and orders buckets in blocks of
-  ``engine._SCORE_BLOCK`` rows: batches on either side of a block edge
-  answer every row as that row alone does, counters included, with one
-  bucket-scoring call per block; and a 256-row batch never holds a
-  whole-batch score matrix.
+* The ordered kernel ranks buckets in blocks of ``engine._SCORE_BLOCK``
+  rows: batches on either side of a block edge answer every row as
+  that row alone does, counters included.  Each block is ranked from
+  one generation-tree prefix, and only the rows it leaves uncertified
+  are scored, in one bucket-scoring call; with the certificate
+  defeated that is one call per block over all its rows.  A 256-row
+  batch never holds a whole-batch score matrix.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.core.tree_prefix import TreePrefix
 from repro.data import gaussian_mixture, sample_queries
 from repro.hashing import ITQ
 from repro.search import HashIndex
@@ -61,33 +64,79 @@ def test_empty_index_batch_returns_empty_results():
 
 @pytest.fixture(scope="module")
 def block_index():
-    data = gaussian_mixture(3000, 16, n_clusters=12, seed=8)
+    # Unclustered items fill most of the 1,024 buckets, so blocks rank
+    # from a generation-tree prefix.  At the data mean every flip cost
+    # is 0 and every QD ties: those rows fall back to score rows.
+    data = np.random.default_rng(8).standard_normal((6000, 16))
     index = HashIndex(ITQ(code_length=10, seed=0), data)
-    return index, sample_queries(data, 256, seed=2)
+    queries = sample_queries(data, 256, seed=2)
+    queries[[5, 70, 71, 200]] = data.mean(axis=0)
+    return index, queries
 
 
-@pytest.mark.parametrize("rows", [1, 63, 64, 65, 129, 256])
-def test_score_blocks_match_rows_run_alone(block_index, rows, monkeypatch):
-    index, queries = block_index
-    calls = []
+def _spy_ranking(index, monkeypatch, defeat=False):
+    """Record each block's uncertified rows and each scoring call's rows.
+
+    With ``defeat`` the tree prefix certifies no row.
+    """
+    uncertified, scored = [], []
+    rank = TreePrefix.rank
+
+    def spy_rank(self, query_signatures, *args):
+        ranked = rank(self, query_signatures, *args)
+        if defeat:
+            ranked = ranked._replace(
+                certified=np.zeros_like(ranked.certified)
+            )
+        uncertified.append(query_signatures[~ranked.certified].tolist())
+        return ranked
+
     batch_scores = index.prober.batch_scores
 
-    def spy(*args):
-        scores = batch_scores(*args)
-        calls.append(len(scores))
-        return scores
+    def spy_scores(*args):
+        scored.append(args[2].tolist())  # the scored rows' signatures
+        return batch_scores(*args)
 
-    monkeypatch.setattr(index.prober, "batch_scores", spy)
-    batch = index.search_batch(queries[:rows], k=7, n_candidates=120)
-    assert calls == [
-        min(_SCORE_BLOCK, rows - lo) for lo in range(0, rows, _SCORE_BLOCK)
-    ]
-    for query, got in zip(queries[:rows], batch, strict=True):
+    monkeypatch.setattr(TreePrefix, "rank", spy_rank)
+    monkeypatch.setattr(index.prober, "batch_scores", spy_scores)
+    return uncertified, scored
+
+
+def _assert_rows_alone(index, queries, batch):
+    for query, got in zip(queries, batch, strict=True):
         [alone] = index.search_batch(query[np.newaxis], k=7, n_candidates=120)
         assert got.ids.tobytes() == alone.ids.tobytes()
         assert got.distances.tobytes() == alone.distances.tobytes()
         assert got.n_candidates == alone.n_candidates
         assert got.n_buckets_probed == alone.n_buckets_probed
+
+
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 129, 256])
+def test_score_blocks_match_rows_run_alone(block_index, rows, monkeypatch):
+    index, queries = block_index
+    uncertified, scored = _spy_ranking(index, monkeypatch)
+    batch = index.search_batch(queries[:rows], k=7, n_candidates=120)
+    # One tree ranking per block; a scoring call only for the rows it
+    # left uncertified, which include every row at the data mean.
+    assert len(uncertified) == len(range(0, rows, _SCORE_BLOCK))
+    assert scored == [block for block in uncertified if block]
+    infos = index._hashers[0].probe_info_batch(queries[:rows])
+    at_mean = {infos[row][0] for row in (5, 70, 71, 200) if row < rows}
+    assert at_mean <= {sig for block in uncertified for sig in block}
+    assert sum(map(len, scored)) < rows / 2  # the tree ranks most rows
+    _assert_rows_alone(index, queries[:rows], batch)
+
+
+@pytest.mark.parametrize("rows", [63, 65, 256])
+def test_defeated_certificate_scores_every_row(block_index, rows, monkeypatch):
+    index, queries = block_index
+    uncertified, scored = _spy_ranking(index, monkeypatch, defeat=True)
+    batch = index.search_batch(queries[:rows], k=7, n_candidates=120)
+    assert [len(block) for block in scored] == [
+        min(_SCORE_BLOCK, rows - lo) for lo in range(0, rows, _SCORE_BLOCK)
+    ]
+    assert scored == uncertified
+    _assert_rows_alone(index, queries[:rows], batch)
 
 
 def test_batch_transient_stays_below_one_score_matrix():

@@ -1,5 +1,6 @@
 """Tests for index memory accounting."""
 
+import numpy as np
 import pytest
 
 from repro.data import gaussian_mixture
@@ -39,3 +40,26 @@ class TestMemoryFootprint:
         for metric in ("cosine", "angular"):
             index = HashIndex(ITQ(code_length=6, seed=0), data, metric=metric)
             assert index.memory_footprint()["screen"] == 0
+
+    def test_ranking_caches_count_after_the_first_ranked_read(self):
+        # Unclustered items fill most of the 1,024 buckets, so a batch
+        # ranks from the tree prefix (slot table) and scores the rows at
+        # the data mean, whose flip costs are all 0 (bucket bits).
+        data = np.random.default_rng(8).standard_normal((6000, 16))
+        index = HashIndex(ITQ(code_length=10, seed=0), data)
+        before = index.memory_footprint()
+        assert before["ranking"] == 0
+        queries = np.vstack([data[:8] + 0.01, data.mean(axis=0)])
+        index.search_batch(queries, 5, 100)
+        after = index.memory_footprint()
+        table = index.tables[0]
+        cached = (
+            sum(a.nbytes for a in table.dense_layout())
+            + sum(a.nbytes for a in table.bucket_bits()[1:])
+            + table.slot_table().nbytes
+        )
+        assert after["ranking"] == cached
+        assert table.slot_table().nbytes == 4 << 10
+        assert {key: after[key] for key in after if key != "ranking"} == {
+            key: before[key] for key in before if key != "ranking"
+        }
