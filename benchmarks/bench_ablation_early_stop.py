@@ -25,7 +25,7 @@ from repro.eval.reporting import format_table
 from repro.hashing import ITQ
 from repro.index.linear_scan import knn_linear_scan
 from repro.search.searcher import HashIndex
-from repro_bench import K, fitted_hasher, save_report, workload
+from repro_bench import CONTEXT, K, save_report
 
 
 def _run_early_stop(index, queries, k):
@@ -53,9 +53,9 @@ def test_ablation_early_stop(benchmark):
     tight_truth, _ = knn_linear_scan(tight_queries, tight_data, K)
 
     # Loose regime: the wide-cluster GIST1M stand-in.
-    dataset, _ = workload("GIST1M")
+    dataset, _ = CONTEXT.workload("GIST1M")
     loose_index = HashIndex(
-        fitted_hasher("GIST1M", "itq"), dataset.data, prober=GQR()
+        CONTEXT.hasher("GIST1M", "itq"), dataset.data, prober=GQR()
     )
     loose_queries = dataset.queries[:10]
     loose_results, _ = _run_early_stop(loose_index, loose_queries, K)

@@ -14,7 +14,7 @@ import numpy as np
 from repro.core.generation_tree import FlippingVectorGenerator
 from repro.core.quantization_distance import quantization_distances
 from repro.eval.reporting import format_table
-from repro_bench import fitted_hasher, save_report, workload
+from repro_bench import CONTEXT, save_report
 
 N_PROBES = 32
 
@@ -46,8 +46,8 @@ def lazy_bucket_order(signature, costs, n_probes):
 
 
 def test_ablation_lazy_generation_vs_full_sort(benchmark):
-    dataset, _ = workload("SIFT10M")
-    hasher = fitted_hasher("SIFT10M", "itq")
+    dataset, _ = CONTEXT.workload("SIFT10M")
+    hasher = CONTEXT.hasher("SIFT10M", "itq")
     m = dataset.code_length
     probe_infos = [hasher.probe_info(q) for q in dataset.queries]
 

@@ -12,7 +12,7 @@ from repro.core.generation_tree import SharedGenerationTree
 from repro.core.gqr import GQR
 from repro.eval.reporting import format_table
 from repro.index.hash_table import HashTable
-from repro_bench import fitted_hasher, save_report, workload
+from repro_bench import CONTEXT, save_report
 
 N_PROBES = 256
 
@@ -28,8 +28,8 @@ def _drain(prober, table, probe_infos):
 
 
 def test_ablation_shared_generation_tree(benchmark):
-    dataset, _ = workload("SIFT10M")
-    hasher = fitted_hasher("SIFT10M", "itq")
+    dataset, _ = CONTEXT.workload("SIFT10M")
+    hasher = CONTEXT.hasher("SIFT10M", "itq")
     table = HashTable(hasher.encode(dataset.data))
     probe_infos = [hasher.probe_info(q) for q in dataset.queries]
 

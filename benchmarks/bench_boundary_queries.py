@@ -17,15 +17,15 @@ from repro.eval.harness import recall_at_budgets
 from repro.eval.reporting import format_table
 from repro.probing import GenerateHammingRanking
 from repro.search.searcher import HashIndex
-from repro_bench import K, fitted_hasher, save_report, workload
+from repro_bench import CONTEXT, K, save_report
 
 DATASET = "SIFT10M"
 N_QUERIES = 60
 
 
 def test_boundary_vs_interior_queries(benchmark):
-    dataset, _ = workload(DATASET)
-    hasher = fitted_hasher(DATASET, "itq")
+    dataset, _ = CONTEXT.workload(DATASET)
+    hasher = CONTEXT.hasher(DATASET, "itq")
     data = dataset.data
 
     pool = in_distribution_queries(data, 4 * N_QUERIES, seed=5)

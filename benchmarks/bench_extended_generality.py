@@ -12,7 +12,7 @@ from repro.eval.reporting import format_table
 from repro.hashing import ITQ, KMeansHashing, PCAHashing, SpectralHashing
 from repro.probing import GenerateHammingRanking
 from repro.search.searcher import HashIndex
-from repro_bench import K, save_report, workload
+from repro_bench import CONTEXT, K, save_report
 
 DATASET = "GIST1M"
 BUDGET_POINTS = [200, 800]
@@ -31,7 +31,7 @@ def build_hashers(m):
 
 
 def test_extended_generality(benchmark):
-    dataset, truth = workload(DATASET)
+    dataset, truth = CONTEXT.workload(DATASET)
     data = dataset.data
     queries = dataset.queries[:60]
     truth = truth[:60]

@@ -7,48 +7,13 @@ C(20, r) series the figure plots plus the *occupied*-bucket histogram of
 a real table, and benchmark ring enumeration.
 """
 
-import math
-
-import numpy as np
-
-from repro.eval.reporting import format_table
-from repro.index.codes import hamming_distance
-from repro.index.hash_table import HashTable
-from repro.probing.ghr import hamming_ring_signatures
-from repro_bench import fitted_hasher, save_report, workload
+from repro_bench import run_exhibit
 
 
 def test_fig02_buckets_per_hamming_ring(benchmark):
-    m = 20
-    theoretical = [math.comb(m, r) for r in range(m + 1)]
-
-    # Empirical occupied-bucket histogram on the SIFT10M stand-in.
-    dataset, _ = workload("SIFT10M")
-    hasher = fitted_hasher("SIFT10M", "itq")
-    table = HashTable(hasher.encode(dataset.data))
-    signature, _ = hasher.probe_info(dataset.queries[0])
-    buckets = np.fromiter(table.signatures(), dtype=np.int64)
-    dists = hamming_distance(buckets, np.int64(signature))
-    occupied = np.bincount(dists, minlength=table.code_length + 1)
-
-    def enumerate_rings():
-        total = 0
-        for r in range(6):
-            total += sum(1 for _ in hamming_ring_signatures(0, m, r))
-        return total
-
-    enumerated = benchmark.pedantic(enumerate_rings, rounds=1, iterations=1)
-    assert enumerated == sum(theoretical[:6])
-
-    rows = [
-        [r, theoretical[r],
-         int(occupied[r]) if r < len(occupied) else 0]
-        for r in range(m + 1)
-    ]
-    save_report(
-        "fig02_bucket_counts",
-        format_table(["hamming r", "C(20, r) buckets", "occupied (SIFT10M)"], rows),
-    )
+    counts = run_exhibit(benchmark, "fig02")
+    theoretical = counts.theoretical
+    assert counts.enumerated == sum(theoretical[:6])
 
     # The figure's point: the ring population explodes combinatorially.
     assert theoretical[10] == 184756

@@ -10,22 +10,23 @@ both series.
 from repro.eval.harness import sweep_budgets
 from repro.eval.metrics import precision
 from repro.eval.reporting import format_table
+from repro.experiments import budget_sweep
 from repro.probing import HammingRanking
 from repro.search.searcher import HashIndex
-from repro_bench import K, budget_sweep, fitted_hasher, save_report, workload
+from repro_bench import CONTEXT, K, save_report
 
 CODE_LENGTHS = [12, 24, 48]  # the paper doubles 16/32/64; 48 < our 63-bit cap
 
 
 def test_fig04_hr_code_length(benchmark):
-    dataset, truth = workload("CIFAR60K")
+    dataset, truth = CONTEXT.workload("CIFAR60K")
     budgets = budget_sweep(len(dataset.data), top_fraction=0.5)
 
     curves = {}
 
     def run_all():
         for m in CODE_LENGTHS:
-            hasher = fitted_hasher("CIFAR60K", "itq", code_length=m)
+            hasher = CONTEXT.hasher("CIFAR60K", "itq", code_length=m)
             index = HashIndex(hasher, dataset.data, prober=HammingRanking())
             curves[m] = sweep_budgets(
                 index, dataset.queries, truth, K, budgets

@@ -6,44 +6,12 @@ the gap widens with dataset size (more buckets to sort).  We sweep both
 and compare time at the smallest budget.
 """
 
-from repro.core.gqr import GQR
-from repro.core.qd_ranking import QDRanking
-from repro.eval.reporting import format_curves
-from repro.search.searcher import HashIndex
-from repro_bench import (
-    K,
-    MAIN_NAMES,
-    budget_sweep,
-    fitted_hasher,
-    save_report,
-    timed_sweep,
-    workload,
-)
+from repro.experiments.figures import MAIN_NAMES
+from repro_bench import run_exhibit
 
 
 def test_fig06_qr_vs_gqr(benchmark):
-    results = {}
-
-    def run_all():
-        for name in MAIN_NAMES:
-            dataset, truth = workload(name)
-            hasher = fitted_hasher(name, "itq")
-            budgets = budget_sweep(len(dataset.data))
-            curves = {}
-            for label, prober in (("GQR", GQR()), ("QR", QDRanking())):
-                index = HashIndex(hasher, dataset.data, prober=prober)
-                curves[label] = timed_sweep(
-                    index, dataset.queries, truth, K, budgets, repeats=2
-                )
-            results[name] = curves
-
-    benchmark.pedantic(run_all, rounds=1, iterations=1)
-
-    sections = []
-    for name, curves in results.items():
-        sections.append(f"--- {name} ---")
-        sections.append(format_curves(curves))
-    save_report("fig06_qr_vs_gqr", "\n".join(sections))
+    results = run_exhibit(benchmark, "fig06")
 
     # Identical probe order => identical recall at every budget.
     for curves in results.values():

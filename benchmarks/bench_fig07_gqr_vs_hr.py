@@ -5,53 +5,12 @@ all four datasets, because QD directs probing to better buckets and
 generate-to-probe removes the sort-everything start-up cost.
 """
 
-from repro.core.gqr import GQR
 from repro.eval.harness import time_to_recall
-from repro.eval.plotting import plot_recall_time
-from repro.eval.reporting import format_curves, format_table
-from repro.probing import GenerateHammingRanking, HammingRanking
-from repro.search.searcher import HashIndex
-from repro_bench import (
-    K,
-    MAIN_NAMES,
-    budget_sweep,
-    fitted_hasher,
-    save_report,
-    timed_sweep,
-    workload,
-)
-
-PROBERS = {
-    "GQR": GQR,
-    "GHR": GenerateHammingRanking,
-    "HR": HammingRanking,
-}
+from repro_bench import run_exhibit
 
 
-def sweep_three_probers(name, algo="itq", k=K):
-    """Recall-time curves of GQR/GHR/HR on one dataset (shared by the
-    PCAH and SH figure benches)."""
-    dataset, truth = workload(name, k)
-    hasher = fitted_hasher(name, algo)
-    budgets = budget_sweep(len(dataset.data))
-    curves = {}
-    for label, factory in PROBERS.items():
-        index = HashIndex(hasher, dataset.data, prober=factory())
-        curves[label] = timed_sweep(
-            index, dataset.queries, truth, k, budgets, repeats=2
-        )
-    return curves
-
-
-def assert_gqr_dominates(results, report_name):
-    """Shared qualitative checks + report for Figures 7/13/15."""
-    sections = []
-    for name, curves in results.items():
-        sections.append(f"--- {name} ---")
-        sections.append(plot_recall_time(curves))
-        sections.append(format_curves(curves))
-    save_report(report_name, "\n".join(sections))
-
+def assert_gqr_dominates(results):
+    """Shared qualitative checks for Figures 7/13/15."""
     for name, curves in results.items():
         # GQR reaches equal-or-higher recall at every shared budget.
         for gqr_point, ghr_point in zip(curves["GQR"], curves["GHR"]):
@@ -69,25 +28,4 @@ def assert_gqr_dominates(results, report_name):
 
 
 def test_fig07_gqr_vs_hamming(benchmark):
-    results = {}
-
-    def run_all():
-        for name in MAIN_NAMES:
-            results[name] = sweep_three_probers(name)
-
-    benchmark.pedantic(run_all, rounds=1, iterations=1)
-    assert_gqr_dominates(results, "fig07_gqr_vs_hr_itq")
-
-    summary = [
-        [
-            name,
-            round(time_to_recall(curves["HR"], 0.8), 4),
-            round(time_to_recall(curves["GHR"], 0.8), 4),
-            round(time_to_recall(curves["GQR"], 0.8), 4),
-        ]
-        for name, curves in results.items()
-    ]
-    save_report(
-        "fig07_summary_time_to_80",
-        format_table(["dataset", "HR@80%", "GHR@80%", "GQR@80%"], summary),
-    )
+    assert_gqr_dominates(run_exhibit(benchmark, "fig07"))

@@ -6,61 +6,23 @@ evaluation to better buckets.  This is a wall-clock-free claim, so it is
 the most robust of the paper's comparisons.
 """
 
-from repro.core.gqr import GQR
-from repro.eval.harness import recall_at_budgets
-from repro.eval.reporting import format_table
-from repro.probing import GenerateHammingRanking
-from repro.search.searcher import HashIndex
-from repro_bench import (
-    MAIN_NAMES,
-    budget_sweep,
-    fitted_hasher,
-    save_report,
-    workload,
-)
+from repro.experiments.figures import MAIN_NAMES
+from repro_bench import run_exhibit
 
 
 def test_fig08_recall_vs_items(benchmark):
-    results = {}
-
-    def run_all():
-        for name in MAIN_NAMES:
-            dataset, truth = workload(name)
-            hasher = fitted_hasher(name, "itq")
-            budgets = budget_sweep(len(dataset.data), n_points=8)
-            gqr = recall_at_budgets(
-                HashIndex(hasher, dataset.data, prober=GQR()),
-                dataset.queries, truth, budgets,
-            )
-            ghr = recall_at_budgets(
-                HashIndex(
-                    hasher, dataset.data, prober=GenerateHammingRanking()
-                ),
-                dataset.queries, truth, budgets,
-            )
-            results[name] = (budgets, gqr, ghr)
-
-    benchmark.pedantic(run_all, rounds=1, iterations=1)
-
-    sections = []
-    for name, (_budgets, gqr, ghr) in results.items():
-        rows = [
-            [b, round(g, 4), round(h, 4)]
-            for b, g, h in zip(budgets, gqr, ghr)
-        ]
-        sections.append(f"--- {name} ---")
-        sections.append(format_table(["# items", "GQR", "GHR & HR"], rows))
-    save_report("fig08_recall_items", "\n".join(sections))
+    results = run_exhibit(benchmark, "fig08")
 
     # GQR >= GHR at every item budget, on every dataset.
-    for name, (budgets, gqr, ghr) in results.items():
-        for g, h in zip(gqr, ghr):
+    for name, (_, series) in results.items():
+        for g, h in zip(series["GQR"], series["GHR & HR"]):
             assert g >= h - 0.02, name
 
     # The quality gap widens with dataset size: compare the mid-budget
     # advantage on the smallest vs the largest dataset.
     def mid_gap(entry):
-        _, gqr, ghr = entry
+        _, series = entry
+        gqr, ghr = series["GQR"], series["GHR & HR"]
         mid = len(gqr) // 2
         return gqr[mid] - ghr[mid]
 

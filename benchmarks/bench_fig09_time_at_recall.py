@@ -5,44 +5,20 @@ same bar-chart values (seconds per method per target) for the four main
 datasets with ITQ.
 """
 
-from bench_fig07_gqr_vs_hr import sweep_three_probers
-from repro.eval.harness import time_to_recall
-from repro.eval.reporting import format_table
-from repro_bench import MAIN_NAMES, save_report
-
-TARGETS = [0.80, 0.85, 0.90, 0.95]
+from repro_bench import run_exhibit
 
 
 def test_fig09_time_at_typical_recalls(benchmark):
-    results = {}
+    results = run_exhibit(benchmark, "fig09")
 
-    def run_all():
-        for name in MAIN_NAMES:
-            results[name] = sweep_three_probers(name)
-
-    benchmark.pedantic(run_all, rounds=1, iterations=1)
-
-    sections = []
     wins = 0
     cells = 0
-    for name, curves in results.items():
-        rows = []
-        for target in TARGETS:
-            times = {
-                label: time_to_recall(curve, target)
-                for label, curve in curves.items()
-            }
-            rows.append(
-                [f"{target:.0%}"]
-                + [round(times[label], 4) for label in ("HR", "GHR", "GQR")]
-            )
+    for table in results.values():
+        for times in table.values():
             if all(t != float("inf") for t in times.values()):
                 cells += 1
                 if times["GQR"] <= min(times["HR"], times["GHR"]) * 1.10:
                     wins += 1
-        sections.append(f"--- {name} ---")
-        sections.append(format_table(["recall", "HR", "GHR", "GQR"], rows))
-    save_report("fig09_time_at_recall", "\n".join(sections))
 
     # GQR is the fastest (within 10% timing tolerance) in the majority
     # of reachable cells.  Wall-clock points here are ~10 ms, so the

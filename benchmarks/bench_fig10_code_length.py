@@ -7,18 +7,12 @@ around each stand-in's default and print time-to-90% per method.
 """
 
 from repro.core.gqr import GQR
-from repro.eval.harness import time_to_recall
+from repro.eval.harness import time_to_recall, timed_sweep
 from repro.eval.reporting import format_table
+from repro.experiments import budget_sweep
 from repro.probing import GenerateHammingRanking, HammingRanking
 from repro.search.searcher import HashIndex
-from repro_bench import (
-    K,
-    budget_sweep,
-    fitted_hasher,
-    save_report,
-    timed_sweep,
-    workload,
-)
+from repro_bench import CONTEXT, K, save_report
 
 DATASETS = ["TINY5M", "SIFT10M"]
 TARGET = 0.90
@@ -29,11 +23,11 @@ def test_fig10_code_length_effect(benchmark):
 
     def run_all():
         for name in DATASETS:
-            dataset, truth = workload(name)
+            dataset, truth = CONTEXT.workload(name)
             base = dataset.code_length
             per_m = {}
             for m in (base - 3, base, base + 3):
-                hasher = fitted_hasher(name, "itq", code_length=m)
+                hasher = CONTEXT.hasher(name, "itq", code_length=m)
                 budgets = budget_sweep(len(dataset.data), top_fraction=0.5)
                 times = {}
                 for label, prober in (

@@ -6,17 +6,12 @@ k.  We print the speedup series for both stand-ins.
 """
 
 from repro.core.gqr import GQR
-from repro.eval.harness import speedup_at_recall
+from repro.eval.harness import speedup_at_recall, timed_sweep
 from repro.eval.reporting import format_table
+from repro.experiments import budget_sweep
 from repro.probing import GenerateHammingRanking, HammingRanking
 from repro.search.searcher import HashIndex
-from repro_bench import (
-    budget_sweep,
-    fitted_hasher,
-    save_report,
-    timed_sweep,
-    workload,
-)
+from repro_bench import CONTEXT, save_report
 
 DATASETS = ["TINY5M", "SIFT10M"]
 KS = [1, 10, 50, 100]
@@ -30,8 +25,8 @@ def test_fig11_speedup_vs_k(benchmark):
         for name in DATASETS:
             per_k = {}
             for k in KS:
-                dataset, truth = workload(name, k)
-                hasher = fitted_hasher(name, "itq")
+                dataset, truth = CONTEXT.workload(name, k)
+                hasher = CONTEXT.hasher(name, "itq")
                 budgets = budget_sweep(len(dataset.data), top_fraction=0.5)
                 curves = {}
                 for label, prober in (

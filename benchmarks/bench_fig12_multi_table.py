@@ -10,10 +10,11 @@ memory-for-quality trade the figure makes.
 from repro.core.gqr import GQR
 from repro.eval.harness import recall_at_budgets
 from repro.eval.reporting import format_table
+from repro.experiments import budget_sweep
 from repro.hashing import ITQ
 from repro.probing import GenerateHammingRanking
 from repro.search.searcher import HashIndex
-from repro_bench import budget_sweep, fitted_hasher, save_report, workload
+from repro_bench import CONTEXT, save_report
 
 DATASETS = ["TINY5M", "SIFT10M"]
 TABLE_COUNTS = [1, 4, 8]
@@ -24,11 +25,11 @@ def test_fig12_multi_table_ghr_vs_single_gqr(benchmark):
 
     def run_all():
         for name in DATASETS:
-            dataset, truth = workload(name)
+            dataset, truth = CONTEXT.workload(name)
             budgets = budget_sweep(len(dataset.data), n_points=5)
             series = {}
             gqr_index = HashIndex(
-                fitted_hasher(name, "itq"), dataset.data, prober=GQR()
+                CONTEXT.hasher(name, "itq"), dataset.data, prober=GQR()
             )
             series["GQR (1)"] = recall_at_budgets(
                 gqr_index, dataset.queries, truth, budgets

@@ -5,34 +5,9 @@ the strongest generality test, since QD here is computed on sinusoid
 eigenfunction values rather than hyperplane margins.
 """
 
-from bench_fig07_gqr_vs_hr import assert_gqr_dominates, sweep_three_probers
-from repro.eval.harness import time_to_recall
-from repro.eval.reporting import format_table
-from repro_bench import MAIN_NAMES, save_report
-
-TARGETS = [0.80, 0.85, 0.90, 0.95]
+from bench_fig07_gqr_vs_hr import assert_gqr_dominates
+from repro_bench import run_exhibit
 
 
 def test_fig15_16_sh(benchmark):
-    results = {}
-
-    def run_all():
-        for name in MAIN_NAMES:
-            results[name] = sweep_three_probers(name, algo="sh")
-
-    benchmark.pedantic(run_all, rounds=1, iterations=1)
-    assert_gqr_dominates(results, "fig15_gqr_vs_hr_sh")
-
-    sections = []
-    for name, curves in results.items():
-        rows = [
-            [f"{t:.0%}"]
-            + [
-                round(time_to_recall(curves[label], t), 4)
-                for label in ("HR", "GHR", "GQR")
-            ]
-            for t in TARGETS
-        ]
-        sections.append(f"--- {name} ---")
-        sections.append(format_table(["recall", "HR", "GHR", "GQR"], rows))
-    save_report("fig16_time_at_recall_sh", "\n".join(sections))
+    assert_gqr_dominates(run_exhibit(benchmark, "fig15"))

@@ -8,68 +8,11 @@ advanced learning algorithms".  (SIFT1M replaces SIFT10M as in the
 paper, where OPQ ran out of memory.)
 """
 
-import numpy as np
-
-from repro.core.gqr import GQR
-from repro.eval.harness import recall_at_budgets
-from repro.eval.reporting import format_table
-from repro.probing import GenerateHammingRanking
-from repro.quantization.opq import OptimizedProductQuantizer
-from repro.search.searcher import HashIndex, IMISearchIndex
-from repro_bench import budget_sweep, fitted_hasher, save_report, workload
-
-DATASETS = ["CIFAR60K", "GIST1M", "TINY5M", "SIFT1M"]
-
-
-def build_opq_imi(dataset):
-    """OPQ sized so IMI cells hold ~EP items, matching the hash tables."""
-    n_centroids = max(8, int(np.sqrt(len(dataset.data) / 10)) + 1)
-    opq = OptimizedProductQuantizer(
-        n_subspaces=2,
-        n_centroids=n_centroids,
-        n_iterations=4,
-        kmeans_iterations=10,
-        seed=0,
-    ).fit(dataset.data)
-    return IMISearchIndex(opq, dataset.data)
+from repro_bench import run_exhibit
 
 
 def test_fig17_pcah_gqr_vs_opq_imi(benchmark):
-    results = {}
-
-    def run_all():
-        for name in DATASETS:
-            dataset, truth = workload(name)
-            budgets = budget_sweep(len(dataset.data), n_points=5)
-            hasher = fitted_hasher(name, "pcah")
-            series = {
-                "PCAH+GQR": recall_at_budgets(
-                    HashIndex(hasher, dataset.data, prober=GQR()),
-                    dataset.queries, truth, budgets,
-                ),
-                "PCAH+GHR": recall_at_budgets(
-                    HashIndex(
-                        hasher, dataset.data, prober=GenerateHammingRanking()
-                    ),
-                    dataset.queries, truth, budgets,
-                ),
-                "OPQ+IMI": recall_at_budgets(
-                    build_opq_imi(dataset), dataset.queries, truth, budgets
-                ),
-            }
-            results[name] = (budgets, series)
-
-    benchmark.pedantic(run_all, rounds=1, iterations=1)
-
-    sections = []
-    for name, (budgets, series) in results.items():
-        rows = [
-            [b] + [round(series[label][i], 4) for label in series]
-            for i, b in enumerate(budgets)
-        ]
-        sections.append(f"--- {name} (recall at item budget) ---")
-        sections.append(format_table(["# items"] + list(series), rows))
-    save_report("fig17_opq_imi", "\n".join(sections))
+    results = run_exhibit(benchmark, "fig17")
 
     # NOTE on the expected shape: our synthetic stand-ins are Gaussian
     # mixtures — the best case for k-means codebooks — so OPQ+IMI is

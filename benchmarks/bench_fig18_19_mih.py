@@ -8,19 +8,12 @@ ITQ (Fig. 18) and PCAH (Fig. 19) on two datasets each.
 """
 
 from repro.core.gqr import GQR
-from repro.eval.harness import time_to_recall
+from repro.eval.harness import time_to_recall, timed_sweep
 from repro.eval.reporting import format_curves
+from repro.experiments import budget_sweep
 from repro.probing import GenerateHammingRanking
 from repro.search.searcher import HashIndex, MIHSearchIndex
-from repro_bench import (
-    K,
-    budget_sweep,
-    curves_recall_at_items,
-    fitted_hasher,
-    save_report,
-    timed_sweep,
-    workload,
-)
+from repro_bench import CONTEXT, K, curves_recall_at_items, save_report
 
 DATASETS = ["GIST1M", "SIFT10M"]
 
@@ -28,8 +21,8 @@ DATASETS = ["GIST1M", "SIFT10M"]
 def _run(algo):
     results = {}
     for name in DATASETS:
-        dataset, truth = workload(name)
-        hasher = fitted_hasher(name, algo)
+        dataset, truth = CONTEXT.workload(name)
+        hasher = CONTEXT.hasher(name, algo)
         budgets = budget_sweep(len(dataset.data), n_points=5)
         curves = {
             "GQR": timed_sweep(

@@ -8,54 +8,12 @@ SIFT10M is skipped as in the paper (KMH training ran out of memory
 there); we use the remaining three stand-ins.
 """
 
-from repro.core.gqr import GQR
-from repro.eval.harness import recall_at_budgets
-from repro.eval.reporting import format_table
-from repro.probing import GenerateHammingRanking
-from repro.search.searcher import HashIndex
-from repro_bench import budget_sweep, fitted_hasher, save_report, workload
-
-DATASETS = ["CIFAR60K", "GIST1M", "TINY5M"]
+from repro_bench import run_exhibit
 
 
 def test_fig20_kmh_gqr_vs_ghr(benchmark):
-    results = {}
+    results = run_exhibit(benchmark, "fig20")
 
-    def run_all():
-        for name in DATASETS:
-            dataset, truth = workload(name)
-            hasher = fitted_hasher(name, "kmh")
-            budgets = budget_sweep(len(dataset.data), n_points=5)
-            results[name] = (
-                budgets,
-                {
-                    "GQR": recall_at_budgets(
-                        HashIndex(hasher, dataset.data, prober=GQR()),
-                        dataset.queries, truth, budgets,
-                    ),
-                    "GHR": recall_at_budgets(
-                        HashIndex(
-                            hasher,
-                            dataset.data,
-                            prober=GenerateHammingRanking(),
-                        ),
-                        dataset.queries, truth, budgets,
-                    ),
-                },
-            )
-
-    benchmark.pedantic(run_all, rounds=1, iterations=1)
-
-    sections = []
-    for name, (_budgets, series) in results.items():
-        rows = [
-            [b, round(series["GQR"][i], 4), round(series["GHR"][i], 4)]
-            for i, b in enumerate(budgets)
-        ]
-        sections.append(f"--- {name} (recall at item budget, KMH) ---")
-        sections.append(format_table(["# items", "GQR", "GHR"], rows))
-    save_report("fig20_kmh", "\n".join(sections))
-
-    for name, (budgets, series) in results.items():
+    for name, (_, series) in results.items():
         for g, h in zip(series["GQR"], series["GHR"]):
             assert g >= h - 0.02, name

@@ -6,13 +6,14 @@ comparable with OPQ + IMI in the majority of cases, with no clear
 winner in the rest.  Table 3's statistics are printed alongside.
 """
 
-from bench_fig17_opq_imi import build_opq_imi
 from repro.core.gqr import GQR
 from repro.data.datasets import APPENDIX_DATASETS
 from repro.eval.harness import recall_at_budgets
 from repro.eval.reporting import format_table
+from repro.experiments import budget_sweep
+from repro.experiments.figures import build_opq_imi
 from repro.search.searcher import HashIndex
-from repro_bench import budget_sweep, fitted_hasher, save_report, workload
+from repro_bench import CONTEXT, save_report
 
 DATASETS = [name for name in APPENDIX_DATASETS if name != "SIFT1M"]
 
@@ -47,18 +48,18 @@ def test_fig21_22_additional_datasets(benchmark):
 
     def run_all():
         for name in DATASETS:
-            dataset, truth = workload(name)
+            dataset, truth = CONTEXT.workload(name)
             budgets = budget_sweep(len(dataset.data), n_points=4)
             series = {
                 "ITQ+GQR": recall_at_budgets(
                     HashIndex(
-                        fitted_hasher(name, "itq"), dataset.data, prober=GQR()
+                        CONTEXT.hasher(name, "itq"), dataset.data, prober=GQR()
                     ),
                     dataset.queries, truth, budgets,
                 ),
                 "PCAH+GQR": recall_at_budgets(
                     HashIndex(
-                        fitted_hasher(name, "pcah"), dataset.data, prober=GQR()
+                        CONTEXT.hasher(name, "pcah"), dataset.data, prober=GQR()
                     ),
                     dataset.queries, truth, budgets,
                 ),

@@ -14,7 +14,7 @@ from repro.core.gqr import GQR
 from repro.eval.reporting import format_table
 from repro.probing import GenerateHammingRanking
 from repro.search.searcher import HashIndex
-from repro_bench import fitted_hasher, save_report, workload
+from repro_bench import CONTEXT, save_report
 
 DATASET = "SIFT10M"
 TARGETS = [0.5, 0.8, 0.9, 0.95]
@@ -46,8 +46,8 @@ def buckets_to_recall(index, queries, truth, targets):
 
 
 def test_io_cost_buckets_at_recall(benchmark):
-    dataset, truth = workload(DATASET)
-    hasher = fitted_hasher(DATASET, "itq")
+    dataset, truth = CONTEXT.workload(DATASET)
+    hasher = CONTEXT.hasher(DATASET, "itq")
     queries = dataset.queries[:60]
     truth = truth[:60]
 

@@ -13,15 +13,15 @@ from repro.eval.latency import latency_summary, measure_latencies
 from repro.eval.reporting import format_table
 from repro.probing import GenerateHammingRanking, HammingRanking
 from repro.search.searcher import HashIndex
-from repro_bench import K, fitted_hasher, save_report, workload
+from repro_bench import CONTEXT, K, save_report
 
 DATASET = "SIFT10M"
 BUDGET = 400
 
 
 def test_latency_tail(benchmark):
-    dataset, _ = workload(DATASET)
-    hasher = fitted_hasher(DATASET, "itq")
+    dataset, _ = CONTEXT.workload(DATASET)
+    hasher = CONTEXT.hasher(DATASET, "itq")
     probers = {
         "HR": HammingRanking(),
         "QR": QDRanking(),

@@ -8,58 +8,12 @@ must grow with dataset cardinality, which is the property the table
 motivates hashing with.
 """
 
-import time
-
-from repro.eval.reporting import format_table
-from repro.index.linear_scan import LinearScan
-from repro_bench import K, MAIN_NAMES, save_report, workload
+from repro_bench import run_exhibit
 
 
 def test_table1_linear_search(benchmark):
-    rows = []
-    times = {}
-    for name in MAIN_NAMES:
-        dataset, _ = workload(name)
-        scan = LinearScan(dataset.data)
-
-        def run(scan=scan, dataset=dataset):
-            return scan.search(dataset.queries, K)
-
-        if name == MAIN_NAMES[-1]:
-            benchmark.pedantic(run, rounds=1, iterations=1)
-        start = time.perf_counter()
-        run()
-        elapsed = time.perf_counter() - start
-        times[name] = elapsed
-        spec = dataset.spec
-        rows.append(
-            [
-                name,
-                spec.paper_dims,
-                f"{spec.paper_items:,}",
-                spec.scaled_dims,
-                f"{spec.scaled_items:,}",
-                spec.code_length,
-                f"{elapsed:.3f}s",
-            ]
-        )
-
-    save_report(
-        "table1_datasets",
-        format_table(
-            [
-                "Dataset",
-                "paper dim",
-                "paper items",
-                "our dim",
-                "our items",
-                "m",
-                "linear search",
-            ],
-            rows,
-        ),
-    )
+    results = run_exhibit(benchmark, "table1")
 
     # The table's point: exact search cost scales with dataset size.
-    ordered = [times[name] for name in MAIN_NAMES]
+    ordered = [elapsed for _, elapsed in results.values()]
     assert ordered[0] < ordered[-1]

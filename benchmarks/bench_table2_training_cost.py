@@ -6,64 +6,14 @@ significant.  We measure wall time and peak traced memory of both
 trainers on the four Figure-17 datasets.
 """
 
-import time
-import tracemalloc
-
-from bench_fig17_opq_imi import DATASETS, build_opq_imi
-from repro.eval.reporting import format_table
-from repro.hashing import PCAHashing
-from repro_bench import save_report, workload
-
-
-def _measure(fit):
-    tracemalloc.start()
-    start = time.perf_counter()
-    fit()
-    elapsed = time.perf_counter() - start
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return elapsed, peak / 1e6
+from repro_bench import run_exhibit
 
 
 def test_table2_training_cost(benchmark):
-    rows = []
-    ratios = []
-
-    def run_all():
-        for name in DATASETS:
-            dataset, _ = workload(name)
-            opq_time, opq_mem = _measure(lambda ds=dataset: build_opq_imi(ds))
-            pcah_time, pcah_mem = _measure(
-                lambda ds=dataset: PCAHashing(ds.code_length).fit(ds.data)
-            )
-            ratios.append(opq_time / pcah_time)
-            rows.append(
-                [
-                    name,
-                    round(opq_time, 3),
-                    round(pcah_time, 3),
-                    round(opq_mem, 1),
-                    round(pcah_mem, 1),
-                    round(opq_time / pcah_time, 1),
-                ]
-            )
-
-    benchmark.pedantic(run_all, rounds=1, iterations=1)
-
-    save_report(
-        "table2_training_cost",
-        format_table(
-            [
-                "Dataset",
-                "OPQ wall (s)",
-                "PCAH wall (s)",
-                "OPQ peak MB",
-                "PCAH peak MB",
-                "OPQ/PCAH time",
-            ],
-            rows,
-        ),
-    )
+    results = run_exhibit(benchmark, "table2")
 
     # The table's point: OPQ training is substantially more expensive.
-    assert all(ratio > 1.5 for ratio in ratios)
+    assert all(
+        cost["OPQ"].seconds / cost["PCAH"].seconds > 1.5
+        for cost in results.values()
+    )

@@ -3,14 +3,17 @@
 Every file in this directory regenerates one table or figure from the
 paper.  Conventions:
 
-* heavy artefacts (datasets, ground truth, fitted hashers) are memoised
-  here so figures sharing a dataset do not refit;
+* heavy artefacts (datasets, ground truth, fitted hashers) come from the
+  module-level :data:`CONTEXT`, so figures sharing a dataset do not refit;
+* the paper's registered exhibits are computed by
+  :mod:`repro.experiments` alone: :func:`run_exhibit` times an exhibit's
+  ``compute`` once and saves its rendered reports, and the bench asserts
+  the paper's claim on the returned series;
 * each benchmark times its core computation exactly once via
   ``benchmark.pedantic(..., rounds=1, iterations=1)`` — the numbers of
   interest are the *within-figure comparisons*, not re-run statistics;
 * each benchmark writes the series the paper plots to
-  ``benchmarks/results/<name>.txt`` (and stdout) via :func:`save_report`,
-  and asserts the paper's qualitative claim.
+  ``benchmarks/results/<name>.txt`` (and stdout) via :func:`save_report`.
 """
 
 from __future__ import annotations
@@ -20,9 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.data import Dataset, ground_truth_knn, load_dataset
 from repro.eval.harness import CurvePoint
-from repro.hashing import ITQ, KMeansHashing, PCAHashing, SpectralHashing
+from repro.experiments import EXPERIMENTS, ExperimentContext
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -32,80 +34,19 @@ K = 20
 #: Global scale knob for quick runs (REPRO_BENCH_SCALE=0.2 etc.).
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 
-MAIN_NAMES = ["CIFAR60K", "GIST1M", "TINY5M", "SIFT10M"]
-
-_truth_cache: dict[tuple[str, int], np.ndarray] = {}
-_hasher_cache: dict[tuple[str, str, int], object] = {}
+#: Datasets, ground truth and fitted hashers for every bench in a session.
+CONTEXT = ExperimentContext(scale=SCALE, k=K)
 
 
-def workload(name: str, k: int = K) -> tuple[Dataset, np.ndarray]:
-    """Dataset and exact kNN truth for its query batch, memoised."""
-    dataset = load_dataset(name, scale=SCALE)
-    key = (dataset.name, k)
-    if key not in _truth_cache:
-        _truth_cache[key] = ground_truth_knn(dataset.queries, dataset.data, k)
-    return dataset, _truth_cache[key]
-
-
-def fitted_hasher(name: str, algo: str, code_length: int | None = None):
-    """A fitted hasher for a registered dataset, memoised by (ds, algo, m)."""
-    dataset = load_dataset(name, scale=SCALE)
-    m = code_length if code_length is not None else dataset.code_length
-    key = (dataset.name, algo, m)
-    if key not in _hasher_cache:
-        if algo == "itq":
-            hasher = ITQ(code_length=m, seed=0)
-        elif algo == "pcah":
-            hasher = PCAHashing(code_length=m)
-        elif algo == "sh":
-            hasher = SpectralHashing(code_length=m)
-        elif algo == "kmh":
-            # KMH needs m divisible by the per-subspace bits; round down
-            # to the nearest multiple of 4 (b = 4 as in the KMH paper).
-            m = max(4, m - m % 4)
-            hasher = KMeansHashing(
-                code_length=m, bits_per_subspace=4, kmeans_iterations=15, seed=0
-            )
-        else:
-            raise ValueError(f"unknown hasher algo {algo!r}")
-        _hasher_cache[key] = hasher.fit(dataset.data)
-    return _hasher_cache[key]
-
-
-def budget_sweep(n_items: int, n_points: int = 6, top_fraction: float = 0.35):
-    """Geometric candidate budgets up to ``top_fraction·N``.
-
-    Sweeps stop short of N: the curves' interesting region is recall
-    0.3–0.99, which our workloads reach well below a full scan.
-    """
-    lo = max(20, n_items // 500)
-    hi = max(lo + 1, int(n_items * top_fraction))
-    return [int(b) for b in np.unique(np.geomspace(lo, hi, n_points).astype(int))]
-
-
-def timed_sweep(index, queries, truth, k, budgets, repeats: int = 3):
-    """Budget sweep with per-point best-of-``repeats`` wall time.
-
-    Recall is deterministic across repeats; timing on ~10 ms points is
-    not, so benches whose assertions compare seconds use the minimum —
-    the standard way to de-noise micro-timings.
-    """
-    from repro.eval.harness import CurvePoint, sweep_budgets
-
-    runs = [
-        sweep_budgets(index, queries, truth, k, budgets)
-        for _ in range(repeats)
-    ]
-    return [
-        CurvePoint(
-            budget=points[0].budget,
-            seconds=min(p.seconds for p in points),
-            recall=points[0].recall,
-            items=points[0].items,
-            buckets=points[0].buckets,
-        )
-        for points in zip(*runs)
-    ]
+def run_exhibit(benchmark, name: str):
+    """Compute a registered exhibit once, save its reports, return its series."""
+    exhibit = EXPERIMENTS[name]
+    series = benchmark.pedantic(
+        exhibit.compute, args=(CONTEXT,), rounds=1, iterations=1
+    )
+    for report, text in exhibit.render(series).items():
+        save_report(report, text)
+    return series
 
 
 def save_report(name: str, text: str) -> None:

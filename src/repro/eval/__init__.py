@@ -2,11 +2,11 @@
 
 from repro.eval.harness import (
     CurvePoint,
-    default_budgets,
     recall_at_budgets,
     speedup_at_recall,
     sweep_budgets,
     time_to_recall,
+    timed_sweep,
 )
 from repro.eval.latency import LatencySummary, latency_summary, measure_latencies
 from repro.eval.metrics import (
@@ -27,7 +27,6 @@ __all__ = [
     "ProbeStep",
     "ProbeTrace",
     "ascii_plot",
-    "default_budgets",
     "format_curve_points",
     "format_curves",
     "format_table",
@@ -44,5 +43,6 @@ __all__ = [
     "speedup_at_recall",
     "sweep_budgets",
     "time_to_recall",
+    "timed_sweep",
     "trace_query",
 ]

@@ -5,11 +5,13 @@ Usage::
     from repro.experiments import list_experiments, run_experiment
 
     print(list_experiments())         # {'fig07': 'GQR vs GHR/HR, ITQ', ...}
-    print(run_experiment("fig07"))    # the figure's series as text
+    print(run_experiment("fig07"))    # the figure's reports as text
 
 or from the shell: ``python -m repro reproduce --experiment fig07``.
-The benchmark suite (`benchmarks/`) covers the same exhibits *with
-assertions*; this package is the user-facing, assertion-free path.
+Each registered exhibit's ``compute``/``render`` pair is the only code
+that computes it: the benchmark suite (`benchmarks/`) runs the same
+pair, saves the rendered reports and asserts the paper's claims on the
+computed series.
 """
 
 from repro.experiments.context import ExperimentContext, budget_sweep
@@ -27,7 +29,7 @@ __all__ = [
 
 def list_experiments() -> dict[str, str]:
     """Experiment ids mapped to one-line descriptions."""
-    return {name: description for name, (description, _) in EXPERIMENTS.items()}
+    return {name: exhibit.description for name, exhibit in EXPERIMENTS.items()}
 
 
 def run_experiment(
@@ -36,12 +38,16 @@ def run_experiment(
     k: int = 20,
     context: ExperimentContext | None = None,
 ) -> str:
-    """Run one registered experiment and return its report text."""
+    """Run one registered experiment and return its report text.
+
+    Multi-report exhibits (Figures 7, 13 and 15 carry a time-at-recall
+    table) return their reports joined by a blank line.
+    """
     if name not in EXPERIMENTS:
         raise KeyError(
             f"unknown experiment {name!r}; known: {sorted(EXPERIMENTS)}"
         )
     if context is None:
         context = ExperimentContext(scale=scale, k=k)
-    _, runner = EXPERIMENTS[name]
-    return runner(context)
+    exhibit = EXPERIMENTS[name]
+    return "\n\n".join(exhibit.render(exhibit.compute(context)).values())

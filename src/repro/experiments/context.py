@@ -1,9 +1,10 @@
 """Shared experiment machinery: cached workloads and fitted hashers.
 
-The benchmarks and the :mod:`repro.experiments` runner both need the
-same heavyweight artefacts — materialised datasets, exact ground truth,
-fitted hashers.  An :class:`ExperimentContext` memoises them per scale
-so a session reproducing several figures trains each hasher once.
+Every exhibit and benchmark needs the same heavyweight artefacts:
+materialised datasets, exact ground truth, fitted hashers.  An
+:class:`ExperimentContext` memoises them per scale so a session
+reproducing several figures trains each hasher once; the benchmark
+suite shares one module-level context across all its benches.
 """
 
 from __future__ import annotations
@@ -25,7 +26,12 @@ __all__ = ["ExperimentContext", "budget_sweep"]
 def budget_sweep(
     n_items: int, n_points: int = 6, top_fraction: float = 0.35
 ) -> list[int]:
-    """Geometric candidate budgets up to ``top_fraction·N``."""
+    """Geometric candidate budgets up to ``top_fraction·N``.
+
+    Sweeps stop short of N: the curves' interesting region is recall
+    0.3–0.99, which the registered workloads reach well below a full
+    scan.
+    """
     lo = max(20, n_items // 500)
     hi = max(lo + 1, int(n_items * top_fraction))
     return [int(b) for b in np.unique(np.geomspace(lo, hi, n_points).astype(int))]
@@ -84,6 +90,8 @@ class ExperimentContext:
             elif algo == "sh":
                 hasher = SpectralHashing(code_length=m)
             elif algo == "kmh":
+                # KMH needs m divisible by the per-subspace bits; round
+                # down to a multiple of 4 (b = 4 as in the KMH paper).
                 m = max(4, m - m % 4)
                 hasher = KMeansHashing(
                     code_length=m, bits_per_subspace=4,

@@ -6,11 +6,11 @@ from repro.core.gqr import GQR
 from repro.data import gaussian_mixture, ground_truth_knn
 from repro.eval.harness import (
     CurvePoint,
-    default_budgets,
     recall_at_budgets,
     speedup_at_recall,
     sweep_budgets,
     time_to_recall,
+    timed_sweep,
 )
 from repro.hashing import ITQ
 from repro.search.searcher import HashIndex
@@ -23,17 +23,6 @@ def setup():
     truth = ground_truth_knn(queries, data, 10)
     index = HashIndex(ITQ(code_length=6, seed=0), data, prober=GQR())
     return data, queries, truth, index
-
-
-class TestDefaultBudgets:
-    def test_strictly_increasing_ending_at_n(self):
-        budgets = default_budgets(10_000)
-        assert budgets == sorted(set(budgets))
-        assert budgets[-1] == 10_000
-
-    def test_small_dataset(self):
-        budgets = default_budgets(50)
-        assert budgets[-1] == 50
 
 
 class TestSweepBudgets:
@@ -58,6 +47,31 @@ class TestSweepBudgets:
         _, queries, truth, index = setup
         with pytest.raises(ValueError):
             sweep_budgets(index, queries, truth[:3], k=10, budgets=[10])
+
+
+class TestTimedSweep:
+    def test_keeps_the_engine_times_of_the_kept_run(self, setup):
+        _, queries, truth, index = setup
+        curve = timed_sweep(index, queries, truth, 10, [50, 800], repeats=2)
+        for point in curve:
+            assert point.retrieval_seconds > 0
+            assert point.evaluation_seconds > 0
+            engine = point.retrieval_seconds + point.evaluation_seconds
+            assert engine <= point.seconds
+
+    def test_matches_a_single_sweep_but_for_time(self, setup):
+        _, queries, truth, index = setup
+        budgets = [50, 200, 800]
+        best = timed_sweep(index, queries, truth, 10, budgets, repeats=3)
+        once = sweep_budgets(index, queries, truth, 10, budgets)
+        assert [(p.budget, p.recall, p.items, p.buckets) for p in best] == [
+            (p.budget, p.recall, p.items, p.buckets) for p in once
+        ]
+
+    def test_repeats_validated(self, setup):
+        _, queries, truth, index = setup
+        with pytest.raises(ValueError):
+            timed_sweep(index, queries, truth, 10, [50], repeats=0)
 
 
 class TestRecallAtBudgets:
