@@ -17,6 +17,9 @@ from repro.eval.reporting import format_table
 from repro_bench import CONTEXT, save_report
 
 N_PROBES = 32
+# Each side is timed as its best of this many runs: at reduced scale
+# one run takes about 2 ms, within scheduler noise of the other side.
+ROUNDS = 5
 
 
 def naive_bucket_order(signature, costs, m):
@@ -60,9 +63,9 @@ def test_ablation_lazy_generation_vs_full_sort(benchmark):
             naive_bucket_order(signature, costs, m)[:N_PROBES]
 
     lazy_time = benchmark.pedantic(
-        lambda: _timed(run_lazy), rounds=1, iterations=1
+        lambda: _best_of(run_lazy), rounds=1, iterations=1
     )
-    naive_time = _timed(run_naive)
+    naive_time = _best_of(run_naive)
 
     # Same probe order (up to exact-QD ties).
     signature, costs = probe_infos[0]
@@ -75,8 +78,8 @@ def test_ablation_lazy_generation_vs_full_sort(benchmark):
     save_report(
         "ablation_generation",
         format_table(
-            ["strategy", f"seconds ({len(probe_infos)} queries, "
-             f"{N_PROBES} probes)"],
+            ["strategy", f"seconds, best of {ROUNDS} "
+             f"({len(probe_infos)} queries, {N_PROBES} probes)"],
             [["lazy heap (GQR)", round(lazy_time, 4)],
              ["enumerate+sort 2^m", round(naive_time, 4)]],
         ),
@@ -85,6 +88,10 @@ def test_ablation_lazy_generation_vs_full_sort(benchmark):
     # At a small budget the lazy generator must win: it touches tens of
     # masks instead of 2^m.
     assert lazy_time < naive_time
+
+
+def _best_of(fn):
+    return min(_timed(fn) for _ in range(ROUNDS))
 
 
 def _timed(fn):

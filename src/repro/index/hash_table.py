@@ -79,6 +79,8 @@ class HashTable:
         order = np.argsort(signatures, kind="stable")
         sorted_sigs = signatures[order]
         sorted_ids = ids[order]
+        # Every bucket below is a view of it, so keeping it is free.
+        self._sorted_ids = sorted_ids
         boundaries = np.flatnonzero(np.diff(sorted_sigs)) + 1
         groups = np.split(sorted_ids, boundaries)
         uniques = sorted_sigs[np.concatenate(([0], boundaries))] if n else []
@@ -107,6 +109,17 @@ class HashTable:
     def num_buckets(self) -> int:
         """Number of occupied buckets."""
         return len(self._buckets)
+
+    @property
+    def sorted_ids(self) -> np.ndarray:
+        """Every id, grouped by ascending signature (stable within one).
+
+        The buckets' ids back to back in :meth:`dense_layout` order;
+        each bucket array is a view of it.  The screen of a
+        :class:`~repro.search.searcher.HashIndex` is stored in this
+        order, so a bucket's rows there are contiguous.
+        """
+        return self._sorted_ids
 
     def get(self, signature: int) -> np.ndarray:
         """Item ids in the bucket, or an empty array if unoccupied."""

@@ -441,12 +441,21 @@ class ExactEvaluator:
     the float64 kernel only on those that could rank (see
     :func:`_screened_distances`).  Callable storage and the angular
     metrics have no copy and always score in float64.
+
+    ``order``, a permutation of the item ids, stores the screen's rows
+    in that order (row ``j`` holds item ``order[j]``) with an id → row
+    map, so candidates that sit together in ``order`` are read as
+    contiguous runs.  :class:`~repro.search.searcher.HashIndex` passes
+    its first table's :attr:`~repro.index.hash_table.HashTable.sorted_ids`,
+    where every bucket is one run.  ``None`` keeps id order; without a
+    screen ``order`` is unused.
     """
 
     def __init__(
         self,
         data: np.ndarray | Callable[[], np.ndarray],
         metric: str = "euclidean",
+        order: np.ndarray | None = None,
     ) -> None:
         if metric not in METRICS:
             raise KeyError(
@@ -455,6 +464,8 @@ class ExactEvaluator:
         self._data = data
         self.metric = metric
         self._screen: np.ndarray | None = None
+        # Screen row of each id; None when the screen is in id order.
+        self._screen_rows: np.ndarray | None = None
         if (
             metric == "euclidean"
             and isinstance(data, np.ndarray)
@@ -465,12 +476,23 @@ class ExactEvaluator:
             # re-scores every candidate whose float32 distance is not
             # finite.
             with np.errstate(over="ignore"):
-                self._screen = data.astype(np.float32)
+                if order is None:
+                    self._screen = data.astype(np.float32)
+                else:
+                    self._screen, self._screen_rows = _ordered_screen(
+                        data, order
+                    )
 
     @property
     def screen_bytes(self) -> int:
-        """Bytes held by the float32 screen copy; 0 when there is none."""
-        return 0 if self._screen is None else int(self._screen.nbytes)
+        """Bytes held by the float32 screen copy and its id → row map.
+
+        0 when there is no screen.
+        """
+        if self._screen is None:
+            return 0
+        rows = self._screen_rows
+        return int(self._screen.nbytes) + (0 if rows is None else rows.nbytes)
 
     def _vectors(self) -> np.ndarray:
         return self._data() if callable(self._data) else self._data
@@ -515,9 +537,11 @@ class ExactEvaluator:
         if self._screen is not None and (
             limit < np.inf or (k is not None and int(counts.max()) > k)
         ):
+            rows = self._screen_rows
             return _screened_distances(
-                query, self._vectors(), self._screen, candidates, counts,
-                k, limit,
+                query, self._vectors(), self._screen,
+                candidates if rows is None else rows.take(candidates),
+                candidates, counts, k, limit,
             )
         return _ragged_distances(
             query, self._vectors(), candidates, counts, self.metric
@@ -533,6 +557,38 @@ class ExactEvaluator:
 #: Widest vectors the float32 screen serves: its margin's proof needs
 #: ``d · 2⁻²⁴ ≤ 0.01``.
 _SCREEN_MAX_DIM = 167_772
+
+
+#: Items the ordered screen converts per step.  Each step reads a
+#: contiguous block of items in id order and writes it, cast to
+#: float32, to its screen rows, so the fill never holds more than one
+#: block beyond the copy and its map: never ``data[order]``, a
+#: reordered float64 copy of the whole corpus.
+_SCREEN_FILL_ROWS = 4096
+
+
+def _ordered_screen(
+    data: np.ndarray, order: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The float32 screen with row ``j`` holding ``data[order[j]]``.
+
+    Returns it with the inverse map, each id's screen row (int32 below
+    2³¹ items).
+    """
+    n = len(data)
+    order = np.asarray(order, dtype=np.int64)
+    if order.shape != (n,):
+        raise ValueError(f"order must be a permutation of the {n} item ids")
+    rows = np.full(n, -1, dtype=np.int32 if n < 2**31 else np.int64)
+    rows[order] = np.arange(n, dtype=rows.dtype)
+    # n writes leave a slot unset unless every id came exactly once.
+    if n and int(rows.min()) < 0:
+        raise ValueError(f"order must be a permutation of the {n} item ids")
+    screen = np.empty(data.shape, dtype=np.float32)
+    for lo in range(0, n, _SCREEN_FILL_ROWS):
+        block = slice(lo, lo + _SCREEN_FILL_ROWS)
+        screen[rows[block]] = data[block]
+    return screen, rows
 
 
 def _screen_margin(queries: np.ndarray) -> tuple[float, np.ndarray]:
@@ -586,6 +642,7 @@ def _screened_distances(
     queries: np.ndarray,
     data: np.ndarray,
     screen: np.ndarray,
+    screen_rows: np.ndarray,
     stacked_ids: np.ndarray,
     counts: np.ndarray,
     k: int | None,
@@ -594,7 +651,8 @@ def _screened_distances(
     """Euclidean :func:`_ragged_distances` of the candidates that can rank.
 
     Scores every candidate on the float32 ``screen`` first (``d32``,
-    margin ``ε`` from :func:`_screen_margin`).  Row ``i``'s threshold
+    margin ``ε`` from :func:`_screen_margin`), reading candidate ``j``
+    at ``screen[screen_rows[j]]``.  Row ``i``'s threshold
     ``τ`` is ``limit``, lowered to the ``k``-th smallest ``d32 + ε``
     when the row has more than ``k`` candidates.  A candidate with
     ``d32 − ε > τ`` reads ``+inf``; every other one, and every one whose
@@ -611,7 +669,7 @@ def _screened_distances(
     bounds = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
     with np.errstate(over="ignore", invalid="ignore"):
         d32 = _ragged_distances(
-            queries.astype(np.float32), screen, stacked_ids, counts,
+            queries.astype(np.float32), screen, screen_rows, counts,
             "euclidean",
         )
         rel, offset = _screen_margin(queries)

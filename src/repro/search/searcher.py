@@ -152,7 +152,11 @@ class HashIndex:
         self._prober = prober if prober is not None else GQR()
         self._metric = metric
         self._dim = self._data.shape[1]
-        self._exact = ExactEvaluator(self._data, metric)
+        # The screen in the first table's bucket order: a candidate
+        # bucket is one contiguous run of screen rows.
+        self._exact = ExactEvaluator(
+            self._data, metric, order=self._tables[0].sorted_ids
+        )
         self._engine = QueryEngine(self._exact, name="hash", cache=cache)
         # Theorem 2's µ, computed on the first early-stop call; front
         # door worker threads may race to compute it.
@@ -207,10 +211,11 @@ class HashIndex:
         ``tables`` is the part that scales with the number of hash
         tables — the cost axis of the paper's Figure 12 comparison
         (single-table GQR vs multi-table GHR).  ``screen`` is the
-        evaluator's float32 copy of ``data`` (0 when it keeps none:
-        see :class:`~repro.search.engine.ExactEvaluator`).  ``ranking``
-        is what the tables cache for ranked reads — dense layout,
-        bucket bits and complement, slot table
+        evaluator's float32 copy of ``data``, stored in the first
+        table's bucket order, plus its int32 id → row map (0 when it
+        keeps none: see :class:`~repro.search.engine.ExactEvaluator`).
+        ``ranking`` is what the tables cache for ranked reads — dense
+        layout, bucket bits and complement, slot table
         (:meth:`~repro.index.hash_table.HashTable.ranking_bytes`); 0
         before the first.
         """
