@@ -25,6 +25,13 @@ Per row, :meth:`TreePrefix.rank` sorts the flip costs, scores
 ``D ∪ F`` with one matmul, maps ``D`` to bucket signatures through
 lookup tables over the two halves of a mask and to bucket slots through
 the table's dense slot table, and ranks ``D``'s present slots by QD.
+It does so first on the *lead*, the shared prefix of size ``L // 2``
+(at least 64 masks), whose down-set is the front of ``D`` in the same
+emission, and again on ``D`` only for the rows the lead cannot certify:
+a row certified on the lead is certified on ``D`` with the same answer,
+since every mask of ``D`` past the lead descends from the lead's
+frontier.  The lead ranks half the columns, and most rows stop well
+inside it.
 The row's *stop* is the first ranked slot whose cumulative size meets
 the budget.  The row is **certified** when
 
@@ -62,6 +69,11 @@ __all__ = [
     "TreePrefix",
     "cached_tree_prefix",
 ]
+
+# Smallest lead: a prefix under twice this size ranks in one stage, its
+# whole ``D`` being cheap to rank already.
+_MIN_LEAD = 64
+
 
 class RankedPrefix(NamedTuple):
     """:meth:`TreePrefix.rank` of a block of rows.
@@ -162,6 +174,15 @@ class TreePrefix:
         # Margin of the certificate's comparisons: rounding error of an
         # m-term sum of non-negative terms, with room to spare.
         self._grow = 1.0 + 8.0 * (m + 1) * 2.0 ** -53
+        # The shared prefix of half the size, whose down-set leads this
+        # one's in the same emission; none when small or when D already
+        # holds every mask the lead would.
+        half = size // 2
+        self._lead = (
+            cached_tree_prefix(m, half)
+            if half >= _MIN_LEAD and half < len(down)
+            else None
+        )
 
     def rank(
         self,
@@ -179,14 +200,65 @@ class TreePrefix:
         ``sizes[slot]`` the slot's id count.  Row ``i``'s stop is the
         first ranked slot whose cumulative size reaches ``budget``.
 
+        Every row is ranked on the lead (the prefix of half the size)
+        first, and only the rows it leaves uncertified are re-ranked on
+        ``D``.  A row the lead certifies has the order, stop and
+        cumulative sizes of ranking it on ``D``, and its QDs up to
+        rounding (``docs/theory.md``); its columns past the lead's
+        width are padding.  The certified flags are those of ranking
+        every row on ``D``.
+
         Each comparison of the certificate is ``a·(1 + 8(m+1)·2⁻⁵³) < b``
         on the matmul's QDs.  Every QD here and in ``batch_scores`` is
         a rounded sum of the same non-negative costs, within ``γ =
         (m−1)·2⁻⁵³/(1 − (m−1)·2⁻⁵³)`` of the exact sum relatively, so a
         comparison that passes orders the two exact sums, and the two
-        ``batch_scores`` values, the same way.
+        ``batch_scores`` values, the same way.  The lead compares with
+        that margin squared, which covers its QDs and ``D``'s QDs of
+        the same masks differing by rounding.
         """
         costs = np.asarray(cost_matrix, dtype=np.float64)
+        query_signatures = np.asarray(query_signatures, dtype=np.int64)
+        lead = self._lead
+        if lead is None:
+            return self._rank_rows(
+                query_signatures, costs, slot_table, sizes, budget, self._grow
+            )
+        first = lead._rank_rows(
+            query_signatures, costs, slot_table, sizes, budget,
+            self._grow * self._grow,
+        )
+        rest = np.flatnonzero(~first.certified)
+        n_rows, width = first.order.shape
+        n_down = len(self.down_set)
+        order = np.empty((n_rows, n_down), dtype=np.int64)
+        cumulative = np.empty((n_rows, n_down), dtype=first.cumulative.dtype)
+        scores = np.empty((n_rows, n_down), dtype=np.float64)
+        order[:, :width], order[:, width:] = first.order, -1
+        cumulative[:, :width] = first.cumulative
+        cumulative[:, width:] = first.cumulative[:, -1:]
+        scores[:, :width], scores[:, width:] = first.scores, np.inf
+        certified, stops = first.certified, first.stops
+        if len(rest):
+            second = self._rank_rows(
+                query_signatures[rest], costs[rest], slot_table, sizes,
+                budget, self._grow,
+            )
+            order[rest], cumulative[rest] = second.order, second.cumulative
+            scores[rest] = second.scores
+            certified[rest], stops[rest] = second.certified, second.stops
+        return RankedPrefix(certified, order, cumulative, scores, stops)
+
+    def _rank_rows(
+        self,
+        query_signatures: np.ndarray,
+        costs: np.ndarray,
+        slot_table: np.ndarray,
+        sizes: np.ndarray,
+        budget: int,
+        grow: float,
+    ) -> RankedPrefix:
+        """:meth:`rank` on this prefix's ``D`` alone, comparing with ``grow``."""
         n_rows, n_down = len(costs), len(self.down_set)
         permutation = np.argsort(costs, axis=1, kind="stable")
         sorted_costs = np.take_along_axis(costs, permutation, axis=1)
@@ -196,7 +268,7 @@ class TreePrefix:
         signatures = (
             _subset_xors(flips[:, :self._half])[:, self._low]
             ^ _subset_xors(flips[:, self._half:])[:, self._high]
-            ^ np.asarray(query_signatures, dtype=np.int64)[:, np.newaxis]
+            ^ query_signatures[:, np.newaxis]
         )
         slots = slot_table[signatures]
         keyed = np.where(slots >= 0, qds[:, :n_down], np.inf)
@@ -212,13 +284,13 @@ class TreePrefix:
         padded = np.concatenate(
             (scores, np.full((n_rows, 2), np.inf)), axis=1
         )
-        cleared = padded[:, :-1] * self._grow < padded[:, 1:]
+        cleared = padded[:, :-1] * grow < padded[:, 1:]
         floor = qds[:, n_down:].min(axis=1, initial=np.inf)
         at_stop = padded[np.arange(n_rows), stops]
         certified = (
             (stops < np.count_nonzero(slots >= 0, axis=1))
             & (np.argmin(cleared, axis=1) > stops)
-            & (at_stop * self._grow < floor)
+            & (at_stop * grow < floor)
             & (costs >= 0).all(axis=1)
         )
         return RankedPrefix(certified, order, cumulative, scores, stops)

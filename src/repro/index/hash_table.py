@@ -138,9 +138,10 @@ class HashTable:
         """CSR-style view: ``(signatures, sizes, offsets, ids_flat)``.
 
         Occupied signatures in ascending order, each bucket's size, its
-        start offset into the flat id array, and all ids concatenated in
-        that order.  Built lazily and cached — the table is immutable —
-        so batched execution pays the flattening cost once per table.
+        start offset into the flat id array, and all ids in that order:
+        :attr:`sorted_ids` itself, not a copy.  Built lazily and cached
+        — the table is immutable — so batched execution pays the cost
+        once per table.
         """
         layout = self._layout
         if layout is None:
@@ -159,13 +160,8 @@ class HashTable:
                         dtype=np.int64,
                         count=count,
                     )
-                    ids_flat = (
-                        np.concatenate(list(self._buckets.values()))
-                        if count
-                        else _EMPTY_IDS
-                    )
                     offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-                    layout = (signatures, sizes, offsets, ids_flat)
+                    layout = (signatures, sizes, offsets, self._sorted_ids)
                     self._layout = layout
         return layout
 
@@ -210,11 +206,12 @@ class HashTable:
     def ranking_bytes(self) -> int:
         """Bytes of the caches ranked reads build; 0 before the first.
 
-        The dense layout, the bucket bits and their complement, and the
-        slot table.
+        The dense layout's signatures, sizes and offsets (its id array
+        is :attr:`sorted_ids`, which the table holds anyway), the
+        bucket bits and their complement, and the slot table.
         """
         layout, bits, slots = self._layout, self._bits, self._slots
-        total = 0 if layout is None else sum(a.nbytes for a in layout)
+        total = 0 if layout is None else sum(a.nbytes for a in layout[:3])
         if bits is not None:
             total += bits[1].nbytes + bits[2].nbytes
         return total + (0 if slots is None else slots.nbytes)

@@ -63,8 +63,10 @@ __all__ = [
 ]
 
 
-# Candidates scored by the Theorem 2 scan's first distance call; each
-# later chunk doubles it, so a query costs O(log n) calls.
+# Candidates scored by the Theorem 2 scan's first distance call.  Each
+# later chunk doubles it, unless the bound of the bucket reaching the
+# cap is already below a finite limit: then the rest up to the cap is
+# one chunk.
 _FIRST_CHUNK = 256
 
 
@@ -452,15 +454,19 @@ class HashIndex:
         cap (:func:`~repro.search.engine._ranked_prefixes`: a certified
         generation-tree prefix, else one ``batch_scores`` row), and
         their QDs give the bounds, sorted, so the first bucket past the
-        limit is a ``searchsorted``.  Buckets are taken in chunks of
-        growing candidate count, gathered in one pass and scored with
-        one distance call, which may read a candidate beyond the limit
-        as ``inf`` (the evaluator's float32 screen).  Every bucket in a
-        chunk passed the bound against the limit known before the
-        chunk; with ``k`` given the
-        limit can only fall inside it, and :func:`_first_stop` finds
-        where.  The probed buckets, counters and distances are those of
-        visiting one bucket at a time.
+        limit is a ``searchsorted``.  Buckets are taken in chunks,
+        gathered in one pass and scored with one distance call, which
+        may read a candidate beyond the limit as ``inf`` (the
+        evaluator's float32 screen).  Chunks start at about
+        :data:`_FIRST_CHUNK` candidates and double.  Once the limit is
+        finite and above the bound of the bucket that reaches the cap
+        (a range search's radius may be from the start), the rest up to
+        the cap is one chunk: no bucket in it stops the scan at that
+        limit.  Every bucket in a chunk passed the bound against the
+        limit known before the chunk; with ``k`` given the limit can
+        only fall inside it, and :func:`_first_stop` finds where.  The
+        probed buckets, counters and distances are those of visiting
+        one bucket at a time.
         """
         prober, hasher, mu = self._early_stop_setup()
         query = validate_query(query, self._dim)
@@ -494,9 +500,13 @@ class HashIndex:
                     stop = pos + int(
                         np.searchsorted(bounds[pos:], limit, side="right")
                     )
-                    last = min(capped, int(
-                        np.searchsorted(cumulative, ctx.n_candidates + target)
-                    ))
+                    if limit < np.inf and bounds[capped] < limit:
+                        # No bucket up to the cap stops at this limit.
+                        last = capped
+                    else:
+                        last = min(capped, int(np.searchsorted(
+                            cumulative, ctx.n_candidates + target
+                        )))
                     target *= 2
                     ctx.early_stop_triggered = stop <= last
                     done = ctx.early_stop_triggered or last == capped

@@ -56,11 +56,13 @@ class TestMemoryFootprint:
         after = index.memory_footprint()
         table = index.tables[0]
         cached = (
-            sum(a.nbytes for a in table.dense_layout())
+            sum(a.nbytes for a in table.dense_layout()[:3])
             + sum(a.nbytes for a in table.bucket_bits()[1:])
             + table.slot_table().nbytes
         )
         assert after["ranking"] == cached
+        # The layout's id array is the table's own, not a second copy.
+        assert np.shares_memory(table.dense_layout()[3], table.sorted_ids)
         assert table.slot_table().nbytes == 4 << 10
         assert {key: after[key] for key in after if key != "ranking"} == {
             key: before[key] for key in before if key != "ranking"
