@@ -52,6 +52,7 @@ caller's to rank from the score row.  ``docs/theory.md`` has the proof.
 from __future__ import annotations
 
 import functools
+import weakref
 from statistics import NormalDist
 from typing import NamedTuple
 
@@ -296,7 +297,22 @@ class TreePrefix:
         return RankedPrefix(certified, order, cumulative, scores, stops)
 
 
+#: Every prefix still alive, so a lead its parent holds is shared even
+#: after the bounded cache below has evicted it.
+_LIVE: weakref.WeakValueDictionary[tuple[int, int], TreePrefix] = (
+    weakref.WeakValueDictionary()
+)
+
+
 @functools.lru_cache(maxsize=16)
 def cached_tree_prefix(code_length: int, size: int) -> TreePrefix:
-    """The shared :class:`TreePrefix` of ``(code_length, size)``."""
-    return TreePrefix(code_length, size)
+    """The shared :class:`TreePrefix` of ``(code_length, size)``.
+
+    The 16 most recently used stay alive; an older one is rebuilt only
+    when nothing (such as a parent holding it as its lead) keeps it.
+    """
+    key = (code_length, size)
+    prefix = _LIVE.get(key)
+    if prefix is None:
+        prefix = _LIVE[key] = TreePrefix(code_length, size)
+    return prefix

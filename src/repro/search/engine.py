@@ -436,9 +436,10 @@ class ExactEvaluator:
     storage is reallocated as it grows) stay wired to live storage.
 
     A fixed float64 array under the Euclidean metric also gets a
-    float32 copy, the *screen*: :meth:`distances` asked for a top-``k``
-    or a ``limit`` scores every candidate on the copy first and runs
-    the float64 kernel only on those that could rank (see
+    float32 copy, the *screen*, with each row's squared norm in
+    float64: :meth:`distances` asked for a top-``k`` or a ``limit``
+    bounds every candidate's distance from the copy first and runs the
+    float64 kernel only on those that could rank (see
     :func:`_screened_distances`).  Callable storage and the angular
     metrics have no copy and always score in float64.
 
@@ -466,6 +467,9 @@ class ExactEvaluator:
         self._screen: np.ndarray | None = None
         # Screen row of each id; None when the screen is in id order.
         self._screen_rows: np.ndarray | None = None
+        # ‖x̃‖² of each screen row, and the largest finite one.
+        self._screen_norms = _EMPTY_DISTS
+        self._screen_top = 0.0
         if (
             metric == "euclidean"
             and isinstance(data, np.ndarray)
@@ -473,8 +477,7 @@ class ExactEvaluator:
             and data.shape[1] <= _SCREEN_MAX_DIM
         ):
             # Items beyond float32's range become inf; the screen
-            # re-scores every candidate whose float32 distance is not
-            # finite.
+            # re-scores every candidate of such a row.
             with np.errstate(over="ignore"):
                 if order is None:
                     self._screen = data.astype(np.float32)
@@ -482,17 +485,24 @@ class ExactEvaluator:
                     self._screen, self._screen_rows = _ordered_screen(
                         data, order
                     )
+            self._screen_norms, self._screen_top = _screen_norms(
+                self._screen
+            )
 
     @property
     def screen_bytes(self) -> int:
-        """Bytes held by the float32 screen copy and its id → row map.
+        """Bytes held by the float32 screen copy, its float64 row norms
+        and its id → row map.
 
         0 when there is no screen.
         """
         if self._screen is None:
             return 0
         rows = self._screen_rows
-        return int(self._screen.nbytes) + (0 if rows is None else rows.nbytes)
+        return (
+            int(self._screen.nbytes) + int(self._screen_norms.nbytes)
+            + (0 if rows is None else rows.nbytes)
+        )
 
     def _vectors(self) -> np.ndarray:
         return self._data() if callable(self._data) else self._data
@@ -539,7 +549,8 @@ class ExactEvaluator:
         ):
             rows = self._screen_rows
             return _screened_distances(
-                query, self._vectors(), self._screen,
+                query, self._vectors(), self._screen, self._screen_norms,
+                self._screen_top,
                 candidates if rows is None else rows.take(candidates),
                 candidates, counts, k, limit,
             )
@@ -554,8 +565,8 @@ class ExactEvaluator:
         return top_k(candidates, self.distances(query, candidates, k=k), k)
 
 
-#: Widest vectors the float32 screen serves: its margin's proof needs
-#: ``d · 2⁻²⁴ ≤ 0.01``.
+#: Widest vectors the float32 screen serves: its error bound's proof
+#: needs ``d · 2⁻²⁴ ≤ 0.01``.
 _SCREEN_MAX_DIM = 167_772
 
 
@@ -563,7 +574,8 @@ _SCREEN_MAX_DIM = 167_772
 #: contiguous block of items in id order and writes it, cast to
 #: float32, to its screen rows, so the fill never holds more than one
 #: block beyond the copy and its map: never ``data[order]``, a
-#: reordered float64 copy of the whole corpus.
+#: reordered float64 copy of the whole corpus.  The row norms are then
+#: taken over as many contiguous screen rows at a time.
 _SCREEN_FILL_ROWS = 4096
 
 
@@ -591,57 +603,158 @@ def _ordered_screen(
     return screen, rows
 
 
-def _screen_margin(queries: np.ndarray) -> tuple[float, np.ndarray]:
-    """The float32 screen's error margin, as ``(rel, offset)`` per row.
+def _screen_norms(screen: np.ndarray) -> tuple[np.ndarray, float]:
+    """Each screen row's ``‖x̃‖²`` in float64, and the largest finite one.
 
-    ``d32`` is a candidate's distance computed by
-    :func:`_ragged_distances` on the float32 screen (the items rounded
-    to float32) and the query rounded to float32; ``d64`` is the same
-    kernel's answer in float64.  With ``u = 2⁻²⁴``, the margin of a
-    candidate of row ``i`` is ``ε = rel·d32 + offset[i]``, that is::
+    Every float32 square is exact in float64, so only the sum rounds.
+    A row beyond float32's range holds inf, and so does its norm.  The
+    rows are read in place, :data:`_SCREEN_FILL_ROWS` at a time, so the
+    pass holds one float64 block beyond the norms.
+    """
+    n = len(screen)
+    norms = np.empty(n, dtype=np.float64)
+    values = np.empty(
+        (min(n, _SCREEN_FILL_ROWS), screen.shape[1]), dtype=np.float64
+    )
+    top = 0.0
+    for lo in range(0, n, _SCREEN_FILL_ROWS):
+        block = screen[lo:lo + _SCREEN_FILL_ROWS]
+        cast, out = values[: len(block)], norms[lo:lo + len(block)]
+        cast[...] = block
+        np.einsum("ij,ij->i", cast, cast, out=out)
+        top = max(top, float(out.max(initial=0.0, where=np.isfinite(out))))
+    return norms, top
 
-        ε = 2(d+2)·u·(d32 + ‖q‖) + 2·√d·2⁻⁷⁵
 
-    and ``|d32 − d64| ≤ ε`` whenever ``d32`` is finite.  Proof, for a
-    ``d``-dimensional query ``q`` and item ``x`` with ``D = ‖x − q‖`` in
-    exact arithmetic, IEEE round-to-nearest and ``d·u ≤ 0.01``
-    (:data:`_SCREEN_MAX_DIM`):
+#: ``K = 1 + 2⁻²³``: the relative growth from the screen's bound on
+#: ``‖x̃ − q̃‖`` to one on the float64 distance (see :func:`_screen_error`).
+_SCREEN_GROWTH = 1.0 + 2.0**-23
+
+
+def _screen_error(
+    queries32: np.ndarray, top: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The screen's error terms per query row, ``(Q, E, w)``.
+
+    The screen reads each candidate's *part* ``p = ‖x̃‖² − 2·x̃·q̃``
+    (:func:`_screen_partials`), where ``x̃`` and ``q̃`` are the item and
+    the query rounded to float32, ``‖x̃‖²`` is the row's float64 norm
+    and the dot is float32.  With ``u = 2⁻²⁴``, ``v = 2⁻⁵³``, ``M =
+    √top`` (the largest finite row norm), ``Q`` the float64 ``‖q̃‖²``
+    and ``K`` = :data:`_SCREEN_GROWTH`, the terms are::
+
+        E = 2.05·d·u·M·√Q + 2(d + 4)·v·(M + √Q)² + 3d·2⁻¹⁵⁰
+        w = 2.01·u·√Q + 3√d·2⁻¹⁵⁰
+
+    and for every candidate whose ``p`` is finite, the float64 kernel's
+    distance ``d64`` is at most :func:`_screen_upper`,
+    ``K·(√(p + Q + E) + w)``, and ``p >`` :func:`_screen_cut`,
+    ``(K·max(τ, 0) + w)² + E − Q``, proves ``d64 > τ``: both as
+    computed in float64.  Proof, for a ``d``-dimensional query ``q``
+    and item ``x``, ``D = ‖x − q‖`` and ``A = ‖x̃ − q̃‖`` in exact
+    arithmetic, IEEE round-to-nearest with gradual underflow and
+    ``d·u ≤ 0.01`` (:data:`_SCREEN_MAX_DIM`):
 
     1. Rounding to float32 moves each coordinate by at most
-       ``u·|x_j| + 2⁻¹⁵⁰`` (half a subnormal step covers underflow),
-       so ``r̃ = x̃ − q̃`` is within ``u(‖x‖ + ‖q‖) + 2√d·2⁻¹⁵⁰`` of
-       ``x − q``; with ``‖x‖ ≤ D + ‖q‖``, ``a = ‖r̃‖`` satisfies
-       ``|a − D| ≤ uD + 2u‖q‖ + 2√d·2⁻¹⁵⁰``.  No corpus norm is needed.
-    2. The float32 subtraction is exact or relatively off by ``u``
-       (a subnormal difference is exact).  The sum of ``d`` squares,
-       in any order and with or without a wider accumulator, is within
-       ``γ_d = du/(1 − du)`` relatively plus ``1.02·d·2⁻¹⁵⁰`` of
-       underflowed products; the square root adds ``u``.  With
-       ``s = √(1.02d)·2⁻⁷⁵`` and ``c = (1+u)²(1+γ_d) − 1 ≤
-       (1.02d + 2.03)u``: ``|d32 − a| ≤ c·a + (1+u)s`` and
-       ``a ≤ (d32 + s)/(1 − c)``.
-    3. The float64 kernel is step 2 with ``2⁻⁵³`` for ``u`` and no
-       rounding of its inputs: ``|d64 − D| ≤ (1.02d + 2.03)2⁻⁵³·D``
-       plus a term below ``10⁻¹⁶⁰``, and ``D ≤ (a + 2u‖q‖ +
-       2√d·2⁻¹⁵⁰)/(1 − u)``.
-    4. Summing 1–3, ``|d32 − d64| ≤ 1.0106(c + 1.0004u)(d32 + s) +
-       2.0001u‖q‖ + 1.02s ≤ (1.031d + 3.07)u·d32 + 2.0001u‖q‖ +
-       1.05√d·2⁻⁷⁵``, under ``ε`` with room for the float64 rounding
-       of the screen's own tests on ``d32``, ``ε`` and ``‖q‖``.
+       ``u·|x_j| + 2⁻¹⁵⁰``, so ``x̃ − q̃`` is within ``u(‖x‖ + ‖q‖) +
+       2√d·2⁻¹⁵⁰`` of ``x − q``; with ``‖x‖ ≤ D + ‖q‖``, ``|A − D| ≤
+       uD + 2u‖q‖ + 2√d·2⁻¹⁵⁰``, and ``2u‖q‖ + 2√d·2⁻¹⁵⁰ ≤ w −
+       0.99·(0.01u·√Q + √d·2⁻¹⁵⁰)``.  No corpus norm is needed.
+    2. The float32 dot, in any order and with or without FMA or a wider
+       accumulator, is within ``γ_d·Σ|x̃_j·q̃_j| + 1.011·d·2⁻¹⁵⁰`` of
+       ``x̃·q̃``, with ``γ_d = du/(1 − du) ≤ 1.0102·du`` and the sum at
+       most ``‖x̃‖·‖q̃‖ ≤ M·√Q`` up to float64 rounding.  Every float32
+       square is exact in float64, so ``‖x̃‖²`` and ``Q`` are within
+       ``1.0102·dv`` of exact relatively; the two subtractions forming
+       ``p`` add at most ``2.01v·(‖x̃‖ + ‖q̃‖)²``.  So the exact ``s =
+       p + Q`` is within ``E₀ = 2.021·d·u·M·√Q + (1.011d + 2.01)·v·(M
+       + √Q)² + 2.03d·2⁻¹⁵⁰`` of ``A²``, and ``E − E₀ ≥ 0.014·E₀ +
+       5.9v·(M + √Q)²``.
+    3. The float64 kernel (:func:`_ragged_distances`: subtraction, a
+       sum of ``d`` squares in any order, root) gives ``|d64 − D| ≤
+       (1.02d + 2.03)·v·D + √d·2⁻⁵³⁷``.
+    4. Upper bound: by 1 and 3, ``d64 ≤ (1 + 1.001u)·(A + w −
+       0.99√d·2⁻¹⁵⁰) + √d·2⁻⁵³⁷``, and ``A ≤ √(s + E₀)``.  The two
+       float64 additions under the root lose at most ``2.01v·(M +
+       √Q)² + 3v·E``, less than ``E − E₀``, and the root, sum and
+       product lose at most ``3v`` relatively, less than ``K``'s spare
+       ``0.99u``.
+    5. Cut: if ``d64 ≤ τ``, then ``τ ≥ 0`` and, by 1 and 3, ``A`` is
+       below the computed ``T = K·τ + w`` by at least ``0.99u·τ +
+       0.0098u·√Q + 0.98√d·2⁻¹⁵⁰``, more than ``1.6v·T``.  So ``p =
+       s − Q ≤ A² + E₀ − Q ≤ (1 − 3.19v)·T² + E₀ − Q``, while the
+       cut's three float64 roundings lose at most ``3.0001v·T² +
+       2.0001v·E + v·Q``, which the room in ``T`` and in ``E − E₀``
+       covers: ``p`` is at most the computed cut.  Hence ``p`` above
+       the cut means ``d64 > τ``.
 
-    A finite ``d32`` means no float32 step overflowed (an overflow
-    leaves inf or nan).
+    A finite ``p`` means no float32 step overflowed (an overflow leaves
+    inf or nan) and the row's items are within float32's range, so
+    ``‖x̃‖ ≤ M``.  A query beyond float32's range makes ``Q``, ``E``
+    and ``w`` inf and its cut nan: nothing of its row is dropped.
     """
-    dim = queries.shape[1]
-    rel = 2.0 * (dim + 2) * 2.0 ** -24
-    norms = np.sqrt(np.einsum("ij,ij->i", queries, queries))
-    return rel, rel * norms + 2.0 * math.sqrt(dim) * 2.0 ** -75
+    dim = queries32.shape[1]
+    squares = np.einsum("ij,ij->i", queries32, queries32, dtype=np.float64)
+    norms = np.sqrt(squares)
+    top_norm = math.sqrt(top)
+    err = 2.05 * dim * 2.0**-24 * top_norm * norms
+    err += 2.0 * (dim + 4) * 2.0**-53 * (top_norm + norms) ** 2
+    err += 3.0 * dim * 2.0**-150
+    slack = 2.01 * 2.0**-24 * norms + 3.0 * math.sqrt(dim) * 2.0**-150
+    return squares, err, slack
+
+
+def _screen_upper(
+    parts: np.ndarray, squares: np.ndarray, err: np.ndarray, slack: np.ndarray
+) -> np.ndarray:
+    """An upper bound on the float64 distance of each finite part
+    (:func:`_screen_error`); nan for a nan part."""
+    return _SCREEN_GROWTH * (np.sqrt(parts + squares + err) + slack)
+
+
+def _screen_cut(
+    tau: np.ndarray, squares: np.ndarray, err: np.ndarray, slack: np.ndarray
+) -> np.ndarray:
+    """The part above which a candidate's float64 distance exceeds
+    ``tau`` (:func:`_screen_error`)."""
+    return (_SCREEN_GROWTH * np.maximum(tau, 0.0) + slack) ** 2 + err - squares
+
+
+def _screen_partials(
+    queries32: np.ndarray,
+    screen: np.ndarray,
+    screen_norms: np.ndarray,
+    screen_rows: np.ndarray,
+    bounds: Sequence[int],
+) -> np.ndarray:
+    """Each candidate's part ``‖x̃‖² − 2·x̃·q̃`` on the screen.
+
+    Candidate ``j`` is screen row ``screen_rows[j]``; row ``i`` of
+    ``queries32`` owns candidates ``bounds[i]`` to ``bounds[i + 1]``.
+    One float32 matrix-vector product per row gives the dots; the
+    rest is float64.  A part that is not finite (an item or query
+    beyond float32's range, or an overflowed dot) reads nan, which no
+    comparison drops and the ``k``-th smallest skips.
+    """
+    dots = np.empty(len(screen_rows), dtype=np.float32)
+    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        # An allocating take is faster than take(..., out=) here.
+        dots[lo:hi] = screen.take(screen_rows[lo:hi], axis=0) @ queries32[i]
+    parts = screen_norms.take(screen_rows)
+    parts -= dots
+    parts -= dots
+    finite = np.isfinite(parts)
+    if not finite.all():
+        parts[~finite] = np.nan
+    return parts
 
 
 def _screened_distances(
     queries: np.ndarray,
     data: np.ndarray,
     screen: np.ndarray,
+    screen_norms: np.ndarray,
+    screen_top: float,
     screen_rows: np.ndarray,
     stacked_ids: np.ndarray,
     counts: np.ndarray,
@@ -650,42 +763,40 @@ def _screened_distances(
 ) -> np.ndarray:
     """Euclidean :func:`_ragged_distances` of the candidates that can rank.
 
-    Scores every candidate on the float32 ``screen`` first (``d32``,
-    margin ``ε`` from :func:`_screen_margin`), reading candidate ``j``
-    at ``screen[screen_rows[j]]``.  Row ``i``'s threshold
-    ``τ`` is ``limit``, lowered to the ``k``-th smallest ``d32 + ε``
-    when the row has more than ``k`` candidates.  A candidate with
-    ``d32 − ε > τ`` reads ``+inf``; every other one, and every one whose
-    ``d32`` is not finite, goes through the float64 kernel.  Near-ties
-    only make that re-scored set larger.
+    Reads every candidate's part ``‖x̃‖² − 2·x̃·q̃`` on the float32
+    ``screen`` first (:func:`_screen_partials`), candidate ``j`` at
+    ``screen[screen_rows[j]]``.  Row ``i``'s threshold ``τ`` is
+    ``limit``, lowered to the :func:`_screen_upper` bound of its
+    ``k``-th smallest part when the row has more than ``k`` candidates.
+    A candidate whose part exceeds the row's :func:`_screen_cut` of
+    ``τ`` reads ``+inf``; every other one, and every one whose part is
+    not finite, goes through the float64 kernel.  Near-ties only make
+    that re-scored set larger.
 
-    Since ``d64 ≤ d32 + ε`` for each candidate, each row's ``k``-th
-    smallest ``d64`` is at most ``τ``, and a dropped candidate has
-    ``d64 ≥ d32 − ε > τ``: it is neither among the row's ``k`` nearest
-    (not even as a tie) nor within ``limit``.  The float64 kernel is
-    row-wise, so the re-scored candidates carry exactly the bits of
-    scoring them all.
+    The bound is monotone in the part, so each row's ``k``-th smallest
+    ``d64`` is at most ``τ``, and a dropped candidate has ``d64 > τ``
+    (:func:`_screen_error`): it is neither among the row's ``k``
+    nearest (not even as a tie) nor within ``limit``.  The float64
+    kernel is row-wise, so the re-scored candidates carry exactly the
+    bits of scoring them all.
     """
-    bounds = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    bounds = [0, *accumulate(counts.tolist())]
     with np.errstate(over="ignore", invalid="ignore"):
-        d32 = _ragged_distances(
-            queries.astype(np.float32), screen, screen_rows, counts,
-            "euclidean",
+        queries32 = queries.astype(np.float32)
+        squares, err, slack = _screen_error(queries32, screen_top)
+        parts = _screen_partials(
+            queries32, screen, screen_norms, screen_rows, bounds
         )
-        rel, offset = _screen_margin(queries)
         tau = np.full(len(counts), limit, dtype=np.float64)
         if k is not None:
-            upper = d32 * (1.0 + rel)
-            upper += np.repeat(offset, counts)
+            kth = np.full(len(counts), np.nan)
             for row in np.flatnonzero(counts > k).tolist():
-                seg = upper[bounds[row]:bounds[row + 1]]
-                # fmin skips a nan k-th value (from a nan d32): no cut.
-                tau[row] = np.fmin(
-                    tau[row], np.partition(seg, k - 1)[k - 1]
-                )
-        # d32 − ε > τ, as d32·(1 − rel) > τ + offset.
-        drop = d32 * (1.0 - rel) > np.repeat(tau + offset, counts)
-    drop &= np.isfinite(d32)
+                seg = parts[bounds[row]:bounds[row + 1]]
+                kth[row] = np.partition(seg, k - 1)[k - 1]
+            # fmin skips a nan bound (a nan k-th part): no cut.
+            tau = np.fmin(tau, _screen_upper(kth, squares, err, slack))
+        cut = _screen_cut(tau, squares, err, slack)
+        drop = parts > np.repeat(cut, counts)
     rescored = np.flatnonzero(~drop)
     out = np.full(len(stacked_ids), np.inf)
     out[rescored] = _ragged_distances(

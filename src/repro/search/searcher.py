@@ -214,8 +214,9 @@ class HashIndex:
         tables — the cost axis of the paper's Figure 12 comparison
         (single-table GQR vs multi-table GHR).  ``screen`` is the
         evaluator's float32 copy of ``data``, stored in the first
-        table's bucket order, plus its int32 id → row map (0 when it
-        keeps none: see :class:`~repro.search.engine.ExactEvaluator`).
+        table's bucket order, plus its int32 id → row map and each
+        row's float64 squared norm, ``4·(n·d + n) + 8·n`` bytes (0 when
+        it keeps none: see :class:`~repro.search.engine.ExactEvaluator`).
         ``ranking`` is what the tables cache for ranked reads — dense
         layout, bucket bits and complement, slot table
         (:meth:`~repro.index.hash_table.HashTable.ranking_bytes`); 0

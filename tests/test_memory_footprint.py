@@ -34,8 +34,9 @@ class TestMemoryFootprint:
     def test_screen_is_a_float32_copy_of_a_fixed_euclidean_corpus(self, data):
         index = HashIndex(ITQ(code_length=6, seed=0), data)
         mem = index.memory_footprint()
-        # The float32 copy (half of data) and its int32 id -> row map.
-        assert mem["screen"] == data.size * 4 + 4 * len(data)
+        # The float32 copy (half of data), its int32 id -> row map and
+        # each row's float64 squared norm.
+        assert mem["screen"] == data.size * 4 + 4 * len(data) + 8 * len(data)
         assert data.size * 4 == mem["data"] // 2
 
     def test_no_screen_for_angular_metrics(self, data):

@@ -18,6 +18,7 @@ beyond float32's range (they round to inf).
 
 from __future__ import annotations
 
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -31,7 +32,10 @@ from repro.hashing import ITQ
 from repro.search.engine import (
     ExactEvaluator,
     _ragged_distances,
-    _screen_margin,
+    _screen_cut,
+    _screen_error,
+    _screen_partials,
+    _screen_upper,
 )
 from repro.search.searcher import HashIndex
 
@@ -172,22 +176,48 @@ def test_range_screened_equals_float64(corpus, rows, noise, nth):
     seed=st.integers(0, 50),
     noise=noises,
 )
-def test_margin_bounds_float32_error(family, dim, seed, noise):
-    """``|d32 − d64| ≤ ε`` for every finite ``d32``, as the proof says."""
+def test_screen_bounds_bracket_float64(family, dim, seed, noise):
+    """Every finite part's bounds hold the float64 distance, as the
+    proof says: the upper bound is at least ``d64``, and the cut at
+    ``τ = d64`` keeps the candidate (a lower bound at most ``d64``)."""
     items = _items(family, dim, seed)
     queries = _queries(family, items, range(0, N_ITEMS, 100), noise, seed)
+    evaluator = ExactEvaluator(items)
     ids = np.tile(np.arange(N_ITEMS), len(queries))
     counts = np.full(len(queries), N_ITEMS)
     with np.errstate(over="ignore", invalid="ignore"):
-        d32 = _ragged_distances(
-            queries.astype(np.float32), items.astype(np.float32), ids,
-            counts, "euclidean",
+        queries32 = queries.astype(np.float32)
+        parts = _screen_partials(
+            queries32, evaluator._screen, evaluator._screen_norms, ids,
+            range(0, len(ids) + 1, N_ITEMS),
         )
-        rel, offset = _screen_margin(queries)
-    margin = rel * d32 + np.repeat(offset, counts)
-    d64 = _ragged_distances(queries, items, ids, counts, "euclidean")
-    finite = np.isfinite(d32)
-    assert (np.abs(d32 - d64)[finite] <= margin[finite]).all()
+        terms = [
+            np.repeat(term, counts)
+            for term in _screen_error(queries32, evaluator._screen_top)
+        ]
+        d64 = _ragged_distances(queries, items, ids, counts, "euclidean")
+        upper = _screen_upper(parts, *terms)
+        cut = _screen_cut(d64, *terms)
+    finite = np.isfinite(parts)
+    assert (d64[finite] <= upper[finite]).all()
+    assert (parts[finite] <= cut[finite]).all()
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_screen_raises_no_warning(family):
+    """Overflow and nan inside the screen are expected, never reported."""
+    items = _items(family, 8, 0)
+    queries = _queries(family, items, range(0, N_ITEMS, 50), 0.3, 0)
+    ids = np.tile(np.arange(N_ITEMS), len(queries))
+    counts = np.full(len(queries), N_ITEMS)
+    order = np.random.default_rng(0).permutation(N_ITEMS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for evaluator in (
+            ExactEvaluator(items), ExactEvaluator(items, order=order)
+        ):
+            evaluator.distances(queries, ids, counts, k=5)
+            evaluator.distances(queries[0], ids[:N_ITEMS], limit=1.0)
 
 
 class TestScreenScope:
@@ -218,6 +248,47 @@ class TestScreenScope:
         within = exact <= limit
         assert got[within].tobytes() == exact[within].tobytes()
         assert np.isinf(got[~within]).any()
+
+    def test_rows_beyond_float32_leave_the_rest_screened(self, data):
+        # A third of the items round to inf in float32.  Their rows are
+        # re-scored, and the largest norm the error bound uses is the
+        # largest finite one, so the other items are still screened.
+        wide = data.copy()
+        scaled = len(wide) // 3
+        wide[:scaled] *= 1e39
+        screened = ExactEvaluator(wide)
+        assert np.isfinite(screened._screen_top)
+        query, ids = wide[-1] + 0.1, np.arange(len(wide))
+        exact = ExactEvaluator(lambda: wide).distances(query, ids)
+        got = screened.distances(query, ids, k=10)
+        finite = np.isfinite(got)
+        assert finite[:scaled].all()
+        # Most of the items within float32's range were ruled out.
+        assert finite[scaled:].sum() < (len(ids) - scaled) // 10
+        assert got[finite].tobytes() == exact[finite].tobytes()
+        assert finite[np.argsort(exact, kind="stable")[:10]].all()
+
+    def test_overflowing_dots_are_rescored(self, data):
+        # Every value fits in float32, but many float32 dot products
+        # overflow: those candidates have no bound and are re-scored.
+        big = data * 1e19
+        screened = ExactEvaluator(big)
+        query, ids = big[-1] + 1e18, np.arange(len(big))
+        with np.errstate(over="ignore", invalid="ignore"):
+            dots = big.astype(np.float32) @ query.astype(np.float32)
+        assert (dots == np.inf).any() and (dots == -np.inf).any()
+        # One more than the dots that overflowed upwards, so the k-th
+        # smallest bound is finite and the cut is too.
+        k = int((dots == np.inf).sum()) + 1
+        exact = ExactEvaluator(lambda: big).distances(query, ids)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = screened.distances(query, ids, k=k)
+        finite = np.isfinite(got)
+        assert not finite.all()
+        assert finite[~np.isfinite(dots)].all()
+        assert got[finite].tobytes() == exact[finite].tobytes()
+        assert finite[np.argsort(exact, kind="stable")[:k]].all()
 
     @pytest.mark.parametrize(
         "source, metric",

@@ -75,7 +75,8 @@ def test_id_order_keeps_no_row_map():
     data = _items("gaussian", 1)
     evaluator = ExactEvaluator(data)
     assert evaluator._screen_rows is None
-    assert evaluator.screen_bytes == data.size * 4
+    # The copy and each row's float64 squared norm.
+    assert evaluator.screen_bytes == data.size * 4 + len(data) * 8
     assert evaluator._screen.tobytes() == data.astype(np.float32).tobytes()
 
 
@@ -166,7 +167,8 @@ def test_ordered_build_allocates_the_copy_and_one_row_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert evaluator.screen_bytes == n * dim * 4 + n * 4
+    # The copy, its int32 map and each row's float64 squared norm.
+    assert evaluator.screen_bytes == n * dim * 4 + n * 4 + n * 8
     # At most one block of rows, even in float64, and a little slack
     # for numpy's bookkeeping.
     block = _SCREEN_FILL_ROWS * dim * 8

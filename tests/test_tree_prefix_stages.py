@@ -132,3 +132,12 @@ def test_lead_is_the_front_of_the_same_emission():
     assert cached_tree_prefix(12, 127)._lead is None
     # Every mask of m = 6 is in both halves: nothing to lead with.
     assert cached_tree_prefix(6, 128)._lead is None
+
+
+def test_cache_returns_a_lead_that_is_still_alive():
+    parent = cached_tree_prefix(12, 128)
+    # Evict everything from the bounded cache; the parent keeps its lead.
+    for m in range(6, 30):
+        cached_tree_prefix(m, 32)
+    assert parent._lead is cached_tree_prefix(12, 64)
+    assert parent is cached_tree_prefix(12, 128)
