@@ -6,8 +6,10 @@ Two kernels give the same probe order over occupied buckets:
   empty buckets included;
 * one QD score row per query over every occupied bucket
   (``GQR.batch_scores`` on the index's cached bucket bits), then a
-  partitioned prefix of it — what the Theorem 2 scan and the ordered
-  batch path run.
+  partitioned prefix of it.  The Theorem 2 scan and the ordered batch
+  path rank from the certified generation-tree prefix
+  (``repro.core.tree_prefix``) and run this score row only for the
+  rows the prefix leaves uncertified.
 
 Part 1 times the first N occupied buckets of one query both ways, by
 depth.  Part 2 times ``search_batch`` (the ordered path) against the

@@ -21,10 +21,12 @@ in it, or in ``F`` when ``D = {0}``), so the mask descends from a member
 of ``F`` (Property 1); by Property 2 it costs at least as much under
 *any* ascending cost vector, not just the profile's.
 
-Per row, :meth:`TreePrefix.rank` sorts the flip costs, scores
-``D ∪ F`` with one matmul, maps ``D`` to bucket signatures through
-lookup tables over the two halves of a mask and to bucket slots through
-the table's dense slot table, and ranks ``D``'s present slots by QD.
+Per block of rows, :meth:`TreePrefix.rank` sorts the flip costs,
+scores ``D ∪ F`` with one matmul, maps ``D`` to bucket signatures with
+a second product over the same bits (sorted position ``x`` weighs
+``2^permutation[x]``, exact in float64) and to bucket slots through the
+table's dense slot table, and ranks ``D``'s present slots by QD, with a
+fixed number of numpy calls whatever the number of rows.
 It does so first on the *lead*, the shared prefix of size ``L // 2``
 (at least 64 masks), whose down-set is the front of ``D`` in the same
 emission, and again on ``D`` only for the rows the lead cannot certify:
@@ -115,21 +117,6 @@ def _children(mask: int, m: int) -> tuple[int, ...]:
     return append_move(mask), swap_move(mask)
 
 
-def _subset_xors(flips: np.ndarray) -> np.ndarray:
-    """Per row, the XOR of every subset of ``flips``' columns.
-
-    ``flips`` is ``(rows, h)``; entry ``[r, s]`` of the ``(rows, 2^h)``
-    result XORs the columns whose bits are set in ``s``.
-    """
-    rows, width = flips.shape
-    table = np.zeros((rows, 1 << width), dtype=np.int64)
-    for bit in range(width):
-        table[:, 1 << bit:2 << bit] = (
-            table[:, :1 << bit] ^ flips[:, bit:bit + 1]
-        )
-    return table
-
-
 class TreePrefix:
     """The down-set ``D`` and frontier ``F`` of one ``(m, L)``.
 
@@ -169,9 +156,6 @@ class TreePrefix:
         self._bits = np.ascontiguousarray(
             unpack_bits(masks, m).T, dtype=np.float64
         )
-        self._half = (m + 1) // 2
-        self._low = self.down_set & ((1 << self._half) - 1)
-        self._high = self.down_set >> self._half
         # Margin of the certificate's comparisons: rounding error of an
         # m-term sum of non-negative terms, with room to spare.
         self._grow = 1.0 + 8.0 * (m + 1) * 2.0 ** -53
@@ -260,24 +244,28 @@ class TreePrefix:
         grow: float,
     ) -> RankedPrefix:
         """:meth:`rank` on this prefix's ``D`` alone, comparing with ``grow``."""
-        n_rows, n_down = len(costs), len(self.down_set)
+        (n_rows, m), n_down = costs.shape, len(self.down_set)
+        # A flat take reads row i's entry j at i·width + j.
+        rows = np.arange(n_rows)
         permutation = np.argsort(costs, axis=1, kind="stable")
-        sorted_costs = np.take_along_axis(costs, permutation, axis=1)
+        sorted_costs = costs.take(permutation + rows[:, np.newaxis] * m)
         qds = sorted_costs @ self._bits
-        # Sorted position x flips bit permutation[x] of the query's code.
-        flips = np.left_shift(np.int64(1), permutation)
+        # Sorted position x flips bit permutation[x] of the query's code,
+        # so a mask's flip pattern is the sum of 2^permutation[x] over
+        # its set bits: exact in float64 (docs/theory.md).
         signatures = (
-            _subset_xors(flips[:, :self._half])[:, self._low]
-            ^ _subset_xors(flips[:, self._half:])[:, self._high]
-            ^ query_signatures[:, np.newaxis]
-        )
-        slots = slot_table[signatures]
-        keyed = np.where(slots >= 0, qds[:, :n_down], np.inf)
+            np.ldexp(1.0, permutation) @ self._bits[:, :n_down]
+        ).astype(np.int64)
+        signatures ^= query_signatures[:, np.newaxis]
+        slots = slot_table.take(signatures)
+        present = slots >= 0
+        keyed = np.where(present, qds[:, :n_down], np.inf)
         ranking = np.argsort(keyed, axis=1)
-        order = np.take_along_axis(slots, ranking, axis=1).astype(np.int64)
-        scores = np.take_along_axis(keyed, ranking, axis=1)
+        ranking += rows[:, np.newaxis] * n_down
+        order = slots.take(ranking).astype(np.int64, copy=False)
+        scores = keyed.take(ranking)
         cumulative = np.cumsum(
-            np.where(order >= 0, sizes[order], 0), axis=1
+            np.where(order >= 0, sizes.take(order), 0), axis=1
         )
         stops = (cumulative < budget).sum(axis=1)
         # Two trailing infs: the last pair never clears, so argmin finds
@@ -287,9 +275,9 @@ class TreePrefix:
         )
         cleared = padded[:, :-1] * grow < padded[:, 1:]
         floor = qds[:, n_down:].min(axis=1, initial=np.inf)
-        at_stop = padded[np.arange(n_rows), stops]
+        at_stop = padded.take(stops + rows * (n_down + 2))
         certified = (
-            (stops < np.count_nonzero(slots >= 0, axis=1))
+            (stops < np.count_nonzero(present, axis=1))
             & (np.argmin(cleared, axis=1) > stops)
             & (at_stop * grow < floor)
             & (costs >= 0).all(axis=1)

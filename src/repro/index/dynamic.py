@@ -10,11 +10,11 @@ prober works on it unchanged, while supporting ``add`` and ``remove``.
 Storage is a :class:`BucketLayout`: bucket slots sorted by signature,
 each with its size and its id array, plus the float64 bucket bits and
 their complement that :meth:`~repro.core.prober.BucketProber.batch_scores`
-multiplies, and a dense signature-to-slot table.  The same layout
-serves the engine's ordered kernel (rank slots from a certified prefix
-of GQR's generation tree, or from a score row of every slot, then
-gather a prefix), so a search whose prober ranks buckets never walks a
-generator through ``get``.
+multiplies and a dense signature-to-slot table, both built on a read's
+first use of them.  The same layout serves the engine's ordered kernel
+(rank slots from a certified prefix of GQR's generation tree, or from a
+score row of every slot, then gather a prefix), so a search whose
+prober ranks buckets never walks a generator through ``get``.
 
 Writes are batched numpy operations under one writer lock, applied in
 place: a removed id leaves its bucket array at once (there are no
@@ -49,15 +49,14 @@ class BucketLayout:
 
     ``signatures`` ascend, so a column index is also the signature's
     rank (the ordered kernel's tie-break).  ``sizes`` and ``buckets``
-    are updated in place by the table's writers; ``signatures``,
-    ``bits`` and ``complement`` never change, so one read scores, ranks
-    and gathers from one layout even while the table publishes a newer
-    one.
+    are updated in place by the table's writers; ``signatures`` never
+    change, so one read scores, ranks and gathers from one layout even
+    while the table publishes a newer one.
     """
 
     __slots__ = (
-        "_slots", "_table", "bits", "buckets", "code_length", "complement",
-        "signatures", "sizes",
+        "_bits", "_slots", "_table", "buckets", "code_length", "signatures",
+        "sizes",
     )
 
     def __init__(
@@ -66,15 +65,13 @@ class BucketLayout:
         signatures: np.ndarray,
         sizes: np.ndarray,
         buckets: list[np.ndarray],
-        bits: np.ndarray,
     ) -> None:
         self._table = table
         self.code_length = table.code_length
         self.signatures = signatures
         self.sizes = sizes
         self.buckets = buckets
-        self.bits = bits
-        self.complement = 1.0 - bits
+        self._bits: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._slots: np.ndarray | None = None
 
     def widened(self, fresh: np.ndarray) -> BucketLayout:
@@ -87,13 +84,11 @@ class BucketLayout:
             buckets.append(_EMPTY_IDS)
             done = slot
         buckets += self.buckets[done:]
-        bits = unpack_bits(fresh, self.code_length).astype(np.float64)
         return BucketLayout(
             self._table,
             np.insert(self.signatures, at, fresh),
             np.insert(self.sizes, at, 0),
             buckets,
-            np.insert(self.bits, at, bits, axis=0),
         )
 
     def compacted(self) -> BucketLayout:
@@ -104,7 +99,6 @@ class BucketLayout:
             self.signatures[keep],
             self.sizes[keep],
             [self.buckets[slot] for slot in keep.tolist()],
-            self.bits[keep],
         )
 
     def dense_layout(self) -> tuple[np.ndarray, np.ndarray]:
@@ -112,8 +106,20 @@ class BucketLayout:
         return self.signatures, self.sizes
 
     def bucket_bits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(signatures, bits, 1 − bits)``, the scoring operands."""
-        return self.signatures, self.bits, self.complement
+        """``(signatures, bits, 1 − bits)``, the scoring operands.
+
+        The float64 bits and complement are built on the first call and
+        kept, as :meth:`slot_table` is: a write that widens or compacts
+        the layout copies no bit matrix, and a read that ranks only from
+        the tree prefix never builds one.
+        """
+        cached = self._bits
+        if cached is None:
+            bits = unpack_bits(self.signatures, self.code_length).astype(
+                np.float64
+            )
+            cached = self._bits = (self.signatures, bits, 1.0 - bits)
+        return cached
 
     def slot_table(self) -> np.ndarray:
         """Dense map from signature to slot, ``-1`` where there is none.
@@ -181,7 +187,6 @@ class DynamicHashTable:
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.int64),
             [],
-            np.empty((0, self._m), dtype=np.float64),
         )
         # Writers only: reads go through the published layout.
         self._lock = threading.Lock()

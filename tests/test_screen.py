@@ -12,8 +12,12 @@ distances bit for bit, with the same counters.
 The corpora are adversarial for a float32 screen: exact duplicates,
 items whose distances to the query tie within the margin, a 1e4 offset
 with a 1e-3 spread (float32's spacing there is about 1e-3), items
-scaled to 1e-30 and 1e-20 (float32 squares underflow), and items
-beyond float32's range (they round to inf).
+scaled to 1e-30 and 1e-20 (float32 squares underflow), items beyond
+float32's range (they round to inf), and ``half_ulp``: items half-way
+to the query, every coordinate of both nearly half a float32 ulp off
+the grid, so that each rounding moves the distance the most it can (in
+one dimension the query's rounding term of the bound decides whether
+it holds).
 """
 
 from __future__ import annotations
@@ -51,7 +55,29 @@ FAMILIES = {
     "tiny": 1e-30,
     "subnormal": 1e-20,
     "beyond_float32": 1.0,
+    "half_ulp": 1.0,
 }
+
+
+def _off_grid(values: np.ndarray, side: np.ndarray) -> np.ndarray:
+    """``values`` moved 0.49 of a float32 ulp off the float32 grid
+    towards ``side`` (±1): each rounds back by nearly half an ulp."""
+    grid = values.astype(np.float32)
+    return grid + side * 0.49 * np.spacing(np.abs(grid)).astype(np.float64)
+
+
+def _half_ulp_point(dim: int, seed: int) -> np.ndarray:
+    """The ``half_ulp`` family's query point, before it leaves the grid.
+
+    Coordinates just above 1 round with nearly float32's largest
+    relative error, as do its items' coordinates just above 1/2.
+    """
+    return np.random.default_rng(seed).uniform(1.0, 1.1, dim)
+
+
+def _alternating(rows: int) -> np.ndarray:
+    """``+1`` in even rows and ``-1`` in odd ones, as a column."""
+    return np.where(np.arange(rows) % 2, -1.0, 1.0)[:, np.newaxis]
 
 
 def _items(family: str, dim: int, seed: int) -> np.ndarray:
@@ -70,6 +96,13 @@ def _items(family: str, dim: int, seed: int) -> np.ndarray:
         items *= FAMILIES[family]
     elif family == "beyond_float32":
         items[: N_ITEMS // 3] *= 1e39
+    elif family == "half_ulp":
+        # On the segment from the origin to the query point, just past
+        # its middle; even rows round down and odd rows up.
+        scale = rng.uniform(0.5, 0.54, (N_ITEMS, 1))
+        items = _off_grid(
+            scale * _half_ulp_point(dim, seed), _alternating(N_ITEMS)
+        )
     return items
 
 
@@ -90,7 +123,14 @@ def _queries(family: str, items: np.ndarray, rows, noise: float, seed: int):
     if family == "near_ties":
         return np.zeros((len(rows), items.shape[1]))
     rng = np.random.default_rng(seed)
-    picked = items[list(rows)]
+    if family == "half_ulp":
+        # The query point, rounding down in even rows and up in odd.
+        picked = _off_grid(
+            np.tile(_half_ulp_point(items.shape[1], seed), (len(rows), 1)),
+            _alternating(len(rows)),
+        )
+    else:
+        picked = items[list(rows)]
     return picked + noise * FAMILIES[family] * rng.standard_normal(picked.shape)
 
 
@@ -169,19 +209,9 @@ def test_range_screened_equals_float64(corpus, rows, noise, nth):
         )
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    family=st.sampled_from(sorted(FAMILIES)),
-    dim=st.sampled_from([1, 2, 8, 24, 64]),
-    seed=st.integers(0, 50),
-    noise=noises,
-)
-def test_screen_bounds_bracket_float64(family, dim, seed, noise):
-    """Every finite part's bounds hold the float64 distance, as the
-    proof says: the upper bound is at least ``d64``, and the cut at
-    ``τ = d64`` keeps the candidate (a lower bound at most ``d64``)."""
-    items = _items(family, dim, seed)
-    queries = _queries(family, items, range(0, N_ITEMS, 100), noise, seed)
+def _screen_terms(items: np.ndarray, queries: np.ndarray):
+    """Every (query, item) pair's screen part, its query's error terms
+    ``(Q, E, w)`` repeated per item, and its float64 distance."""
     evaluator = ExactEvaluator(items)
     ids = np.tile(np.arange(N_ITEMS), len(queries))
     counts = np.full(len(queries), N_ITEMS)
@@ -196,11 +226,45 @@ def test_screen_bounds_bracket_float64(family, dim, seed, noise):
             for term in _screen_error(queries32, evaluator._screen_top)
         ]
         d64 = _ragged_distances(queries, items, ids, counts, "euclidean")
+    return parts, terms, d64
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(sorted(FAMILIES)),
+    dim=st.sampled_from([1, 2, 8, 24, 64]),
+    seed=st.integers(0, 50),
+    noise=noises,
+)
+def test_screen_bounds_bracket_float64(family, dim, seed, noise):
+    """Every finite part's bounds hold the float64 distance, as the
+    proof says: the upper bound is at least ``d64``, and the cut at
+    ``τ = d64`` keeps the candidate (a lower bound at most ``d64``)."""
+    items = _items(family, dim, seed)
+    queries = _queries(family, items, range(0, N_ITEMS, 100), noise, seed)
+    parts, terms, d64 = _screen_terms(items, queries)
+    with np.errstate(over="ignore", invalid="ignore"):
         upper = _screen_upper(parts, *terms)
         cut = _screen_cut(d64, *terms)
     finite = np.isfinite(parts)
     assert (d64[finite] <= upper[finite]).all()
     assert (parts[finite] <= cut[finite]).all()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_query_rounding_term_holds_the_half_ulp_bounds(seed):
+    """In one dimension the ``half_ulp`` family brings each bound within
+    ``w``, the query's rounding term, of failing: with ``w = 0`` some
+    candidate's upper bound falls below its ``d64`` and some cut at
+    ``τ = d64`` drops it, while the full bounds hold for every one."""
+    items = _items("half_ulp", 1, seed)
+    queries = _queries("half_ulp", items, range(2), 0.0, seed)
+    parts, (squares, err, slack), d64 = _screen_terms(items, queries)
+    assert (d64 <= _screen_upper(parts, squares, err, slack)).all()
+    assert (parts <= _screen_cut(d64, squares, err, slack)).all()
+    bare = np.zeros_like(slack)
+    assert (d64 > _screen_upper(parts, squares, err, bare)).any()
+    assert (parts > _screen_cut(d64, squares, err, bare)).any()
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

@@ -13,6 +13,9 @@
 * (d) The engine answers a row the certificate rejects from the score
   row, bit for bit, and ``search_batch`` answers every row as it does
   with no tree prefix at all.
+* (e) The kernel: the bucket signatures of ``D`` are those of a
+  per-mask reference for every code length a slot table serves, and a
+  row ranked alone is ranked as in a block of 64.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from hypothesis import strategies as st
 from repro.core.gqr import GQR
 from repro.core.tree_prefix import TreePrefix, cached_tree_prefix
 from repro.hashing import ITQ
-from repro.index.codes import unpack_bits
+from repro.index.codes import MAX_SLOT_BITS, unpack_bits
 from repro.index.dynamic import DynamicHashTable
 from repro.index.hash_table import HashTable
 from repro.search import HashIndex
@@ -292,3 +295,81 @@ def test_search_batch_matches_score_rows_only(wide_index):
         assert a.n_candidates == b.n_candidates
         assert a.n_buckets_probed == b.n_buckets_probed
         assert a.stats.early_stop_triggered == b.stats.early_stop_triggered
+
+
+# -- (e) the kernel --------------------------------------------------------
+
+@pytest.mark.parametrize("m", range(1, MAX_SLOT_BITS + 1))
+def test_down_set_signatures_match_a_per_mask_reference(m):
+    rng = np.random.default_rng(m)
+    prefix = TreePrefix(m, 200)
+    costs = np.stack([
+        rng.random(m),
+        np.ones(m),  # every cost tied
+        rng.integers(0, 3, m).astype(np.float64),  # ties among a few
+        np.repeat(rng.random((m + 1) // 2), 2)[:m],  # tied pairs
+    ])
+    query_signatures = rng.integers(0, 1 << m, len(costs))
+    # Every signature is its own slot of size 1, so each row ranks all
+    # of D: its slots are D's signatures, each next to its QD.
+    ranked = prefix._rank_rows(
+        query_signatures, costs, np.arange(1 << m), np.ones(1 << m, int),
+        budget=1, grow=1.0,
+    )
+    for row in range(len(costs)):
+        # Sorted position x (a stable sort) flips bit ``flips[x]``.
+        flips = sorted(range(m), key=costs[row].__getitem__)
+        want = {}
+        for mask in prefix.down_set.tolist():
+            signature = int(query_signatures[row])
+            qd = 0.0
+            for x in range(m):
+                if mask >> x & 1:
+                    signature ^= 1 << flips[x]
+                    qd += costs[row, flips[x]]
+            want[signature] = qd
+        got = ranked.order[row]
+        assert sorted(got.tolist()) == sorted(want)
+        np.testing.assert_allclose(
+            ranked.scores[row], [want[s] for s in got.tolist()], rtol=1e-13
+        )
+
+
+@pytest.mark.parametrize(
+    "m, size, budget", [(10, 100, 200), (13, 1024, 1200)]
+)
+@pytest.mark.parametrize("kind", ["integer", "continuous"])
+def test_a_row_ranked_alone_is_its_row_of_a_block(m, size, budget, kind):
+    """``(10, 100)`` ranks in one stage and ``(13, 1024)`` on a lead
+    first, its budget past the lead for some rows.  Integer costs make
+    every QD exact, so all five fields match bit for bit; on continuous
+    costs the one-row and 64-row products may round a QD differently,
+    and everything else still matches."""
+    rng = np.random.default_rng(size)
+    table = _static(rng, m, 4 << m)
+    prefix = cached_tree_prefix(m, size)
+    assert (prefix._lead is None) == (size == 100)
+    query_signatures = rng.integers(0, 1 << m, 64)
+    if kind == "integer":
+        costs = rng.integers(0, 1 << 20, (64, m)).astype(np.float64)
+    else:
+        costs = np.abs(rng.standard_normal((64, m)))
+    costs[::16] = 0.0  # every QD tied: uncertified
+    slot_table, sizes = table.slot_table(), table.dense_layout()[1]
+    block = prefix.rank(query_signatures, costs, slot_table, sizes, budget)
+    assert 0 < block.certified.sum() < 64
+    exact = ("certified", "order", "cumulative", "stops")
+    if kind == "integer":
+        exact += ("scores",)
+    for row in range(64):
+        one = prefix.rank(
+            query_signatures[row:row + 1], costs[row:row + 1], slot_table,
+            sizes, budget,
+        )
+        for field in exact:
+            got, want = getattr(one, field)[0], getattr(block, field)[row]
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), field
+        np.testing.assert_allclose(
+            one.scores[0], block.scores[row], rtol=1e-13
+        )
